@@ -45,7 +45,7 @@ from .resolvent import (
 )
 from .engine import (
     ContourSpec,
-    SpectralData,
+    Reduced,
     exp_anticommuting,
     exp_contour,
     exp_pauli,
@@ -54,7 +54,6 @@ from .engine import (
     is_pairwise_anticommuting,
     multiply_expansions,
     partition_function,
-    spectral_data,
 )
 from .dense import (
     CompareResult,
@@ -80,7 +79,7 @@ __all__ = [
     "PauliExpansion",
     "ClosedTermSet",
     "StructureMatrix",
-    "SpectralData",
+    "Reduced",
     "ContourSpec",
     "CompareResult",
     "PauliExpError",
@@ -103,7 +102,6 @@ __all__ = [
     "resolvent_at",
     "characteristic_poly_at",
     "gershgorin_bounds",
-    "spectral_data",
     "exp_pauli",
     "exp_spectral",
     "exp_contour",

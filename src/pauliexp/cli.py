@@ -2,8 +2,8 @@
 
 Subcommands: exp, partition, gibbs, verify, bench, decompose, closure.
 Exit codes: 0 success, 1 parse/config error, 2 closure explosion,
-3 numerical failure (including a failed verify). Error messages name the
-failing stage on stderr.
+3 numerical failure (including a failed verify and a result that does not
+fit in float64). Error messages name the failing stage on stderr.
 """
 
 from __future__ import annotations
@@ -26,15 +26,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import (
-    ContourSpec,
-    exp_contour,
-    exp_pauli,
-    exp_spectral,
-    gibbs_state,
-    is_pairwise_anticommuting,
-    partition_function,
-)
+from .engine import ContourSpec, Reduced, exp_pauli, exp_spectral, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -156,15 +148,8 @@ def cmd_exp(args) -> int:
             raise FormatError("--center and --radius must be given together")
         if cfg.center is not None:
             contour = ContourSpec(cfg.center, cfg.radius, cfg.nodes or 64)
-        if cfg.method == "contour":
-            e = exp_contour(h, cfg.beta, contour=contour, cap=cfg.closure_cap,
-                            nodes=cfg.nodes)
-            method = "contour"
-        else:
-            e = exp_pauli(h, cfg.beta, method=cfg.method, cap=cfg.closure_cap)
-            method = cfg.method
-            if method == "auto":
-                method = "anticommute" if is_pairwise_anticommuting(h) else "spectral"
+        e, method = exp_with_method(h, cfg.beta, cfg.method, cfg.closure_cap,
+                                    contour=contour, nodes=cfg.nodes)
     if cfg.out_format == "pauli-text":
         _emit_text(args, _expansion_text(e, cfg.beta, method, args.alphabet))
     elif cfg.out_format == "pauli-json":
@@ -188,26 +173,32 @@ def cmd_partition(args) -> int:
         raise FormatError(f"cannot parse --betas {args.betas!r}") from None
     if not betas:
         raise FormatError("--betas is empty")
+    reduced = Reduced(h, args.closure_cap)
+    log_z = reduced.log_partition(betas).real.tolist()
     rows = []
-    for beta in betas:
-        z_norm, z_trace = partition_function(h, beta, args.closure_cap)
-        z_norm, z_trace = z_norm.real, z_trace.real
-        free_energy = None if beta == 0.0 else -math.log(z_trace) / beta
-        row = {"beta": beta, "z_normalized": z_norm, "z_trace": z_trace,
-               "free_energy": free_energy}
-        if args.gibbs:
-            g = gibbs_state(h, beta, args.closure_cap)
-            row["gibbs"] = expansion_to_dict(g, alphabet=args.alphabet)
-        rows.append(row)
+    for beta, lz in zip(betas, log_z):
+        try:
+            z_trace = math.exp(lz)
+        except OverflowError:
+            raise OverflowError(
+                f"z_trace at beta {beta!r} does not fit in float64 (log z_trace {lz!r})"
+            ) from None
+        free_energy = None if beta == 0.0 else -lz / beta
+        rows.append({"beta": beta, "z_normalized": z_trace / 2**h.n, "z_trace": z_trace,
+                     "free_energy": free_energy})
+    if args.gibbs:
+        labels = [format_string(PauliString(h.n, code), args.alphabet)
+                  for code in reduced.codes.tolist()]
+        for row, coeffs in zip(rows, reduced.gibbs_many(betas).tolist()):
+            row["gibbs"] = {"n": h.n, "coeffs": [
+                {"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)
+            ]}
     symmetry = None
     if args.symmetry_check:
-        other = load_hamiltonian(args.symmetry_check)
-        worst = 0.0
-        for row in rows:
-            z2 = partition_function(other, row["beta"], args.closure_cap)[1].real
-            denom = max(abs(row["z_trace"]), abs(z2))
-            worst = max(worst, abs(row["z_trace"] - z2) / denom if denom else 0.0)
-        symmetry = worst
+        other = Reduced(load_hamiltonian(args.symmetry_check), args.closure_cap)
+        # |Z - Z'| / max(Z, Z') = 1 - exp(-|log Z - log Z'|), which cannot overflow
+        symmetry = max(-math.expm1(-abs(a - b))
+                       for a, b in zip(log_z, other.log_partition(betas).real.tolist()))
     if args.format == "json":
         doc = {"rows": rows}
         if symmetry is not None:
@@ -235,8 +226,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    h = load_hamiltonian(args.input)
-    g = gibbs_state(h, args.beta, args.closure_cap)
+    g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(args.beta)
     if args.format == "pauli-json":
         doc = expansion_to_dict(g, alphabet=args.alphabet)
         doc["beta"] = {"re": args.beta, "im": 0.0}
@@ -249,11 +239,12 @@ def cmd_gibbs(args) -> int:
 def cmd_verify(args) -> int:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
-    e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
+    reduced = Reduced(h, args.closure_cap)
+    e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap, reduced=reduced)
     approx = reconstruct_dense(e, args.dense_cap)
     exact = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
     res = compare(approx, exact)
-    tau = len(close(h, args.closure_cap))
+    tau = reduced.tau
     ok = res.max_abs <= args.tolerance
     verdict = "PASS" if ok else "FAIL"
     _emit_text(
@@ -280,7 +271,7 @@ def _bench_pattern(n: int) -> SparseHamiltonian:
 def _random_closed_hamiltonian(n: int, rank: int, seed: int) -> SparseHamiltonian:
     rng = np.random.default_rng(seed)
     while True:
-        gens = [int(rng.integers(1, 4**n)) for _ in range(rank)]
+        gens = [int(rng.integers(1, 4**n, dtype=np.uint64)) for _ in range(rank)]
         ts = close_codes(n, gens, cap=2 ** (2 * n))
         if len(ts) == 2**rank - 1:
             break
@@ -482,14 +473,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except FormatError as exc:
         print(f"pauliexp: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ClosureExplosion as exc:
         print(f"pauliexp: closure error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE
-    except (SingularSystem, ContourError) as exc:
+    except (SingularSystem, ContourError, OverflowError, FloatingPointError) as exc:
         print(f"pauliexp: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -21,7 +21,7 @@ def make_closed_hamiltonian(rng, n: int, rank: int) -> SparseHamiltonian:
     """Random Hamiltonian whose support is a full closed set of 2**rank - 1
     codes, coefficients uniform in [-1, 1]."""
     while True:
-        gens = rng.integers(1, 4**n, size=rank)
+        gens = rng.integers(1, 4**n, size=rank, dtype=np.uint64)
         ts = close_codes(n, gens, cap=4 * 2**rank)
         if len(ts) == 2**rank - 1:
             break

@@ -9,10 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pauliexp import dense_exp, load_hamiltonian, parse_string, reconstruct_dense
+from pauliexp import (
+    dense_exp,
+    gibbs_state,
+    load_hamiltonian,
+    parse_string,
+    reconstruct_dense,
+)
 from pauliexp.cli import main, parse_beta
 from pauliexp.dense import dense_from_bytes, dense_from_json
-from pauliexp.hamiltonian import expansion_from_dict
+from pauliexp.hamiltonian import expansion_from_dict, expansion_to_dict
 import pauliexp.cli
 
 
@@ -255,6 +261,109 @@ class TestPartition:
                            "--betas", "1,x")
         assert code == 1
 
+    def test_gibbs_rows_match_gibbs_state(self, capsys, fixtures_dir):
+        betas = [-0.5, 0.0, 0.25, 1.0, 3.0]
+        code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                           "--betas=" + ",".join(map(str, betas)), "--gibbs",
+                           "--format", "json", "--alphabet", "letters")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        h = load_hamiltonian(fixtures_dir / "h2.txt")
+        for beta, row in zip(betas, rows):
+            assert list(row) == ["beta", "z_normalized", "z_trace", "free_energy", "gibbs"]
+            assert row["z_trace"] == 16 * row["z_normalized"]
+            want = expansion_to_dict(gibbs_state(h, beta), alphabet="letters")
+            assert list(row["gibbs"]) == list(want) == ["n", "coeffs"]
+            assert [e["pauli"] for e in row["gibbs"]["coeffs"]] == \
+                [e["pauli"] for e in want["coeffs"]]
+            for got, ref in zip(row["gibbs"]["coeffs"], want["coeffs"]):
+                assert got["re"] == pytest.approx(ref["re"], rel=1e-12, abs=1e-15)
+                assert got["im"] == pytest.approx(ref["im"], abs=1e-15)
+
+    def test_one_eigh_per_file(self, capsys, fixtures_dir, monkeypatch):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            calls.append(m.shape)
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        betas = ",".join(str(0.25 * k) for k in range(1, 17))
+        code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                           "--betas", betas, "--gibbs",
+                           "--symmetry-check", str(fixtures_dir / "h2_mirror.txt"))
+        assert code == 0
+        assert "symmetry OK" in out
+        assert calls == [(8, 8), (8, 8)]
+        for argv in (["exp", "--beta", "0.5"], ["exp", "--time", "2", "--method", "spectral"],
+                     ["gibbs", "--beta", "0.5"], ["partition", "--betas", betas]):
+            calls.clear()
+            code, _, _ = run(capsys, *argv, "-i", str(fixtures_dir / "h2.txt"))
+            assert code == 0
+            assert calls == [(8, 8)], argv
+
+
+@pytest.mark.filterwarnings("error")
+class TestLargeBeta:
+    """XYZ + YZX + ZXY has eigenvalues -sqrt(3) and sqrt(3), four of each."""
+
+    GIBBS_OFF_IDENTITY = -1.0 / (8.0 * math.sqrt(3.0))  # ground projector / 4
+
+    @pytest.mark.parametrize("method", ["auto", "spectral", "dense"])
+    def test_exp_that_does_not_fit_exits_3(self, capsys, fixtures_dir, method):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
+                             "--beta", "1000", "--method", method)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("pauliexp: numerical error:")
+
+    @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000"])
+    def test_gibbs_large_beta(self, capsys, fixtures_dir, beta):
+        code, out, err = run(capsys, "gibbs", "-i", str(fixtures_dir / "h1.txt"),
+                             "--beta", beta)
+        assert code == 0, err
+        coeffs = parse_text_expansion(out)
+        assert coeffs[0] == 0.125
+        sign = 1.0 if float(beta) > 0 else -1.0
+        for code_ in (int("123", 4), int("231", 4), int("312", 4)):
+            assert coeffs[code_].real == pytest.approx(sign * self.GIBBS_OFF_IDENTITY,
+                                                       rel=1e-9)
+
+    def test_partition_that_does_not_fit_names_beta(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
+                             "--betas", "1,10,100,1000", "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "numerical error" in err and "beta 1000" in err and "float64" in err
+
+    def test_partition_free_energy_at_large_beta(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
+                           "--betas", "1,100,400", "--gibbs", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        for row in rows:
+            beta = row["beta"]
+            want = -math.sqrt(3.0) - math.log(4.0 + 4.0 * math.exp(-2 * math.sqrt(3) * beta)) / beta
+            assert row["free_energy"] == pytest.approx(want, rel=1e-13)
+            assert row["gibbs"]["coeffs"][0]["re"] == 0.125
+        assert rows[-1]["z_trace"] == pytest.approx(4.0 * math.exp(400 * math.sqrt(3.0)),
+                                                    rel=1e-12)
+
+    def test_underflowing_trace_keeps_free_energy(self, capsys, tmp_path):
+        # H = 1000 + Z: tr exp(-beta H) underflows to 0, the free energy does not
+        path = tmp_path / "shifted.txt"
+        path.write_text("1000 0\n1 3\n")
+        code, out, _ = run(capsys, "partition", "-i", str(path), "--betas", "2",
+                           "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["z_trace"] == 0.0
+        want = 1000 - math.log(math.exp(2.0) + math.exp(-2.0)) / 2
+        assert row["free_energy"] == pytest.approx(want, rel=1e-15)
+
 
 class TestGibbs:
     def test_text(self, capsys, fixtures_dir):
@@ -410,6 +519,12 @@ class TestBench:
                            "--tau-list", "6", "--repeats", "1")
         assert code == 1
 
+    def test_spectral_tau_at_32_qubits(self, capsys):
+        code, out, err = run(capsys, "bench", "--suite", "spectral-tau", "--n", "32",
+                             "--tau-list", "7", "--repeats", "1")
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("32,7,")
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "bench.csv"
         code, out, _ = run(capsys, "bench", "--suite", "spectral-tau", "--n", "4",
@@ -440,6 +555,20 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("PASS")
+
+    def test_overflow_without_warnings(self, fixtures_dir):
+        # one line on stderr, no traceback and no RuntimeWarning under -W error
+        for argv, want in ((["exp", "--beta", "1000"], 3),
+                           (["exp", "--beta", "500", "--method", "spectral"], 3),
+                           (["gibbs", "--beta", "1000"], 0)):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "pauliexp", *argv,
+                 "-i", str(fixtures_dir / "h1.txt")],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == want, proc.stderr
+            assert proc.stderr.count("\n") == (1 if want else 0), proc.stderr
 
     def test_console_script(self):
         # The script pyproject.toml declares, started the way the installed

@@ -5,9 +5,11 @@ from pauliexp import (
     ContourError,
     ContourSpec,
     PauliExpansion,
+    Reduced,
     SingularSystem,
     SparseHamiltonian,
     build_structure_matrix,
+    close,
     exp_anticommuting,
     exp_contour,
     exp_pauli,
@@ -17,11 +19,18 @@ from pauliexp import (
     multiply_expansions,
     parse_hamiltonian,
     partition_function,
+    pauli_decompose,
     reconstruct_dense,
-    spectral_data,
 )
+from pauliexp.dense import dense_exp
 from pauliexp.engine import _quadrature
-from conftest import anticommuting_family, make_closed_hamiltonian
+from pauliexp.hamiltonian import load_hamiltonian
+from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
+
+HAMILTONIAN_FIXTURES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt",
+                        "rho_s_n3.txt", "xy_n6.txt")
+# negative, zero, real, complex and imaginary
+GRID = (-0.7, 0.0, 0.45, 1.6, 0.3 + 0.4j, -0.5 - 0.25j, 1.1j)
 
 
 def coeff_distance(a: PauliExpansion, b: PauliExpansion) -> float:
@@ -77,12 +86,6 @@ class TestSpectral:
         e = exp_spectral(h, 2.0)
         assert e.support == (0,)
         assert e.coefficient(0) == pytest.approx(np.exp(-1.4))
-
-    def test_spectral_data_reconstructs(self, h_cycle):
-        sm = build_structure_matrix(h_cycle)
-        sd = spectral_data(sm)
-        back = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
-        assert np.abs(back - sm.matrix).max() < 1e-12
 
 
 class TestContour:
@@ -185,6 +188,20 @@ class TestAnticommuting:
         assert e.support == (0,)
         assert e.coefficient(0) == pytest.approx(np.exp(-0.5))
 
+    def test_large_beta_with_offset_stays_finite(self):
+        # cosh(g beta) alone overflows; the offset brings the result back
+        h = SparseHamiltonian(1, {3: 2.0}, identity_offset=2.0)
+        for beta in (400.0, 1e6):
+            e = exp_anticommuting(h, beta)
+            assert e.coefficient(0) == pytest.approx(0.5 * np.exp(-4.0 * beta) + 0.5)
+            assert e.coefficient(3) == pytest.approx(0.5 * np.exp(-4.0 * beta) - 0.5)
+
+    def test_small_beta_keeps_relative_precision(self):
+        h = SparseHamiltonian(1, {2: 0.6})
+        for beta in (1e-9, 1e-9j, -1e-12):
+            e = exp_anticommuting(h, beta)
+            assert e.coefficient(2) == pytest.approx(-np.sinh(0.6 * beta), rel=1e-14, abs=0)
+
 
 class TestDispatch:
     def test_auto_picks_anticommute(self, h_cycle):
@@ -238,6 +255,128 @@ class TestPartitionAndGibbs:
         dense = (v * np.exp(-beta * w)) @ v.conj().T
         dense /= np.trace(dense)
         assert np.abs(rho - dense).max() < 1e-12
+
+
+def _row(e: PauliExpansion, codes) -> np.ndarray:
+    return np.array([e.coefficient(int(c)) for c in codes])
+
+
+def _dense_reference(h, beta):
+    """(coefficients over all strings, Z, sum |exp(-beta E)|) from the dense oracle."""
+    m = reconstruct_dense(h)
+    e = pauli_decompose(dense_exp(m, beta), zero_tol=0.0)
+    if not isinstance(e, PauliExpansion):  # Hermitian results come back as Hamiltonians
+        e = PauliExpansion(h.n, {0: e.identity_offset, **e.terms})
+    boltzmann = np.exp(-beta * np.linalg.eigvalsh(m))
+    return e, boltzmann.sum(), np.abs(boltzmann).sum()
+
+
+class TestReduced:
+    @pytest.mark.parametrize("name", HAMILTONIAN_FIXTURES)
+    def test_grid_matches_dense_on_fixtures(self, name):
+        h = load_hamiltonian(FIXTURES / name)
+        red = Reduced(h)
+        rows = red.exp_many(GRID)
+        log_z = red.log_partition(GRID)
+        for beta, row, lz in zip(GRID, rows, log_z):
+            ref, z, scale = _dense_reference(h, beta)
+            want = _row(ref, red.codes)
+            tol = 1e-12 * np.abs(want).max()
+            assert set(ref.prune(tol).support) <= set(red.codes.tolist())
+            assert np.abs(row - want).max() <= tol, beta
+            assert abs(np.exp(lz) - z) <= 1e-12 * scale, beta
+
+    def test_grid_matches_per_beta_spectral(self, rng):
+        cases = [load_hamiltonian(FIXTURES / name) for name in HAMILTONIAN_FIXTURES[:5]]
+        cases += [make_closed_hamiltonian(rng, n, rank) for n, rank in
+                  ((3, 2), (5, 4), (8, 5), (32, 4))]
+        offset = SparseHamiltonian(4, dict(cases[1].terms), identity_offset=-0.8)
+        for h in cases + [offset]:
+            red = Reduced(h)
+            assert red.codes.dtype == np.uint64
+            assert red.codes.tolist() == [0] + close(h).codes.tolist()
+            rows = red.exp_many(GRID)
+            log_z = red.log_partition(GRID)
+            for beta, row, lz in zip(GRID, rows, log_z):
+                want = _row(exp_spectral(h, beta), red.codes)
+                assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+                z = 2**h.n * want[0]
+                assert abs(np.exp(lz) - z) <= 1e-12 * abs(z)
+                assert partition_function(h, beta)[1] == pytest.approx(z, rel=1e-12)
+
+    def test_exp_matches_unshifted_formula(self, rng):
+        # the direct first column V (e^{-beta w} . conj(V[0])), with no shift
+        h = make_closed_hamiltonian(rng, 6, 5)
+        sm = build_structure_matrix(h)
+        w, v = np.linalg.eigh(sm.matrix)
+        red = Reduced(h)
+        for beta in GRID:
+            want = v @ (np.exp(-beta * w) * np.conj(v[0]))
+            assert np.abs(red.exp(beta).coefficient(0) - want[0]) <= 1e-12 * abs(want[0])
+            assert np.abs(red.exp_many(beta)[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_spectral_range_and_ground_energy(self, rng):
+        h0 = make_closed_hamiltonian(rng, 4, 3)
+        h = SparseHamiltonian(4, dict(h0.terms), identity_offset=0.3)
+        red = Reduced(h)
+        e = np.linalg.eigvalsh(reconstruct_dense(h))
+        assert red.ground_energy == pytest.approx(e[0], abs=1e-12)
+        assert red.lambda_min == pytest.approx(e[0] - 0.3, abs=1e-12)
+        assert red.lambda_max == pytest.approx(e[-1] - 0.3, abs=1e-12)
+        assert red.tau == 7 and red.codes[0] == 0
+
+    @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.8, 1e3, 1e6])
+    def test_gibbs_identity_coefficient_exact(self, rng, beta):
+        for h in (make_closed_hamiltonian(rng, 5, 4), load_hamiltonian(FIXTURES / "h2.txt"),
+                  make_closed_hamiltonian(rng, 32, 3)):
+            red = Reduced(h)
+            assert red.gibbs(beta).coefficient(0) == 1.0 / 2**h.n
+            assert (red.gibbs_many([beta, 2 * beta])[:, 0] == 1.0 / 2**h.n).all()
+
+    def test_gibbs_matches_dense_on_grid(self, rng):
+        h = make_closed_hamiltonian(rng, 4, 4)
+        betas = [-2.0, 0.3, 1.7, 6.0]
+        m = reconstruct_dense(h)
+        w, v = np.linalg.eigh(m)
+        red = Reduced(h)
+        for beta, row in zip(betas, red.gibbs_many(betas)):
+            rho = (v * np.exp(-beta * (w - w[0] if beta > 0 else w - w[-1]))) @ v.conj().T
+            rho /= np.trace(rho)
+            got = reconstruct_dense(PauliExpansion(h.n, dict(zip(red.codes.tolist(), row))))
+            assert np.abs(got - rho).max() < 1e-12
+
+    @pytest.mark.parametrize("beta", [1e3, 1e6])
+    def test_gibbs_large_beta_is_ground_projector(self, beta):
+        # XYZ + YZX + ZXY: H^2 = 3 I, ground space projector (I - H/sqrt 3)/2
+        h = load_hamiltonian(FIXTURES / "h1.txt")
+        for sign in (1.0, -1.0):  # negative beta picks the top of the spectrum
+            g = gibbs_state(h, sign * beta)
+            assert g.coefficient(0) == 1.0 / 8.0
+            for code, hk in h.terms.items():
+                assert g.coefficient(code) == pytest.approx(-sign * hk / (8 * np.sqrt(3)),
+                                                            rel=1e-8)
+
+    def test_free_energy_tends_to_ground_energy(self, rng):
+        h0 = make_closed_hamiltonian(rng, 6, 4)
+        h = SparseHamiltonian(6, dict(h0.terms), identity_offset=1.25)
+        red = Reduced(h)
+        e0 = np.linalg.eigvalsh(reconstruct_dense(h))[0]
+        for beta in (1e2, 1e4, 1e6, 1e9):
+            free_energy = -red.log_partition(beta)[0].real / beta
+            assert np.isfinite(free_energy)
+            assert e0 - 6 * np.log(2) / beta - 1e-12 <= free_energy <= e0 + 1e-12
+
+    def test_overflow_raises(self):
+        h = load_hamiltonian(FIXTURES / "h1.txt")
+        red = Reduced(h)
+        for beta in (1000.0, -1000.0, 1000.0 + 3j):
+            with pytest.raises(OverflowError, match="does not fit in float64"):
+                red.exp(beta)
+            with pytest.raises(OverflowError):
+                exp_anticommuting(h, beta)
+            assert np.isfinite(red.log_partition(beta)).all()
+        # four of the eight eigenvalues are -sqrt(3)
+        assert red.log_partition(1000.0)[0].real == pytest.approx(1000 * np.sqrt(3) + np.log(4))
 
 
 class TestMultiplyExpansions:

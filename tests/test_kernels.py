@@ -88,6 +88,32 @@ class TestAssemble:
             assert bad_k == -1
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
+    def test_blocks_match_naive(self, rng, monkeypatch):
+        # one column a block, zero coefficients and codes >= 2**63
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 0)
+        for n, rank in ((5, 5), (32, 4)):
+            h = make_closed_hamiltonian(rng, n, rank)
+            codes = np.array(h.support, dtype=np.uint64)
+            coeffs = np.array([h.terms[c] for c in h.support])
+            coeffs[::3] = 0.0
+            got, bad_k, bad_l = _kernels.assemble_numpy(codes, coeffs)
+            assert (bad_k, bad_l) == (-1, -1)
+            assert np.array_equal(got, naive_assemble(codes, coeffs))
+
+    @pytest.mark.parametrize("block_entries", [0, 8192])
+    def test_reports_first_escaping_pair(self, rng, monkeypatch, block_entries):
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", block_entries)
+        h = make_closed_hamiltonian(rng, 6, 5)
+        codes = np.delete(np.array(h.support, dtype=np.uint64), 11)
+        coeffs = np.array([h.terms[int(c)] for c in codes])
+        coeffs[:2] = 0.0
+        members = set(codes.tolist())
+        want = next((k, l) for l in range(codes.size) if coeffs[l]
+                    for k in range(codes.size)
+                    if k != l and int(codes[k]) ^ int(codes[l]) not in members)
+        _, bad_k, bad_l = _kernels.assemble_numpy(codes, coeffs)
+        assert (bad_k, bad_l) == want
+
     @needs_numba
     def test_numba_matches_numpy(self, rng):
         for rank in (1, 3, 5):
