@@ -1,41 +1,18 @@
-"""Hot numeric kernels, in two interchangeable flavors.
+"""Hot numeric kernels over packed uint64 Pauli codes.
 
-Both the per-qubit phase accumulation and the structure-matrix assembly are
-tight loops over packed uint64 codes. They are implemented twice: once as
-numba @njit kernels and once in pure vectorized numpy. The active flavor is
-chosen exactly once, at import, from the PAULIEXP_BACKEND environment
-variable:
-
-    auto   use numba when importable, else numpy (default)
-    numba  require numba, fail loudly if missing
-    numpy  force the numpy fallback even when numba is present
-
-Public entry points (phase_exponents, assemble) dispatch to the active
-flavor; the _numpy/_numba variants stay importable for parity tests and
-benchmarks.
+phase_exponents is the composition phase of two code arrays in closed form
+(the phase function of Aaronson & Gottesman, with popcounts over
+bit-packed words as in Stim); assemble fills the structure matrix of a
+closed term set with it, in blocks of columns.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .pauli import I_POWERS, PHASE_EXP_TABLE
+from .pauli import I_POWERS
 
-PHASE_EXP_FLAT = np.array(
-    [PHASE_EXP_TABLE[k][l] for k in range(4) for l in range(4)], dtype=np.uint8
-)
 I_POWERS_ARR = np.array(I_POWERS, dtype=np.complex128)
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
-
 
 LANES = np.uint64(0x5555_5555_5555_5555)  # low bit of every 2-bit qubit digit
 
@@ -47,7 +24,7 @@ def _factor_masks(codes: np.ndarray):
     return lo & ~hi, hi & ~lo, hi & lo
 
 
-def phase_exponents_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def phase_exponents(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise phase exponents e with A.B = i**e (A xor B), for uint64 codes.
 
     Closed form on whole words, so the number of numpy operations does not
@@ -76,7 +53,7 @@ def phase_exponents_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 8192
 
 
-def assemble_numpy(codes: np.ndarray, coeffs: np.ndarray):
+def assemble(codes: np.ndarray, coeffs: np.ndarray):
     """Structure matrix over a sorted, composition-closed code array.
 
     Returns (a, bad_k, bad_l); bad_k == -1 means success, otherwise
@@ -103,102 +80,6 @@ def assemble_numpy(codes: np.ndarray, coeffs: np.ndarray):
         if bad.any():
             first = int(np.argmax(bad))
             return a, int(cols[first]), int(ls[li[first]])
-        exps = phase_exponents_numpy(codes, codes[ls, None])[li, cols]
+        exps = phase_exponents(codes, codes[ls, None])[li, cols]
         a[rows + 1, cols + 1] += coeffs[ls[li]] * I_POWERS_ARR[exps]
     return a, -1, -1
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _phase_exponents_numba(a, b):  # pragma: no cover - measured via wrapper
-        out = np.empty(a.shape[0], dtype=np.uint8)
-        for i in range(a.shape[0]):
-            x = a[i]
-            y = b[i]
-            e = np.uint64(0)
-            while x | y:
-                e += PHASE_EXP_FLAT[((x & np.uint64(3)) << np.uint64(2)) | (y & np.uint64(3))]
-                x >>= np.uint64(2)
-                y >>= np.uint64(2)
-            out[i] = e & np.uint64(3)
-        return out
-
-    @numba.njit(cache=True)
-    def _assemble_numba(codes, coeffs):  # pragma: no cover - measured via wrapper
-        tau = codes.shape[0]
-        a = np.zeros((tau + 1, tau + 1), dtype=np.complex128)
-        for j in range(tau):
-            a[0, j + 1] = coeffs[j]
-            a[j + 1, 0] = coeffs[j]
-        for l in range(tau):
-            hl = coeffs[l]
-            if hl == 0.0:
-                continue
-            cl = codes[l]
-            for j in range(tau):
-                m = codes[j] ^ cl
-                if m == np.uint64(0):
-                    continue
-                i = np.searchsorted(codes, m)
-                if i >= tau or codes[i] != m:
-                    return a, j, l
-                x = codes[j]
-                y = cl
-                e = np.uint64(0)
-                while x | y:
-                    e += PHASE_EXP_FLAT[
-                        ((x & np.uint64(3)) << np.uint64(2)) | (y & np.uint64(3))
-                    ]
-                    x >>= np.uint64(2)
-                    y >>= np.uint64(2)
-                a[i + 1, j + 1] += hl * I_POWERS_ARR[e & np.uint64(3)]
-        return a, -1, -1
-
-    def phase_exponents_numba(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        x, y = np.broadcast_arrays(
-            np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        )
-        flat = _phase_exponents_numba(np.ascontiguousarray(x).ravel(),
-                                      np.ascontiguousarray(y).ravel())
-        return flat.reshape(x.shape)
-
-    def assemble_numba(codes: np.ndarray, coeffs: np.ndarray):
-        return _assemble_numba(
-            np.ascontiguousarray(codes, dtype=np.uint64),
-            np.ascontiguousarray(coeffs, dtype=np.float64),
-        )
-
-else:  # pragma: no cover - exercised only on numba-free installs
-    phase_exponents_numba = None
-    assemble_numba = None
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("PAULIEXP_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"PAULIEXP_BACKEND must be auto, numba or numpy, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if HAS_NUMBA:
-        return "numba"
-    if requested == "numba":
-        raise RuntimeError("PAULIEXP_BACKEND=numba but numba is not importable")
-    return "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    phase_exponents = phase_exponents_numba
-    assemble = assemble_numba
-else:
-    phase_exponents = phase_exponents_numpy
-    assemble = assemble_numpy
-
-
-def backend() -> str:
-    """Name of the kernel flavor selected at import ("numba" or "numpy")."""
-    return BACKEND

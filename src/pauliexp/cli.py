@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .hamiltonian import (
     format_hamiltonian_text,
     load_hamiltonian,
     pauli_decompose,
+    random_closed_hamiltonian,
 )
 from .pauli import PauliString, format_string
 
@@ -47,22 +47,6 @@ EXIT_CLOSURE = 2
 EXIT_NUMERICAL = 3
 
 _G = "%.17g"
-
-
-@dataclass
-class RunConfig:
-    """Resolved knobs shared by the computation subcommands."""
-
-    input: str
-    beta: complex
-    method: str = "auto"
-    out_format: str = "pauli-text"
-    closure_cap: int = DEFAULT_CLOSURE_CAP
-    nodes: int | None = None
-    center: complex | None = None
-    radius: float | None = None
-    dense_cap: int = DENSE_CAP_DEFAULT
-    zero_tol: float = 1e-12
 
 
 def parse_beta(text: str) -> complex:
@@ -125,43 +109,33 @@ def _expansion_text(e: PauliExpansion, beta: complex, method: str, alphabet: str
 
 
 def cmd_exp(args) -> int:
-    cfg = RunConfig(
-        input=args.input,
-        beta=_beta_from_args(args),
-        method=args.method,
-        out_format=args.format,
-        closure_cap=args.closure_cap,
-        nodes=args.nodes,
-        center=parse_beta(args.center) if args.center is not None else None,
-        radius=args.radius,
-        dense_cap=args.dense_cap,
-        zero_tol=args.zero_tol,
-    )
-    h = load_hamiltonian(cfg.input)
-    if cfg.method == "dense":
-        m = dense_exp(reconstruct_dense(h, cfg.dense_cap), cfg.beta)
-        e = _as_expansion(pauli_decompose(m, zero_tol=cfg.zero_tol))
+    beta = _beta_from_args(args)
+    center = parse_beta(args.center) if args.center is not None else None
+    h = load_hamiltonian(args.input)
+    if args.method == "dense":
+        m = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
+        e = _as_expansion(pauli_decompose(m, zero_tol=args.zero_tol))
         method = "dense"
     else:
         contour = None
-        if (cfg.center is None) != (cfg.radius is None):
+        if (center is None) != (args.radius is None):
             raise FormatError("--center and --radius must be given together")
-        if cfg.center is not None:
-            contour = ContourSpec(cfg.center, cfg.radius, cfg.nodes or 64)
-        e, method = exp_with_method(h, cfg.beta, cfg.method, cfg.closure_cap,
-                                    contour=contour, nodes=cfg.nodes)
-    if cfg.out_format == "pauli-text":
-        _emit_text(args, _expansion_text(e, cfg.beta, method, args.alphabet))
-    elif cfg.out_format == "pauli-json":
-        doc = expansion_to_dict(e, cfg.beta, args.alphabet)
+        if center is not None:
+            contour = ContourSpec(center, args.radius, args.nodes or 64)
+        e, method = exp_with_method(h, beta, args.method, args.closure_cap,
+                                    contour=contour, nodes=args.nodes)
+    if args.format == "pauli-text":
+        _emit_text(args, _expansion_text(e, beta, method, args.alphabet))
+    elif args.format == "pauli-json":
+        doc = expansion_to_dict(e, beta, args.alphabet)
         doc["method"] = method
         _emit_text(args, json.dumps(doc) + "\n")
-    elif cfg.out_format == "dense-json":
-        _emit_text(args, dense_to_json(reconstruct_dense(e, cfg.dense_cap)) + "\n")
-    elif cfg.out_format == "dense-bin":
-        _emit_bytes(args, dense_to_bytes(reconstruct_dense(e, cfg.dense_cap)))
+    elif args.format == "dense-json":
+        _emit_text(args, dense_to_json(reconstruct_dense(e, args.dense_cap)) + "\n")
+    elif args.format == "dense-bin":
+        _emit_bytes(args, dense_to_bytes(reconstruct_dense(e, args.dense_cap)))
     else:
-        raise FormatError(f"unknown format {cfg.out_format!r}")
+        raise FormatError(f"unknown format {args.format!r}")
     return EXIT_OK
 
 
@@ -268,19 +242,8 @@ def _bench_pattern(n: int) -> SparseHamiltonian:
     return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, values)})
 
 
-def _random_closed_hamiltonian(n: int, rank: int, seed: int) -> SparseHamiltonian:
-    rng = np.random.default_rng(seed)
-    while True:
-        gens = [int(rng.integers(1, 4**n, dtype=np.uint64)) for _ in range(rank)]
-        ts = close_codes(n, gens, cap=2 ** (2 * n))
-        if len(ts) == 2**rank - 1:
-            break
-    values = rng.uniform(-1.0, 1.0, size=len(ts))
-    return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, values)})
-
-
 def _time_call(fn, repeats: int, warmup: bool = True) -> float:
-    if warmup:  # JIT compilation, caches
+    if warmup:
         fn()
     best = math.inf
     for _ in range(repeats):
@@ -306,14 +269,14 @@ def cmd_bench(args) -> int:
             rank = (tau + 1).bit_length() - 1
             if 2**rank - 1 != tau:
                 raise FormatError(f"tau must be 2^k - 1 for a closed set, got {tau}")
-            h = _random_closed_hamiltonian(n, rank, seed=100 + k)
+            h = random_closed_hamiltonian(np.random.default_rng(100 + k), n, rank)
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
             rows.append((n, tau, dt))
     elif args.suite == "dense-n":
         n_list = [int(t) for t in args.n_list.split(",")]
         for n in n_list:
             h = _bench_pattern(n)
-            # no JIT in the dense path and repeated 2**n eigh calls are slow
+            # repeated 2**n eigh calls are slow, so no warmup call
             dt = _time_call(
                 lambda: dense_exp(reconstruct_dense(h, args.dense_cap), beta),
                 args.repeats,
@@ -415,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition function over a real beta grid")
     _add_common(p)
-    p.add_argument("--betas", required=True, help='comma-separated real betas, e.g. "0.1,1,5"')
+    p.add_argument("--betas", required=True,
+                   help='comma-separated real betas, e.g. "0.1,1,5"; a list that starts '
+                        'with a negative beta needs the = form: --betas=-0.5,1')
     p.add_argument("--gibbs", action="store_true", help="also emit Gibbs coefficients per beta")
     p.add_argument("--symmetry-check", metavar="PATH",
                    help="second Hamiltonian file; report whether Z matches the input's")

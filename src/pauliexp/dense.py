@@ -9,6 +9,7 @@ entrywise. A cap on n keeps the oracle desk-scale.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import NamedTuple
 
@@ -25,6 +26,8 @@ from .pauli import PauliString
 
 DENSE_CAP_DEFAULT = 10
 DENSE_CAP_MAX = 12
+
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 _MAGIC = b"PEXP"
 
@@ -74,7 +77,11 @@ def dense_exp(m: np.ndarray, beta: complex, hermitian_tol: float = 1e-10) -> np.
     if defect > hermitian_tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(-beta * w)) @ v.conj().T
+    exponents = -beta * w
+    if exponents.real.max() > _LOG_FLOAT_MAX:
+        raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit "
+                            f"in float64 on the dense path")
+    return (v * np.exp(exponents)) @ v.conj().T
 
 
 class CompareResult(NamedTuple):

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,17 +40,7 @@ from .resolvent import (
 )
 
 DEFAULT_NODES = 64
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PAULIEXP_THREADS", "1").strip()
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"PAULIEXP_THREADS must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"PAULIEXP_THREADS must be a positive integer, got {raw!r}")
-    return workers
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -192,15 +180,12 @@ def exp_spectral(
 def _quadrature(sm: StructureMatrix, beta: complex, spec: ContourSpec) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(spec.nodes) / spec.nodes
     zs = spec.center + spec.radius * np.exp(1j * angles)
-    workers = min(_worker_count(), spec.nodes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rs = list(pool.map(lambda z: resolvent_at(sm, z), zs))
-    else:
-        rs = [resolvent_at(sm, z) for z in zs]
+    if (-beta * zs).real.max() > _LOG_FLOAT_MAX:
+        raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
+                            f"does not fit in float64; the spectral path has no such limit")
     acc = np.zeros(sm.size, dtype=np.complex128)
-    for z, r in zip(zs, rs):
-        acc += (z - spec.center) * np.exp(-beta * z) * r
+    for z in zs:
+        acc += (z - spec.center) * np.exp(-beta * z) * resolvent_at(sm, z)
     return acc / spec.nodes
 
 

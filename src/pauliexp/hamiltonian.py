@@ -211,6 +211,19 @@ def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet
     return close_codes(h.n, h.support, cap)
 
 
+def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> SparseHamiltonian:
+    """Random Hamiltonian whose support is a full closed set of 2**rank - 1
+    codes: the closure of `rank` codes drawn from rng until they are
+    independent, with coefficients uniform in [-1, 1]."""
+    while True:
+        gens = rng.integers(1, 4**n, size=rank, dtype=np.uint64)
+        ts = close_codes(n, gens, cap=2**rank)
+        if len(ts) == 2**rank - 1:
+            break
+    vals = rng.uniform(-1.0, 1.0, size=len(ts))
+    return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, vals)})
+
+
 _PAULI_1Q = (
     np.array([[1, 0], [0, 1]], dtype=np.complex128),
     np.array([[0, 1], [1, 0]], dtype=np.complex128),

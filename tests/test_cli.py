@@ -256,6 +256,15 @@ class TestPartition:
         assert code == 0
         assert "symmetry VIOLATED" in out
 
+    def test_negative_beta_needs_equals_form(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                           "--betas=-0.5,1", "--format", "json")
+        assert code == 0
+        assert [row["beta"] for row in json.loads(out)["rows"]] == [-0.5, 1.0]
+        code, _, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                         "--betas", "-0.5,1")
+        assert code == 1
+
     def test_bad_betas(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
                            "--betas", "1,x")
@@ -544,23 +553,39 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "# method anticommute" in proc.stdout
 
-    def test_numpy_backend_cli(self, fixtures_dir):
-        env = dict(os.environ, PAULIEXP_BACKEND="numpy")
+    def test_verify_cli(self, fixtures_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "pauliexp", "verify", "-i",
              str(fixtures_dir / "h2.txt"), "--beta", "1"],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("PASS")
 
+    def test_environment_knobs_ignored(self, fixtures_dir):
+        # no environment variable selects a kernel or a thread count
+        argv = [sys.executable, "-m", "pauliexp", "exp", "-i",
+                str(fixtures_dir / "h2.txt"), "--beta", "1", "--method", "contour"]
+        plain = subprocess.run(argv, capture_output=True)
+        env = dict(os.environ, PAULIEXP_BACKEND="cuda", PAULIEXP_THREADS="zero")
+        knobs = subprocess.run(argv, capture_output=True, env=env)
+        assert plain.returncode == knobs.returncode == 0, knobs.stderr
+        assert plain.stdout.startswith(b"# n 4")
+        assert knobs.stdout == plain.stdout
+
     def test_overflow_without_warnings(self, fixtures_dir):
-        # one line on stderr, no traceback and no RuntimeWarning under -W error
-        for argv, want in ((["exp", "--beta", "1000"], 3),
-                           (["exp", "--beta", "500", "--method", "spectral"], 3),
-                           (["gibbs", "--beta", "1000"], 0)):
+        # one line on stderr naming beta (and the dense or contour path), no
+        # traceback and no RuntimeWarning under -W error
+        for argv, want, needles in (
+            (["exp", "--beta", "1000"], 3, ["beta 1000"]),
+            (["exp", "--beta", "500", "--method", "spectral"], 3, ["beta 500"]),
+            (["exp", "--beta", "1000", "--method", "dense"], 3, ["beta 1000", "dense"]),
+            (["exp", "--beta", "1000", "--method", "contour"], 3, ["beta 1000", "contour"]),
+            # exp(-300 H) fits (about e^520); the contour integrand does not
+            (["exp", "--beta", "300", "--method", "contour"], 3, ["beta 300", "spectral"]),
+            (["gibbs", "--beta", "1000"], 0, []),
+        ):
             proc = subprocess.run(
                 [sys.executable, "-W", "error", "-m", "pauliexp", *argv,
                  "-i", str(fixtures_dir / "h1.txt")],
@@ -569,6 +594,7 @@ class TestSubprocess:
             )
             assert proc.returncode == want, proc.stderr
             assert proc.stderr.count("\n") == (1 if want else 0), proc.stderr
+            assert all(needle in proc.stderr for needle in needles), proc.stderr
 
     def test_console_script(self):
         # The script pyproject.toml declares, started the way the installed

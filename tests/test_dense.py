@@ -136,6 +136,14 @@ class TestDenseExp:
         with pytest.raises(ValueError, match="Hermitian"):
             dense_exp(m, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_beta_and_path(self):
+        m = np.diag([1.0, -1.0])
+        assert dense_exp(m, 709.0)[1, 1].real == pytest.approx(np.exp(709.0))
+        for beta in (710.0, -710.0, 710.0 + 2j):
+            with pytest.raises(OverflowError, match=r"beta -?710.*dense path"):
+                dense_exp(m, beta)
+
 
 class TestCompare:
     def test_identical(self):

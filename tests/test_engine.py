@@ -136,26 +136,19 @@ class TestContour:
         e = exp_contour(h_cycle, 0.5, contour=spec)
         assert np.isfinite([abs(c) for c in e.coeffs.values()]).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_integrand_names_beta(self, h_cycle):
+        # exp(-300 H) fits (about e^520), but exp(-beta z) on the circle does not
+        assert np.isfinite(abs(exp_spectral(h_cycle, 300.0).coefficient(0)))
+        for beta in (300.0, -300.0, 300.0 + 5j):
+            with pytest.raises(OverflowError, match=r"beta -?300.*spectral path"):
+                exp_contour(h_cycle, beta)
+
     def test_contour_spec_validation(self):
         with pytest.raises(ValueError):
             ContourSpec(0.0, -1.0)
         with pytest.raises(ValueError):
             ContourSpec(0.0, 1.0, nodes=2)
-
-    def test_threads_env_equivalent(self, h_cycle, monkeypatch):
-        monkeypatch.setenv("PAULIEXP_THREADS", "1")
-        serial = exp_contour(h_cycle, 0.9)
-        monkeypatch.setenv("PAULIEXP_THREADS", "3")
-        threaded = exp_contour(h_cycle, 0.9)
-        assert serial.coeffs == threaded.coeffs
-
-    def test_threads_env_invalid(self, h_cycle, monkeypatch):
-        monkeypatch.setenv("PAULIEXP_THREADS", "zero")
-        with pytest.raises(ValueError):
-            exp_contour(h_cycle, 0.9)
-        monkeypatch.setenv("PAULIEXP_THREADS", "0")
-        with pytest.raises(ValueError):
-            exp_contour(h_cycle, 0.9)
 
 
 class TestAnticommuting:
