@@ -446,7 +446,9 @@ def main(argv=None) -> int:
     except ClosureExplosion as exc:
         print(f"pauliexp: closure error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE
-    except (SingularSystem, ContourError, OverflowError, FloatingPointError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught ahead of it
+    except (SingularSystem, ContourError, OverflowError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"pauliexp: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

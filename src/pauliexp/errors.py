@@ -6,13 +6,12 @@ class PauliExpError(Exception):
 
 
 class ClosureExplosion(PauliExpError):
-    """Raised when a multiplicative closure grows past its cap.
+    """Raised when a multiplicative closure would hold more strings than its cap.
 
     Attributes
     ----------
     size : int
-        Number of non-identity strings accumulated when the cap was hit.
-        This is a lower bound on the true closure size.
+        Exact number of non-identity strings in the closure, 2**rank - 1.
     cap : int
         The cap that was exceeded.
     """
@@ -21,7 +20,7 @@ class ClosureExplosion(PauliExpError):
         self.size = size
         self.cap = cap
         super().__init__(
-            f"closure exceeded cap: at least {size} non-identity strings (cap {cap})"
+            f"closure has {size} non-identity strings, more than the cap {cap}"
         )
 
 

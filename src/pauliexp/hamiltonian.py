@@ -23,9 +23,6 @@ from .pauli import MAX_QUBITS, PauliString, format_string, parse_string
 
 DEFAULT_CLOSURE_CAP = 4096
 
-# keep frontier-x-total XOR blocks around this many words
-_CLOSURE_BLOCK = 4_000_000
-
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
@@ -173,37 +170,40 @@ class ClosedTermSet:
         return bool(np.isin(prods, self.codes).all())
 
 
+def _gf2_basis(codes: np.ndarray) -> np.ndarray:
+    """Basis of the GF(2) span of uint64 codes, leading bits descending.
+
+    The largest code left holds the highest leading bit left, so min(c, c ^
+    pivot) clears that bit wherever it is set: at most 64 steps in all."""
+    basis = []
+    rest = codes[codes != 0]
+    while rest.size:
+        pivot = rest.max()
+        basis.append(pivot)
+        rest = np.minimum(rest, rest ^ pivot)
+        rest = rest[rest != 0]
+    return np.array(basis, dtype=np.uint64)
+
+
 def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     """Multiplicative closure of the given non-identity codes.
 
-    Worklist closure: each round XORs the newly found codes against the
-    running total and keeps what escaped. Raises ClosureExplosion as soon as
-    the running total passes `cap`; the size it reports is a lower bound on
-    the true closure.
-    """
-    total = np.unique(np.asarray(list(codes), dtype=np.uint64))
-    total = total[total != 0]
-    if total.size and int(total[-1]) >= 4**n:
-        raise ValueError(f"code {int(total[-1])} out of range for n={n}")
-    if total.size > cap:
-        raise ClosureExplosion(int(total.size), cap)
-    frontier = total
-    while frontier.size:
-        pieces = []
-        step = max(1, _CLOSURE_BLOCK // max(1, int(total.size)))
-        for start in range(0, frontier.size, step):
-            block = frontier[start : start + step, None] ^ total[None, :]
-            pieces.append(np.unique(block.ravel()))
-        prods = np.unique(np.concatenate(pieces))
-        prods = prods[prods != 0]
-        new = np.setdiff1d(prods, total, assume_unique=True)
-        if new.size == 0:
-            break
-        total = np.union1d(total, new)
-        if total.size > cap:
-            raise ClosureExplosion(int(total.size), cap)
-        frontier = new
-    return ClosedTermSet(n, total)
+    The closure is the GF(2) span of the codes minus the zero word. Gaussian
+    elimination finds a basis of rank r; when the exact size 2**r - 1 exceeds
+    `cap`, ClosureExplosion says so before anything is enumerated. Otherwise
+    the span is built by r doublings and one sort."""
+    codes = np.asarray(list(codes), dtype=np.uint64)
+    if codes.size and int(codes.max()) >= 4**n:
+        raise ValueError(f"code {int(codes.max())} out of range for n={n}")
+    basis = _gf2_basis(codes)
+    size = 2 ** basis.size - 1
+    if size > cap:
+        raise ClosureExplosion(size, cap)
+    span = np.zeros(1, dtype=np.uint64)
+    for b in basis:
+        span = np.concatenate((span, span ^ b))
+    span.sort()
+    return ClosedTermSet(n, span[1:])
 
 
 def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
@@ -217,9 +217,9 @@ def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> Sp
     independent, with coefficients uniform in [-1, 1]."""
     while True:
         gens = rng.integers(1, 4**n, size=rank, dtype=np.uint64)
-        ts = close_codes(n, gens, cap=2**rank)
-        if len(ts) == 2**rank - 1:
+        if _gf2_basis(gens).size == rank:
             break
+    ts = close_codes(n, gens, cap=2**rank - 1)
     vals = rng.uniform(-1.0, 1.0, size=len(ts))
     return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, vals)})
 

@@ -169,6 +169,17 @@ class TestExp:
         assert code == 3
         assert "numerical error" in err
 
+    def test_failed_factorization_exit_3(self, capsys, fixtures_dir, monkeypatch):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
+                           "--beta", "1", "--method", "spectral")
+        assert code == 3
+        assert err.startswith("pauliexp: numerical error:")
+        assert err.count("\n") == 1
+
     def test_center_without_radius(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
                            "--beta", "1", "--center", "0")
@@ -495,6 +506,7 @@ class TestClosure:
         code, _, err = run(capsys, "closure", "-i", str(fixtures_dir / "xy_n6.txt"),
                            "--closure-cap", "512")
         assert code == 2
+        assert "2047" in err
 
 
 class TestBench:

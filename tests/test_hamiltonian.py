@@ -1,4 +1,7 @@
 import json
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -206,18 +209,31 @@ class TestClosure:
             assert ts.is_closed()
 
     def test_size_is_two_to_rank_minus_one(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            gens = [int(g) for g in rng.integers(1, 4**n, size=4)]
+        for _ in range(40):
+            n = int(rng.choice([1, 2, 3, 5, 8, 16, 31, 32]))
+            drawn = rng.integers(1, 4**n, size=int(rng.integers(1, 11)), dtype=np.uint64)
+            gens = [int(g) for g in drawn]
+            gens.append(gens[0] ^ gens[-1])  # dependent on the draws (0 for one draw)
             ts = close_codes(n, gens)
             assert ts.tau == 2 ** gf2_rank(gens) - 1
+            assert ts.is_closed()
+            if len(gens) <= 8:
+                subsets = {reduce(xor, combo) for k in range(1, len(gens) + 1)
+                           for combo in combinations(gens, k)}
+                assert [int(c) for c in ts.codes] == sorted(subsets - {0})
 
     def test_explosion(self, fixtures_dir):
         h = load_hamiltonian(fixtures_dir / "xy_n6.txt")
         with pytest.raises(ClosureExplosion) as exc:
             close(h, cap=512)
         assert exc.value.cap == 512
-        assert exc.value.size > 512
+        assert exc.value.size == 2047
+
+    def test_explosion_before_enumeration(self):
+        singles = [1 << (2 * j) for j in range(32)] + [3 << (2 * j) for j in range(32)]
+        with pytest.raises(ClosureExplosion) as exc:
+            close_codes(32, singles)
+        assert exc.value.size == 2**64 - 1
 
     def test_xy_chain_true_size(self, fixtures_dir):
         h = load_hamiltonian(fixtures_dir / "xy_n6.txt")
