@@ -25,7 +25,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import ContourSpec, Reduced, exp_pauli, exp_spectral, exp_with_method
+from .engine import DEFAULT_NODES, ContourSpec, Reduced, exp_pauli, exp_spectral, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -33,13 +33,18 @@ from .hamiltonian import (
     SparseHamiltonian,
     close,
     close_codes,
+    coeff_entries,
+    coeff_lines,
     expansion_to_dict,
+    format_complex,
+    format_expansion_text,
     format_hamiltonian_text,
+    hamiltonian_to_dict,
     load_hamiltonian,
     pauli_decompose,
     random_closed_hamiltonian,
 )
-from .pauli import PauliString, format_string
+from .pauli import format_codes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,14 +66,16 @@ def parse_beta(text: str) -> complex:
     return b
 
 
+def _finite(x: float, flag: str) -> float:
+    if not math.isfinite(x):
+        raise FormatError(f"{flag} must be finite, got {x!r}")
+    return x
+
+
 def _beta_from_args(args) -> complex:
     if args.time is not None:
-        return 1j * args.time
+        return 1j * _finite(args.time, "--time")
     return parse_beta(args.beta)
-
-
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def _emit_text(args, text: str):
@@ -95,19 +102,6 @@ def _as_expansion(obj) -> PauliExpansion:
     return PauliExpansion(obj.n, coeffs)
 
 
-def _expansion_text(e: PauliExpansion, beta: complex, method: str, alphabet: str) -> str:
-    lines = [
-        f"# n {e.n}",
-        f"# beta {_format_complex(beta)}",
-        f"# method {method}",
-    ]
-    for code in e.support:
-        p = format_string(PauliString(e.n, code), alphabet)
-        c = e.coeffs[code]
-        lines.append(f"{p} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_exp(args) -> int:
     beta = _beta_from_args(args)
     center = parse_beta(args.center) if args.center is not None else None
@@ -121,11 +115,11 @@ def cmd_exp(args) -> int:
         if (center is None) != (args.radius is None):
             raise FormatError("--center and --radius must be given together")
         if center is not None:
-            contour = ContourSpec(center, args.radius, args.nodes or 64)
+            contour = ContourSpec(center, args.radius, args.nodes or DEFAULT_NODES)
         e, method = exp_with_method(h, beta, args.method, args.closure_cap,
                                     contour=contour, nodes=args.nodes)
     if args.format == "pauli-text":
-        _emit_text(args, _expansion_text(e, beta, method, args.alphabet))
+        _emit_text(args, format_expansion_text(e, method, beta, args.alphabet))
     elif args.format == "pauli-json":
         doc = expansion_to_dict(e, beta, args.alphabet)
         doc["method"] = method
@@ -142,7 +136,8 @@ def cmd_exp(args) -> int:
 def cmd_partition(args) -> int:
     h = load_hamiltonian(args.input)
     try:
-        betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
+        betas = [_finite(float(tok), "--betas entry")
+                 for tok in args.betas.split(",") if tok.strip()]
     except ValueError:
         raise FormatError(f"cannot parse --betas {args.betas!r}") from None
     if not betas:
@@ -161,12 +156,8 @@ def cmd_partition(args) -> int:
         rows.append({"beta": beta, "z_normalized": z_trace / 2**h.n, "z_trace": z_trace,
                      "free_energy": free_energy})
     if args.gibbs:
-        labels = [format_string(PauliString(h.n, code), args.alphabet)
-                  for code in reduced.codes.tolist()]
-        for row, coeffs in zip(rows, reduced.gibbs_many(betas).tolist()):
-            row["gibbs"] = {"n": h.n, "coeffs": [
-                {"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)
-            ]}
+        labels = format_codes(h.n, reduced.codes, args.alphabet)
+        gibbs = reduced.gibbs_many(betas).tolist()
     symmetry = None
     if args.symmetry_check:
         other = Reduced(load_hamiltonian(args.symmetry_check), args.closure_cap)
@@ -174,24 +165,23 @@ def cmd_partition(args) -> int:
         symmetry = max(-math.expm1(-abs(a - b))
                        for a, b in zip(log_z, other.log_partition(betas).real.tolist()))
     if args.format == "json":
+        if args.gibbs:
+            for row, coeffs in zip(rows, gibbs):
+                row["gibbs"] = {"n": h.n, "coeffs": coeff_entries(labels, coeffs)}
         doc = {"rows": rows}
         if symmetry is not None:
             doc["symmetry_max_rel_diff"] = symmetry
         _emit_text(args, json.dumps(doc) + "\n")
     else:
         lines = ["beta z_normalized z_trace free_energy"]
-        for row in rows:
+        for k, row in enumerate(rows):
             fe = "n/a" if row["free_energy"] is None else _G % row["free_energy"]
             lines.append(
                 f"{row['beta']:.17g} {row['z_normalized']:.17g} "
                 f"{row['z_trace']:.17g} {fe}"
             )
             if args.gibbs:
-                for entry in row["gibbs"]["coeffs"]:
-                    lines.append(
-                        f"gibbs {row['beta']:.17g} {entry['pauli']} "
-                        f"{entry['re']:.17g} {entry['im']:.17g}"
-                    )
+                lines += coeff_lines(labels, gibbs[k], f"gibbs {row['beta']:.17g} ")
         if symmetry is not None:
             verdict = "OK" if symmetry <= 1e-10 else "VIOLATED"
             lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}")
@@ -200,31 +190,31 @@ def cmd_partition(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(args.beta)
+    beta = _finite(args.beta, "--beta")
+    g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(beta)
     if args.format == "pauli-json":
         doc = expansion_to_dict(g, alphabet=args.alphabet)
-        doc["beta"] = {"re": args.beta, "im": 0.0}
+        doc["beta"] = {"re": beta, "im": 0.0}
         _emit_text(args, json.dumps(doc) + "\n")
     else:
-        _emit_text(args, _expansion_text(g, args.beta, "gibbs", args.alphabet))
+        _emit_text(args, format_expansion_text(g, "gibbs", beta, args.alphabet))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
-    reduced = Reduced(h, args.closure_cap)
-    e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap, reduced=reduced)
+    tau = close(h, args.closure_cap).tau
+    e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
     approx = reconstruct_dense(e, args.dense_cap)
     exact = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
     res = compare(approx, exact)
-    tau = reduced.tau
     ok = res.max_abs <= args.tolerance
     verdict = "PASS" if ok else "FAIL"
     _emit_text(
         args,
         f"{verdict} n={h.n} tau={tau} method={args.method} "
-        f"beta={_format_complex(beta)} max_abs={res.max_abs:.17g} "
+        f"beta={format_complex(beta)} max_abs={res.max_abs:.17g} "
         f"frobenius={res.frobenius:.17g} tol={args.tolerance:.17g}\n",
     )
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -254,7 +244,9 @@ def _time_call(fn, repeats: int, warmup: bool = True) -> float:
 
 
 def cmd_bench(args) -> int:
-    beta = args.beta
+    beta = _finite(args.beta, "--beta")
+    if args.repeats < 1:
+        raise FormatError(f"--repeats must be at least 1, got {args.repeats}")
     rows: list[tuple[int, int, float]] = []
     if args.suite == "spectral-n":
         n_list = [int(t) for t in args.n_list.split(",")]
@@ -294,49 +286,25 @@ def cmd_bench(args) -> int:
 def cmd_decompose(args) -> int:
     m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
-    if isinstance(obj, SparseHamiltonian):
-        if args.format == "json":
-            terms = []
-            if obj.identity_offset != 0.0:
-                ident = format_string(PauliString.identity(obj.n), args.alphabet)
-                terms.append({"coeff": obj.identity_offset, "pauli": ident})
-            terms += [
-                {"coeff": obj.terms[c],
-                 "pauli": format_string(PauliString(obj.n, c), args.alphabet)}
-                for c in obj.support
-            ]
-            _emit_text(args, json.dumps({"n": obj.n, "terms": terms}) + "\n")
-        else:
-            _emit_text(args, format_hamiltonian_text(obj, args.alphabet))
+    if args.format == "json":
+        doc = (hamiltonian_to_dict(obj, args.alphabet) if isinstance(obj, SparseHamiltonian)
+               else expansion_to_dict(obj, alphabet=args.alphabet))
+        _emit_text(args, json.dumps(doc) + "\n")
+    elif isinstance(obj, SparseHamiltonian):
+        _emit_text(args, format_hamiltonian_text(obj, args.alphabet))
     else:
-        if args.format == "json":
-            _emit_text(args, json.dumps(expansion_to_dict(obj, alphabet=args.alphabet)) + "\n")
-        else:
-            lines = [f"# n {obj.n}", "# method decompose"]
-            for code in obj.support:
-                p = format_string(PauliString(obj.n, code), args.alphabet)
-                c = obj.coeffs[code]
-                lines.append(f"{p} {c.real:.17g} {c.imag:.17g}")
-            _emit_text(args, "\n".join(lines) + "\n")
+        _emit_text(args, format_expansion_text(obj, "decompose", alphabet=args.alphabet))
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
     h = load_hamiltonian(args.input)
     ts = close(h, args.closure_cap)
+    labels = format_codes(ts.n, ts.codes, args.alphabet)
     if args.format == "json":
-        doc = {
-            "n": ts.n,
-            "tau": ts.tau,
-            "codes": [format_string(PauliString(ts.n, int(c)), args.alphabet)
-                       for c in ts.codes],
-        }
-        _emit_text(args, json.dumps(doc) + "\n")
+        _emit_text(args, json.dumps({"n": ts.n, "tau": ts.tau, "codes": labels}) + "\n")
     else:
-        lines = [f"n {ts.n}", f"tau {ts.tau}"]
-        lines += [format_string(PauliString(ts.n, int(c)), args.alphabet)
-                  for c in ts.codes]
-        _emit_text(args, "\n".join(lines) + "\n")
+        _emit_text(args, "\n".join([f"n {ts.n}", f"tau {ts.tau}", *labels]) + "\n")
     return EXIT_OK
 
 

@@ -52,20 +52,18 @@ class ContourSpec:
     nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.nodes < 4:
             raise ValueError(f"need at least 4 nodes, got {self.nodes}")
 
     @classmethod
-    def for_matrix(
-        cls, sm, nodes: int = DEFAULT_NODES, margin: float = 1.25, pad: float = 1.0
-    ) -> "ContourSpec":
+    def for_matrix(cls, sm, nodes: int = DEFAULT_NODES) -> "ContourSpec":
         """Default circle from Gershgorin bounds: centered on the interval
-        midpoint, radius = half-spread * margin + pad."""
+        midpoint, radius = half-spread * 1.25 + 1."""
         lo, hi = gershgorin_bounds(sm)
         center = complex((lo + hi) / 2.0)
-        radius = (hi - lo) / 2.0 * margin + pad
+        radius = (hi - lo) / 2.0 * 1.25 + 1.0
         return cls(center, radius, nodes)
 
 
@@ -195,7 +193,6 @@ def exp_contour(
     contour: ContourSpec | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
     nodes: int | None = None,
-    reduced: Reduced | None = None,
 ) -> PauliExpansion:
     """exp(-beta H) via trapezoidal resolvent quadrature on a circle.
 
@@ -203,14 +200,10 @@ def exp_contour(
     user contour must also enclose it or ContourError is raised. If a node
     lands on (or too near) an eigenvalue, the radius is grown by 1% and the
     quadrature retried once. `nodes` overrides the node count of the
-    default contour; an explicit `contour` carries its own. A `reduced` of
-    h supplies the structure matrix and its spectrum.
+    default contour; an explicit `contour` carries its own.
     """
-    if reduced is None:
-        sm = build_structure_matrix(h, cap=cap)
-        eigs = np.linalg.eigvalsh(sm.matrix)
-    else:
-        sm, eigs = reduced.sm, reduced.w
+    sm = build_structure_matrix(h, cap=cap)
+    eigs = np.linalg.eigvalsh(sm.matrix)
     spec = (
         contour
         if contour is not None
@@ -281,24 +274,22 @@ def exp_with_method(
     cap: int = DEFAULT_CLOSURE_CAP,
     contour: ContourSpec | None = None,
     nodes: int | None = None,
-    reduced: Reduced | None = None,
 ) -> tuple[PauliExpansion, str]:
     """exp(-beta H) and the name of the path that computed it.
 
     method=auto prefers the exact anticommuting closed form when the
     precondition holds, else the spectral path. Explicit methods never fall
     back: asking for anticommute on a non-anticommuting support is an error.
-    `contour` and `nodes` apply to the contour path; a `reduced` of h is
-    reused by the spectral and contour paths.
+    `contour` and `nodes` apply to the contour path.
     """
     if method == "auto":
         if is_pairwise_anticommuting(h):
             return _anticommuting(h, beta), "anticommute"
         method = "spectral"
     if method == "spectral":
-        return (reduced or Reduced(h, cap)).exp(beta), method
+        return Reduced(h, cap).exp(beta), method
     if method == "contour":
-        return exp_contour(h, beta, contour, cap, nodes, reduced), method
+        return exp_contour(h, beta, contour, cap, nodes), method
     if method == "anticommute":
         return exp_anticommuting(h, beta), method
     raise ValueError(f"unknown method {method!r}")
@@ -310,10 +301,9 @@ def exp_pauli(
     method: str = "auto",
     cap: int = DEFAULT_CLOSURE_CAP,
     contour: ContourSpec | None = None,
-    reduced: Reduced | None = None,
 ) -> PauliExpansion:
     """exp(-beta H) by the path `method` selects (see exp_with_method)."""
-    return exp_with_method(h, beta, method, cap, contour, reduced=reduced)[0]
+    return exp_with_method(h, beta, method, cap, contour)[0]
 
 
 def partition_function(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClosureExplosion, FormatError
-from .pauli import MAX_QUBITS, PauliString, format_string, parse_string
+from .pauli import MAX_QUBITS, format_codes, parse_string
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -65,9 +65,6 @@ class SparseHamiltonian:
 
     def coefficient(self, code: int) -> float:
         return self.terms.get(int(code), 0.0)
-
-    def strings(self) -> list[PauliString]:
-        return [PauliString(self.n, c) for c in self.support]
 
 
 @dataclass(frozen=True)
@@ -192,6 +189,8 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     elimination finds a basis of rank r; when the exact size 2**r - 1 exceeds
     `cap`, ClosureExplosion says so before anything is enumerated. Otherwise
     the span is built by r doublings and one sort."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     codes = np.asarray(list(codes), dtype=np.uint64)
     if codes.size and int(codes.max()) >= 4**n:
         raise ValueError(f"code {int(codes.max())} out of range for n={n}")
@@ -214,7 +213,10 @@ def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet
 def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> SparseHamiltonian:
     """Random Hamiltonian whose support is a full closed set of 2**rank - 1
     codes: the closure of `rank` codes drawn from rng until they are
-    independent, with coefficients uniform in [-1, 1]."""
+    independent, with coefficients uniform in [-1, 1]. No n-qubit span has
+    rank above 2n, so a larger rank raises ValueError before any draw."""
+    if rank > 2 * n:
+        raise ValueError(f"rank {rank} exceeds 2n = {2 * n}, the most n={n} qubits allow")
     while True:
         gens = rng.integers(1, 4**n, size=rank, dtype=np.uint64)
         if _gf2_basis(gens).size == rank:
@@ -388,15 +390,44 @@ def load_hamiltonian(path) -> SparseHamiltonian:
         return parse_hamiltonian(fh.read())
 
 
+def format_complex(z: complex) -> str:
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
+def hamiltonian_to_dict(h: SparseHamiltonian, alphabet: str = "digits") -> dict:
+    """{"n", "terms": [{"coeff", "pauli"}, ...]}, the JSON input format, terms
+    in ascending code order after the identity when its offset is nonzero."""
+    codes = ([0] if h.identity_offset != 0.0 else []) + list(h.support)
+    coeffs = [h.identity_offset if code == 0 else h.terms[code] for code in codes]
+    return {"n": h.n, "terms": [{"coeff": c, "pauli": p}
+                                for p, c in zip(format_codes(h.n, codes, alphabet), coeffs)]}
+
+
 def format_hamiltonian_text(h: SparseHamiltonian, alphabet: str = "digits") -> str:
     """Render back into the line format, identity line first when nonzero."""
-    lines = []
-    if h.identity_offset != 0.0:
-        ident = format_string(PauliString.identity(h.n), alphabet)
-        lines.append(f"{h.identity_offset:.17g} {ident}")
-    for code in h.support:
-        p = format_string(PauliString(h.n, code), alphabet)
-        lines.append(f"{h.terms[code]:.17g} {p}")
+    terms = hamiltonian_to_dict(h, alphabet)["terms"]
+    return "\n".join(f"{t['coeff']:.17g} {t['pauli']}" for t in terms) + "\n"
+
+
+def coeff_entries(labels, coeffs) -> list[dict]:
+    """One {"pauli", "re", "im"} entry per label and complex coefficient."""
+    return [{"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)]
+
+
+def coeff_lines(labels, coeffs, prefix: str = "") -> list[str]:
+    """One `label re im` line per label and complex coefficient."""
+    return [f"{prefix}{p} {c.real:.17g} {c.imag:.17g}" for p, c in zip(labels, coeffs)]
+
+
+def format_expansion_text(e: PauliExpansion, method: str, beta=None, alphabet="digits") -> str:
+    """`# n`, `# beta` (when given) and `# method` header lines, then one
+    `label re im` line per coefficient in ascending code order."""
+    lines = [f"# n {e.n}"]
+    if beta is not None:
+        lines.append(f"# beta {format_complex(beta)}")
+    lines.append(f"# method {method}")
+    support = e.support
+    lines += coeff_lines(format_codes(e.n, support, alphabet), map(e.coeffs.get, support))
     return "\n".join(lines) + "\n"
 
 
@@ -407,14 +438,8 @@ def expansion_to_dict(
     doc: dict = {"n": e.n}
     if beta is not None:
         doc["beta"] = {"re": beta.real, "im": beta.imag}
-    doc["coeffs"] = [
-        {
-            "pauli": format_string(PauliString(e.n, code), alphabet),
-            "re": e.coeffs[code].real,
-            "im": e.coeffs[code].imag,
-        }
-        for code in e.support
-    ]
+    support = e.support
+    doc["coeffs"] = coeff_entries(format_codes(e.n, support, alphabet), map(e.coeffs.get, support))
     return doc
 
 

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_QUBITS = 32
 
 DIGIT_LETTERS = "IXYZ"
 LETTER_DIGITS = {c: k for k, c in enumerate(DIGIT_LETTERS)}
+# one ASCII byte per digit 0..3, per output alphabet
+_ALPHABET_BYTES = {"digits": b"0123", "letters": DIGIT_LETTERS.encode()}
 
 # Exponent e of the per-qubit phase i**e picked up by the ordered product
 # (left factor k) . (right factor l).  Rows k, columns l.
@@ -55,9 +59,6 @@ class Phase:
 
     def __str__(self) -> str:
         return ("1", "i", "-1", "-i")[self.exponent]
-
-
-PHASE_ONE = Phase(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,10 +176,21 @@ def parse_string(text: str) -> PauliString:
     return PauliString.from_digits(digits)
 
 
+def format_codes(n: int, codes, alphabet: str = "digits") -> list[str]:
+    """Labels of a whole array of n-qubit codes, "123" (alphabet="digits")
+    or "XYZ" (alphabet="letters").
+
+    The base-4 digits come out by shift and mask, most significant first,
+    go through one byte table and are decoded once for the whole array."""
+    if alphabet not in _ALPHABET_BYTES:
+        raise ValueError(f"unknown alphabet {alphabet!r}")
+    table = np.frombuffer(_ALPHABET_BYTES[alphabet], dtype=np.uint8)
+    codes = np.asarray(codes, dtype=np.uint64)
+    shifts = np.arange(2 * n - 2, -1, -2, dtype=np.uint64)
+    text = table[(codes[:, None] >> shifts) & np.uint64(3)].tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
+
+
 def format_string(p: PauliString, alphabet: str = "digits") -> str:
-    """Render a string as "123" (alphabet="digits") or "XYZ" (alphabet="letters")."""
-    if alphabet == "digits":
-        return "".join(str(d) for d in p.digits)
-    if alphabet == "letters":
-        return "".join(DIGIT_LETTERS[d] for d in p.digits)
-    raise ValueError(f"unknown alphabet {alphabet!r}")
+    """Render one string as "123" (alphabet="digits") or "XYZ" (alphabet="letters")."""
+    return format_codes(p.n, [p.code], alphabet)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularSystem
-from .hamiltonian import ClosedTermSet, SparseHamiltonian, close
+from .hamiltonian import DEFAULT_CLOSURE_CAP, ClosedTermSet, SparseHamiltonian, close
 
 # residual acceptance: ||(zI - A) r - e0|| <= RESIDUAL_RTOL * (|z| + ||A||_inf)
 RESIDUAL_RTOL = 1e-10
@@ -42,7 +42,7 @@ class StructureMatrix:
 
 
 def build_structure_matrix(
-    h: SparseHamiltonian, term_set: ClosedTermSet | None = None, cap: int | None = None
+    h: SparseHamiltonian, term_set: ClosedTermSet | None = None, cap: int = DEFAULT_CLOSURE_CAP
 ) -> StructureMatrix:
     """Assemble the bordered structure matrix for h over its closure.
 
@@ -50,7 +50,7 @@ def build_structure_matrix(
     the support of h.
     """
     if term_set is None:
-        term_set = close(h, cap) if cap is not None else close(h)
+        term_set = close(h, cap)
     if term_set.n != h.n:
         raise ValueError(f"term set is on {term_set.n} qubits, Hamiltonian on {h.n}")
     coeffs = np.array([h.coefficient(c) for c in term_set.codes], dtype=np.float64)

@@ -385,6 +385,28 @@ class TestLargeBeta:
         assert row["free_energy"] == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,needle", [
+    (["exp", "--time", "nan"], "--time"),
+    (["exp", "--time", "inf"], "--time"),
+    (["gibbs", "--beta", "nan"], "--beta"),
+    (["gibbs", "--beta", "inf"], "--beta"),
+    (["partition", "--betas", "nan"], "--betas"),
+    (["partition", "--betas", "0.5,inf"], "--betas"),
+    (["exp", "--beta", "1", "--method", "contour", "--center", "0", "--radius", "nan"],
+     "radius"),
+    (["exp", "--beta", "1", "--method", "contour", "--center", "0", "--radius", "inf"],
+     "radius"),
+    (["verify", "--time=-inf"], "--time"),
+])
+def test_non_finite_beta_exit_1(capsys, fixtures_dir, argv, needle):
+    code, out, err = run(capsys, *argv, "-i", str(fixtures_dir / "h1.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert needle in err and ("nan" in err or "inf" in err), err
+
+
 class TestGibbs:
     def test_text(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "gibbs", "-i", str(fixtures_dir / "h1.txt"),
@@ -433,6 +455,28 @@ class TestVerify:
         assert code == 3
         assert out.startswith("FAIL")
         assert float(out.split("max_abs=")[1].split()[0]) > 0.1
+
+
+    @pytest.mark.parametrize("method,shapes", [
+        ("anticommute", [(8, 8)]),
+        ("spectral", [(4, 4), (8, 8)]),
+    ])
+    def test_eigh_counts(self, capsys, fixtures_dir, monkeypatch, method, shapes):
+        # tau comes from the closure; only the chosen path and the dense
+        # oracle run eigh
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            calls.append(m.shape)
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, out, _ = run(capsys, "verify", "-i", str(fixtures_dir / "h1.txt"),
+                           "--beta", "1", "--method", method)
+        assert code == 0
+        assert out.startswith("PASS n=3 tau=3 ")
+        assert calls == shapes
 
 
 class TestDecompose:
@@ -546,12 +590,102 @@ class TestBench:
         assert code == 0, err
         assert out.splitlines()[1].startswith("32,7,")
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["--n-list", "40"], "qubit count"),
+        (["--n-list", "4", "--repeats", "0"], "--repeats"),
+        (["--n-list", "4", "--beta", "nan"], "--beta"),
+    ])
+    def test_bad_settings_exit_1(self, capsys, argv, needle):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and needle in err, err
+
+    def test_rank_above_2n_returns(self):
+        # no 2-qubit span has rank 5; this once redrew generators forever
+        proc = subprocess.run(
+            [sys.executable, "-m", "pauliexp", "bench", "--suite", "spectral-tau",
+             "--n", "2", "--tau-list", "31", "--repeats", "1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "rank 5 exceeds 2n = 4" in proc.stderr
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "bench.csv"
         code, out, _ = run(capsys, "bench", "--suite", "spectral-tau", "--n", "4",
                            "--tau-list", "3", "--repeats", "1", "-o", str(dest))
         assert code == 0
         assert dest.read_text().startswith("n,tau,wall_time_s")
+
+
+class TestGoldenBytes:
+    """Exact output of each writer, byte for byte, on cases whose numbers are exact."""
+
+    EXP_H1_TEXT = (
+        "# n 3\n"
+        "# beta 0+0.69999999999999996i\n"
+        "# method anticommute\n"
+        "{} 0.3507396025552123 0\n"
+        "{} 0 -0.54067295450497366\n"
+        "{} 0 -0.54067295450497366\n"
+        "{} 0 -0.54067295450497366\n"
+    )
+    EXP_H1_JSON = (
+        '{{"n": 3, "beta": {{"re": 0.0, "im": 0.7}}, "coeffs": ['
+        '{{"pauli": "{}", "re": 0.3507396025552123, "im": 0.0}}, '
+        '{{"pauli": "{}", "re": 0.0, "im": -0.5406729545049737}}, '
+        '{{"pauli": "{}", "re": 0.0, "im": -0.5406729545049737}}, '
+        '{{"pauli": "{}", "re": 0.0, "im": -0.5406729545049737}}], '
+        '"method": "anticommute"}}\n'
+    )
+    H1_LABELS = {"digits": ("000", "123", "231", "312"),
+                 "letters": ("III", "XYZ", "YZX", "ZXY")}
+
+    @pytest.mark.parametrize("alphabet", ["digits", "letters"])
+    @pytest.mark.parametrize("fmt", ["pauli-text", "pauli-json"])
+    def test_exp(self, capsys, fixtures_dir, alphabet, fmt):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
+                             "--time", "0.7", "--format", fmt, "--alphabet", alphabet)
+        want = self.EXP_H1_TEXT if fmt == "pauli-text" else self.EXP_H1_JSON
+        assert (code, err) == (0, "")
+        assert out == want.format(*self.H1_LABELS[alphabet])
+
+    @pytest.mark.parametrize("fmt,want", [
+        ("text", "n 3\ntau 3\n123\n231\n312\n"),
+        ("json", '{"n": 3, "tau": 3, "codes": ["123", "231", "312"]}\n'),
+    ])
+    def test_closure(self, capsys, fixtures_dir, fmt, want):
+        code, out, err = run(capsys, "closure", "-i", str(fixtures_dir / "h1.txt"),
+                             "--format", fmt)
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("alphabet,fmt,want", [
+        ("digits", "text", "-2 12\n2 21\n1 30\n1 33\n"),
+        ("letters", "text", "-2 XY\n2 YX\n1 ZI\n1 ZZ\n"),
+        ("digits", "json", '{"n": 2, "terms": [{"coeff": -2.0, "pauli": "12"}, '
+                           '{"coeff": 2.0, "pauli": "21"}, {"coeff": 1.0, "pauli": "30"}, '
+                           '{"coeff": 1.0, "pauli": "33"}]}\n'),
+    ])
+    def test_decompose_hermitian(self, capsys, fixtures_dir, alphabet, fmt, want):
+        code, out, err = run(capsys, "decompose", "-i",
+                             str(fixtures_dir / "qutrit_embedded.json"),
+                             "--format", fmt, "--alphabet", alphabet)
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("alphabet,fmt,want", [
+        ("digits", "text", "# n 1\n# method decompose\n1 0.5 0\n2 0 0.5\n"),
+        ("letters", "json", '{"n": 1, "coeffs": [{"pauli": "X", "re": 0.5, "im": 0.0}, '
+                            '{"pauli": "Y", "re": 0.0, "im": 0.5}]}\n'),
+    ])
+    def test_decompose_non_hermitian(self, capsys, tmp_path, alphabet, fmt, want):
+        from pauliexp import write_dense
+
+        p = tmp_path / "nh.json"
+        write_dense(p, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        code, out, err = run(capsys, "decompose", "-i", str(p),
+                             "--format", fmt, "--alphabet", alphabet)
+        assert (code, out, err) == (0, want, "")
 
 
 class TestSubprocess:

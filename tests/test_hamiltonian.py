@@ -24,9 +24,11 @@ from pauliexp.hamiltonian import (
     expansion_from_dict,
     expansion_to_dict,
     format_hamiltonian_text,
+    hamiltonian_to_dict,
     parse_hamiltonian_json,
     parse_hamiltonian_text,
     qubit_count,
+    random_closed_hamiltonian,
 )
 from conftest import make_closed_hamiltonian
 
@@ -157,6 +159,15 @@ class TestLoadAndSniff:
         p.write_text("1 Z\n")
         assert load_hamiltonian(p).coefficient(3) == 1.0
 
+    def test_dict_round_trip(self):
+        h = SparseHamiltonian(2, {6: -0.5, 11: 1.25}, identity_offset=0.75)
+        doc = hamiltonian_to_dict(h, alphabet="letters")
+        assert [t["pauli"] for t in doc["terms"]] == ["II", "XY", "YZ"]
+        again = parse_hamiltonian_json(json.dumps(doc))
+        assert again.terms == h.terms
+        assert again.identity_offset == h.identity_offset
+        assert hamiltonian_to_dict(SparseHamiltonian(1, {}))["terms"] == []
+
     def test_parse_hamiltonian_dispatch(self):
         assert parse_hamiltonian("1 Z\n").n == 1
         assert parse_hamiltonian('{"n": 1, "terms": []}').n == 1
@@ -246,6 +257,25 @@ class TestClosure:
     def test_out_of_range_generator(self):
         with pytest.raises(ValueError):
             close_codes(1, [7])
+
+    @pytest.mark.parametrize("n,codes", [(0, []), (33, [1]), (40, [4**39])])
+    def test_qubit_count_checked(self, n, codes):
+        with pytest.raises(ValueError, match="qubit count"):
+            close_codes(n, codes)
+
+
+class TestRandomClosedHamiltonian:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rank_up_to_2n(self, rng, n):
+        h = random_closed_hamiltonian(rng, n, 2 * n)
+        assert len(h.terms) == close(h).tau == 4**n - 1
+
+    @pytest.mark.parametrize("n,rank", [(1, 3), (2, 5), (32, 65)])
+    def test_rank_above_2n_raises_before_drawing(self, rng, n, rank):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"rank {rank} exceeds 2n"):
+            random_closed_hamiltonian(rng, n, rank)
+        assert rng.bit_generator.state == state
 
 
 class TestClosedTermSet:

@@ -8,6 +8,7 @@ from pauliexp.pauli import (
     Phase,
     commutes,
     compose,
+    format_codes,
     format_string,
     parse_string,
     phase,
@@ -89,6 +90,36 @@ class TestParseFormat:
     def test_format_bad_alphabet(self):
         with pytest.raises(ValueError):
             format_string(PauliString.identity(1), "runes")
+
+
+class TestFormatCodes:
+    """format_codes against PauliString.digits mapped through the alphabet."""
+
+    @staticmethod
+    def reference(n, codes, table):
+        return ["".join(table[d] for d in PauliString(n, int(c)).digits) for c in codes]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 32])
+    @pytest.mark.parametrize("alphabet,table", [("digits", "0123"), ("letters", "IXYZ")])
+    def test_matches_digits(self, n, alphabet, table):
+        rng = np.random.default_rng(n)
+        top = 4**n - 1
+        drawn = rng.integers(0, top, size=200, dtype=np.uint64, endpoint=True)
+        codes = np.concatenate((np.array([0, top], dtype=np.uint64), drawn))
+        if n == 32:
+            codes = np.concatenate((codes, np.array([2**63, 2**63 + 12345], dtype=np.uint64)))
+            assert (codes >= 2**63).sum() > 2
+        assert format_codes(n, codes, alphabet) == self.reference(n, codes, table)
+        assert format_codes(n, codes.tolist(), alphabet) == self.reference(n, codes, table)
+
+    @pytest.mark.parametrize("alphabet", ["digits", "letters"])
+    def test_empty(self, alphabet):
+        assert format_codes(3, np.array([], dtype=np.uint64), alphabet) == []
+        assert format_codes(3, (), alphabet) == []
+
+    def test_unknown_alphabet(self):
+        with pytest.raises(ValueError, match="runes"):
+            format_codes(2, [1, 2], "runes")
 
 
 class TestPhase:
