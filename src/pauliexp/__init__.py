@@ -1,9 +1,11 @@
 """Matrix exponentials of sparse Pauli-basis Hamiltonians.
 
 An n-qubit Hamiltonian given as a sparse real combination of Pauli strings
-is exponentiated by closing its support under string composition and
-reducing exp(-beta H) to a (1 + tau)-dimensional Hermitian linear-algebra
-problem, where tau is the closure size. A dense brute-force oracle is
+is exponentiated by closing its support under string composition, where
+tau is the closure size: the default sector path splits the closure's GF(2)
+span into s anticommuting pairs and c central strings and diagonalizes 2^c
+Hermitian blocks of size 2^s; the reference spectral path diagonalizes one
+(1 + tau)-dimensional structure matrix. A dense brute-force oracle is
 included for verification.
 """
 

@@ -9,6 +9,7 @@ fit in float64). Error messages name the failing stage on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ from .hamiltonian import (
     pauli_decompose,
     random_closed_hamiltonian,
 )
-from .pauli import format_codes
+from .pauli import MAX_QUBITS, format_codes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -243,13 +244,24 @@ def _time_call(fn, repeats: int, warmup: bool = True) -> float:
     return best
 
 
+def _qubit_count(text, flag: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise FormatError(f"{flag} {text!r} is not an integer qubit count") from None
+    if not 1 <= n <= MAX_QUBITS:
+        raise FormatError(f"{flag} {n}: qubit count must be in [1, {MAX_QUBITS}]")
+    return n
+
+
 def cmd_bench(args) -> int:
     beta = _finite(args.beta, "--beta")
     if args.repeats < 1:
         raise FormatError(f"--repeats must be at least 1, got {args.repeats}")
+    n_list = [_qubit_count(t, "--n-list entry") for t in args.n_list.split(",")]
+    _qubit_count(args.n, "--n")
     rows: list[tuple[int, int, float]] = []
     if args.suite == "spectral-n":
-        n_list = [int(t) for t in args.n_list.split(",")]
         for n in n_list:
             h = _bench_pattern(n)
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
@@ -265,7 +277,6 @@ def cmd_bench(args) -> int:
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
             rows.append((n, tau, dt))
     elif args.suite == "dense-n":
-        n_list = [int(t) for t in args.n_list.split(",")]
         for n in n_list:
             h = _bench_pattern(n)
             # repeated 2**n eigh calls are slow, so no warmup call
@@ -333,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="compute exp(-beta H) as a Pauli expansion")
     _add_common(p)
     _add_beta(p)
-    p.add_argument("--method", choices=("auto", "spectral", "contour", "anticommute", "dense"),
-                   default="auto")
+    p.add_argument("--method", default="auto",
+                   choices=("auto", "sector", "spectral", "contour", "anticommute", "dense"))
     p.add_argument("--format", choices=("pauli-json", "pauli-text", "dense-json", "dense-bin"),
                    default="pauli-text")
     p.add_argument("--nodes", type=int, default=None, help="contour quadrature nodes")
@@ -364,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a sparse path against the dense oracle")
     _add_common(p)
     _add_beta(p)
-    p.add_argument("--method", choices=("auto", "spectral", "contour", "anticommute"),
-                   default="spectral")
+    p.add_argument("--method", default="spectral",
+                   choices=("auto", "sector", "spectral", "contour", "anticommute"))
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
     p.set_defaults(func=cmd_verify)
@@ -399,10 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -1,10 +1,14 @@
 """Computation paths for exp(-beta H) over a closed Pauli term set.
 
-Three routes produce the same expansion:
+Four routes produce the same expansion:
 
-  exp_spectral       eigendecompose the Hermitian structure matrix and read
-                     off the first column of exp(-beta A); Reduced keeps the
-                     decomposition for any number of betas
+  Reduced            the sector path: split the support's GF(2) span into
+                     symplectic pairs and central codes, eigendecompose
+                     2^c blocks of size 2^s, and keep them for any number
+                     of betas (behind auto, partition and gibbs)
+  exp_spectral       eigendecompose the (1 + tau)-dimensional Hermitian
+                     structure matrix and read off the first column of
+                     exp(-beta A): the paper's reference path
   exp_contour        trapezoidal quadrature of the resolvent around a circle
                      enclosing the spectrum
   exp_anticommuting  closed form cosh/sinh when the support pairwise
@@ -12,7 +16,7 @@ Three routes produce the same expansion:
 
 All routes multiply the result by exp(-beta * identity_offset), so the
 identity component of the Hamiltonian never enters the linear algebra. The
-spectral and anticommuting routes carry a log scale, so intermediate
+sector, spectral and anticommuting routes carry a log scale, so intermediate
 exponentials never overflow; a result that itself does not fit in float64
 raises OverflowError.
 """
@@ -31,6 +35,7 @@ from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
     PauliExpansion,
     SparseHamiltonian,
+    capped_basis,
 )
 from .resolvent import (
     StructureMatrix,
@@ -85,94 +90,168 @@ def _finish(sm: StructureMatrix, column: np.ndarray, h, beta) -> PauliExpansion:
     return PauliExpansion(h.n, coeffs)
 
 
+def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
+    """(betas, log_scale, t), one leading row per beta, for eigenvalues w of
+    any shape: t = exp(-beta (w - shift)) and log_scale = -beta (shift +
+    offset), with shift lo when Re beta > 0, hi when Re beta < 0 and 0 at
+    Re beta = 0, so that no entry of t exceeds 1 in modulus."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=np.complex128))
+    shift = np.where(betas.real > 0, lo, np.where(betas.real < 0, hi, 0.0))
+    log_scale = -betas * (shift + offset)
+    rows = (slice(None),) + (None,) * np.ndim(w)
+    return betas, log_scale, np.exp(-betas[rows] * (w - shift[rows]))
+
+
+def _expansion(n: int, codes: np.ndarray, row: np.ndarray) -> PauliExpansion:
+    return PauliExpansion(n, dict(zip(codes.tolist(), row.tolist())))
+
+
+def _wht(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along `axis`, whose length is a
+    power of two, by log2(length) butterfly passes."""
+    shape, m = x.shape, x.shape[axis]
+    x = x.reshape(math.prod(shape[:axis]), m, -1)
+    h = 1
+    while h < m:
+        y = x.reshape(x.shape[0], m // (2 * h), 2, -1)
+        x = np.stack((y[:, :, 0] + y[:, :, 1], y[:, :, 0] - y[:, :, 1]), axis=2)
+        h *= 2
+    return x.reshape(shape)
+
+
+def symplectic_split(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, f, z): a basis of the same span with each e_i anticommuting with
+    f_i and with no other code of the three, and each z_k commuting with
+    every code of the span. Symplectic Gram-Schmidt on the commutation
+    matrix: v <- v + [v, f] e + [v, e] f clears a pair from the rest, and the
+    matrix follows as A_kl <- A_kl + a_k b_l + b_k a_l."""
+    gens = basis.copy()
+    anti = (_kernels.phase_exponents(gens[:, None], gens[None, :]) & 1).astype(bool)
+    live = np.arange(gens.size)
+    zero = np.uint64(0)
+    es, fs, zs = [], [], []
+    while live.size:
+        i, live = live[0], live[1:]
+        hits = live[anti[i, live]]
+        if not hits.size:
+            zs.append(i)
+            continue
+        j = hits[0]
+        live = live[live != j]
+        a, b = anti[live, j], anti[live, i]
+        gens[live] ^= np.where(a, gens[i], zero) ^ np.where(b, gens[j], zero)
+        anti[np.ix_(live, live)] ^= np.outer(a, b) ^ np.outer(b, a)
+        es.append(i)
+        fs.append(j)
+    return gens[es], gens[fs], gens[zs]
+
+
 class Reduced:
     """exp(-beta H) at any number of betas from one reduction of H.
 
-    Construction closes the support, assembles the structure matrix A and
-    runs eigh once: A = V diag(w) V*. The expansion of exp(-beta H) over
-    `codes` (the identity, then the closure) is then
-    exp(-beta offset) V (e^{-beta w} . conj(V[0])), one matrix-vector
-    product per beta, one matrix product for a grid.
+    The support's GF(2) basis splits into s anticommuting pairs (e_i, f_i)
+    and c central codes (symplectic_split). Each code K of the span is the
+    product e^x f^y z^w of generators in that order up to a phase,
+    e^x f^y z^w = i^E_K P_K, so P_K acts on the eigenspace of character
+    lambda of the central codes as i^-E_K (-1)^(lambda.w) X^x Z^y on s
+    virtual qubits. H is then 2^c Hermitian blocks of size 2^s, built by
+    Walsh-Hadamard transforms and eigendecomposed by one stacked eigh;
+    coefficients come back by the inverse transforms. `codes` is the
+    identity, then the closure, ascending.
 
-    Each evaluation shifts w by lambda_min when Re beta > 0 and by
-    lambda_max when Re beta < 0, so no exponential of the spectrum exceeds
-    1 in modulus, and carries the shift in a log scale. Every eigenvalue of
-    A is one of H - offset with weight |V[0]|^2 summing to its multiplicity
-    over 2^n, so Gibbs coefficients and log partition functions stay finite
-    at every finite beta. exp and exp_many raise OverflowError when the
-    result itself does not fit in float64.
+    Each evaluation shifts the spectrum by its global lambda_min when
+    Re beta > 0 and by lambda_max when Re beta < 0, so no exponential of it
+    exceeds 1 in modulus, and carries the shift in a log scale. Gibbs
+    coefficients and log partition functions stay finite at every finite
+    beta; exp and exp_many raise OverflowError when the result itself does
+    not fit in float64.
     """
 
     def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP):
         self.h = h
-        self.sm = build_structure_matrix(h, cap=cap)
-        self.w, self.v = np.linalg.eigh(self.sm.matrix)
-        self.codes = np.concatenate((np.zeros(1, np.uint64), self.sm.term_set.codes))
+        support = np.array(h.support, dtype=np.uint64)
+        e, f, z = symplectic_split(capped_basis(support, cap))
+        self.s, self.c = e.size, z.size
+        span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
+        for g in np.concatenate((e, f, z)):
+            phase = np.concatenate((phase, (phase + _kernels.phase_exponents(span, g)) & 3))
+            span = np.concatenate((span, span ^ g))
+        # span index x + (y << s) + (w << 2s); coefficients carry i^E_K / 2^(s+c)
+        self._order = np.argsort(span)
+        self.codes = span[self._order]
+        i_e = _kernels.I_POWERS_ARR[phase]
+        self._phase = i_e / 2 ** (self.s + self.c)
+        coeffs = np.zeros(span.size)
+        coeffs[self._order[np.searchsorted(self.codes, support)]] = [h.terms[k] for k in h.support]
+        d = (coeffs * np.conj(i_e)).reshape(2**self.c, 2**self.s, -1)
+        j = np.arange(2**self.s)
+        self._rows, self._cols = j[:, None] ^ j, j[:, None]
+        # block lambda: M[j ^ x, j] = sum_y D_lambda[x, y] (-1)^(y.j)
+        self.w, self.v = np.linalg.eigh(_wht(_wht(d, 0), 1)[:, self._cols.T, self._rows])
+        self.lambda_min, self.lambda_max = float(self.w.min()), float(self.w.max())
 
     @property
     def tau(self) -> int:
-        return self.sm.term_set.tau
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.w[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.w[-1])
+        return self.codes.size - 1
 
     @property
     def ground_energy(self) -> float:
         """Lowest eigenvalue of H, identity offset included."""
         return self.lambda_min + self.h.identity_offset
 
-    def _weighted(self, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(betas, log_scale, t), one row per beta, such that
-        exp(-beta H) = exp(log_scale) * sum_i (t @ V.T)[i] P_codes[i]."""
-        betas = np.atleast_1d(np.asarray(betas, dtype=np.complex128))
-        real = betas.real[:, None]
-        shift = np.where(real > 0, self.w[0], np.where(real < 0, self.w[-1], 0.0))
-        log_scale = -betas * (shift[:, 0] + self.h.identity_offset)
-        t = np.exp(-betas[:, None] * (self.w - shift)) * np.conj(self.v[0])
-        return betas, log_scale, t
+    def _weighted(self, betas):
+        return _log_weights(self.w, self.lambda_min, self.lambda_max,
+                            self.h.identity_offset, betas)
+
+    def _columns(self, t: np.ndarray) -> np.ndarray:
+        """Coefficients over `codes` of the operator whose block lambda is
+        V_lambda diag(t[lambda]) V_lambda^dagger, one row per row of t."""
+        f = (self.v * t[..., None, :]) @ np.conj(self.v).swapaxes(-1, -2)
+        g = _wht(_wht(f[..., self._rows, self._cols], 2), 1)  # F[j ^ x, j] -> [w, y, x]
+        return (g.reshape(t.shape[0], -1) * self._phase)[:, self._order]
 
     def exp_many(self, betas) -> np.ndarray:
         """Coefficients of exp(-beta H) over `codes`, one row per beta."""
         betas, log_scale, t = self._weighted(betas)
         scale = np.array([_scale(ls, b) for ls, b in zip(log_scale, betas)])
-        return scale[:, None] * (t @ self.v.T)
+        return scale[:, None] * self._columns(t)
 
     def exp(self, beta: complex) -> PauliExpansion:
         """exp(-beta H) as a Pauli expansion."""
-        return self._expansion(self.exp_many(beta)[0])
+        return _expansion(self.h.n, self.codes, self.exp_many(beta)[0])
 
     def log_partition(self, betas) -> np.ndarray:
         """log tr exp(-beta H) per beta, principal branch (real for real beta)."""
         _, log_scale, t = self._weighted(betas)
-        return log_scale + np.log(t @ self.v[0]) + self.h.n * math.log(2.0)
+        rest = (self.h.n - self.s - self.c) * math.log(2.0)
+        return log_scale + np.log(t.sum(axis=(1, 2))) + rest
 
     def gibbs_many(self, betas) -> np.ndarray:
         """Coefficients of exp(-beta H) / tr exp(-beta H) over `codes`, one
         row per real beta; the identity coefficient is exactly 1/2**n."""
         _, _, t = self._weighted(betas)
-        columns = t @ self.v.T
+        columns = self._columns(t)
         gibbs = columns / ((2**self.h.n) * columns[:, :1])
         gibbs[:, 0] = 1.0 / (2**self.h.n)
         return gibbs
 
     def gibbs(self, beta: float) -> PauliExpansion:
         """Gibbs state exp(-beta H) / tr exp(-beta H) as a Pauli expansion."""
-        return self._expansion(self.gibbs_many(beta)[0])
-
-    def _expansion(self, row: np.ndarray) -> PauliExpansion:
-        return PauliExpansion(self.h.n, dict(zip(self.codes.tolist(), row.tolist())))
+        return _expansion(self.h.n, self.codes, self.gibbs_many(beta)[0])
 
 
 def exp_spectral(
     h: SparseHamiltonian, beta: complex, cap: int = DEFAULT_CLOSURE_CAP
 ) -> PauliExpansion:
-    """exp(-beta H) as a Pauli expansion, via eigh of the structure matrix."""
-    return Reduced(h, cap).exp(beta)
+    """exp(-beta H) as a Pauli expansion via eigh of the structure matrix A,
+    the paper's reference path: A = V diag(w) V*, and the expansion over the
+    identity and the closure is exp(-beta offset) V (e^{-beta w} . conj(V[0])),
+    in the same log scale as Reduced."""
+    sm = build_structure_matrix(h, cap=cap)
+    w, v = np.linalg.eigh(sm.matrix)
+    _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta)
+    codes = np.concatenate((np.zeros(1, np.uint64), sm.term_set.codes))
+    return _expansion(h.n, codes, _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
 def _quadrature(sm: StructureMatrix, beta: complex, spec: ContourSpec) -> np.ndarray:
@@ -224,10 +303,14 @@ def exp_contour(
 
 
 def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
-    """Whether every pair of distinct support strings anticommutes."""
+    """Whether every pair of distinct support strings anticommutes. No more
+    than 2n + 1 n-qubit strings anticommute pairwise, so a larger support
+    is rejected before any phase is computed."""
     codes = np.array(h.support, dtype=np.uint64)
     if codes.size < 2:
         return True
+    if codes.size > 2 * h.n + 1:
+        return False
     fwd = _kernels.phase_exponents(codes[:, None], codes[None, :])
     commuting = fwd == fwd.T
     np.fill_diagonal(commuting, False)
@@ -278,16 +361,18 @@ def exp_with_method(
     """exp(-beta H) and the name of the path that computed it.
 
     method=auto prefers the exact anticommuting closed form when the
-    precondition holds, else the spectral path. Explicit methods never fall
-    back: asking for anticommute on a non-anticommuting support is an error.
-    `contour` and `nodes` apply to the contour path.
+    precondition holds, else the sector path (Reduced). Explicit methods
+    never fall back: asking for anticommute on a non-anticommuting support
+    is an error. `contour` and `nodes` apply to the contour path.
     """
     if method == "auto":
         if is_pairwise_anticommuting(h):
             return _anticommuting(h, beta), "anticommute"
-        method = "spectral"
-    if method == "spectral":
+        method = "sector"
+    if method == "sector":
         return Reduced(h, cap).exp(beta), method
+    if method == "spectral":
+        return exp_spectral(h, beta, cap), method
     if method == "contour":
         return exp_contour(h, beta, contour, cap, nodes), method
     if method == "anticommute":

@@ -182,6 +182,16 @@ def _gf2_basis(codes: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.uint64)
 
 
+def capped_basis(codes: np.ndarray, cap: int) -> np.ndarray:
+    """GF(2) basis of uint64 codes; ClosureExplosion with the exact size
+    2**r - 1 when their span has more than `cap` non-identity strings."""
+    basis = _gf2_basis(codes)
+    size = 2 ** basis.size - 1
+    if size > cap:
+        raise ClosureExplosion(size, cap)
+    return basis
+
+
 def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     """Multiplicative closure of the given non-identity codes.
 
@@ -194,12 +204,8 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     codes = np.asarray(list(codes), dtype=np.uint64)
     if codes.size and int(codes.max()) >= 4**n:
         raise ValueError(f"code {int(codes.max())} out of range for n={n}")
-    basis = _gf2_basis(codes)
-    size = 2 ** basis.size - 1
-    if size > cap:
-        raise ClosureExplosion(size, cap)
     span = np.zeros(1, dtype=np.uint64)
-    for b in basis:
+    for b in capped_basis(codes, cap):
         span = np.concatenate((span, span ^ b))
     span.sort()
     return ClosedTermSet(n, span[1:])

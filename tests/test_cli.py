@@ -87,22 +87,23 @@ class TestExp:
                            "--beta", "0.5+0.25i", "--format", "pauli-json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["method"] == "spectral"
+        assert doc["method"] == "sector"
         e, beta = expansion_from_dict(doc)
         assert beta == 0.5 + 0.25j
         assert e.n == 4
 
     def test_methods_agree(self, capsys, fixtures_dir):
         outs = {}
-        for method in ("spectral", "contour", "dense"):
+        for method in ("spectral", "sector", "contour", "dense"):
             code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
                                "--beta", "1", "--method", method,
                                "--format", "pauli-json")
             assert code == 0
-            e, _ = expansion_from_dict(json.loads(out))
-            outs[method] = e
+            doc = json.loads(out)
+            assert doc["method"] == method
+            outs[method], _ = expansion_from_dict(doc)
         keys = set().union(*(e.support for e in outs.values()))
-        for method in ("contour", "dense"):
+        for method in ("sector", "contour", "dense"):
             worst = max(
                 abs(outs[method].coefficient(k) - outs["spectral"].coefficient(k))
                 for k in keys
@@ -157,10 +158,13 @@ class TestExp:
         assert "config error" in err
 
     def test_closure_explosion_exit_2(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "xy_n6.txt"),
-                           "--beta", "1", "--closure-cap", "512")
-        assert code == 2
-        assert "closure" in err
+        for argv in (["exp", "--beta", "1"], ["exp", "--beta", "1", "--method", "sector"],
+                     ["gibbs", "--beta", "1"], ["partition", "--betas", "1"]):
+            code, _, err = run(capsys, *argv, "-i", str(fixtures_dir / "xy_n6.txt"),
+                               "--closure-cap", "512")
+            assert code == 2
+            assert err == ("pauliexp: closure error: closure has 2047 non-identity "
+                           "strings, more than the cap 512\n"), argv
 
     def test_bad_contour_exit_3(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
@@ -315,13 +319,16 @@ class TestPartition:
                            "--symmetry-check", str(fixtures_dir / "h2_mirror.txt"))
         assert code == 0
         assert "symmetry OK" in out
-        assert calls == [(8, 8), (8, 8)]
-        for argv in (["exp", "--beta", "0.5"], ["exp", "--time", "2", "--method", "spectral"],
-                     ["gibbs", "--beta", "0.5"], ["partition", "--betas", betas]):
+        # h2 and h2_mirror split into s = 1 pair and c = 1 central code
+        assert calls == [(2, 2, 2), (2, 2, 2)]
+        for argv, shape in ((["exp", "--beta", "0.5"], (2, 2, 2)),
+                            (["exp", "--time", "2", "--method", "spectral"], (8, 8)),
+                            (["gibbs", "--beta", "0.5"], (2, 2, 2)),
+                            (["partition", "--betas", betas], (2, 2, 2))):
             calls.clear()
             code, _, _ = run(capsys, *argv, "-i", str(fixtures_dir / "h2.txt"))
             assert code == 0
-            assert calls == [(8, 8)], argv
+            assert calls == [shape], argv
 
 
 @pytest.mark.filterwarnings("error")
@@ -460,6 +467,7 @@ class TestVerify:
     @pytest.mark.parametrize("method,shapes", [
         ("anticommute", [(8, 8)]),
         ("spectral", [(4, 4), (8, 8)]),
+        ("sector", [(1, 2, 2), (8, 8)]),
     ])
     def test_eigh_counts(self, capsys, fixtures_dir, monkeypatch, method, shapes):
         # tau comes from the closure; only the chosen path and the dense
@@ -600,6 +608,19 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and needle in err, err
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--n-list", "0"], "--n-list entry 0: qubit count must be in [1, 32]"),
+        (["--n-list", "4,x"], "--n-list entry 'x' is not an integer qubit count"),
+        (["--suite", "spectral-tau", "--n", "40"], "--n 40: qubit count must be in [1, 32]"),
+        (["--suite", "spectral-tau", "--n", "0"], "--n 0: qubit count must be in [1, 32]"),
+    ])
+    def test_bad_qubit_count_names_flag(self, argv, needle):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", "bench", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"pauliexp: input error: {needle}\n"
 
     def test_rank_above_2n_returns(self):
         # no 2-qubit span has rank 5; this once redrew generators forever

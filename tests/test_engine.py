@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from pauliexp import (
+    ClosureExplosion,
     ContourError,
     ContourSpec,
     PauliExpansion,
+    PauliString,
     Reduced,
     SingularSystem,
     SparseHamiltonian,
     build_structure_matrix,
     close,
+    commutes,
     exp_anticommuting,
     exp_contour,
     exp_pauli,
@@ -23,8 +26,8 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.dense import dense_exp
-from pauliexp.engine import _quadrature
-from pauliexp.hamiltonian import load_hamiltonian
+from pauliexp.engine import _quadrature, exp_with_method, symplectic_split
+from pauliexp.hamiltonian import capped_basis, load_hamiltonian
 from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
 
 HAMILTONIAN_FIXTURES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt",
@@ -169,6 +172,26 @@ class TestAnticommuting:
         with pytest.raises(ValueError):
             exp_anticommuting(commuting, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_precondition_matches_brute_force(self, rng, n):
+        # no n-qubit set of more than 2n + 1 strings anticommutes pairwise,
+        # so larger supports are rejected before the phase table is built
+        supports = [anticommuting_family(rng, n, 2 * n + 1) for _ in range(4)]
+        supports += [fam + [int(c)] for fam in supports[:2]
+                     for c in rng.integers(1, 4**n, size=3) if int(c) not in fam]
+        supports += [rng.choice(np.arange(1, 4**n), size=k, replace=False).tolist()
+                     for k in range(1, min(4**n - 1, 2 * n + 4)) for _ in range(3)]
+        verdicts = set()
+        for codes in supports:
+            strings = [PauliString(n, int(c)) for c in codes]
+            want = all(not commutes(a, b) for i, a in enumerate(strings) for b in strings[:i])
+            h = SparseHamiltonian(n, dict.fromkeys(map(int, codes), 1.0))
+            assert is_pairwise_anticommuting(h) == want, codes
+            verdicts.add((want, len(codes) > 2 * n + 1))
+        assert (True, True) not in verdicts
+        if n > 1:  # X, Y and Z pairwise anticommute, so on one qubit every set does
+            assert {(True, False), (False, False), (False, True)} <= verdicts
+
     def test_single_term(self):
         h = SparseHamiltonian(1, {2: 0.6})
         e = exp_anticommuting(h, 1.5)
@@ -200,11 +223,15 @@ class TestDispatch:
     def test_auto_picks_anticommute(self, h_cycle):
         assert exp_pauli(h_cycle, 0.4).coeffs == exp_anticommuting(h_cycle, 0.4).coeffs
 
-    def test_auto_falls_back_to_spectral(self, rng):
+    def test_auto_falls_back_to_sector(self, rng):
         h = make_closed_hamiltonian(rng, 4, 3)
         if is_pairwise_anticommuting(h):  # pragma: no cover - seed-dependent guard
             pytest.skip("sampled family happens to anticommute")
-        assert exp_pauli(h, 0.4).coeffs == exp_spectral(h, 0.4).coeffs
+        auto, method = exp_with_method(h, 0.4)
+        assert method == "sector"
+        assert auto.coeffs == exp_pauli(h, 0.4, method="sector").coeffs
+        assert auto.coeffs == Reduced(h).exp(0.4).coeffs
+        assert coeff_distance(auto, exp_spectral(h, 0.4)) <= 1e-12 * abs(auto.coefficient(0))
 
     def test_explicit_methods(self, h_cycle):
         ref = exp_spectral(h_cycle, 0.2)
@@ -370,6 +397,128 @@ class TestReduced:
             assert np.isfinite(red.log_partition(beta)).all()
         # four of the eight eigenvalues are -sqrt(3)
         assert red.log_partition(1000.0)[0].real == pytest.approx(1000 * np.sqrt(3) + np.log(4))
+
+
+def shaped_hamiltonian(rng, n: int, s: int, c: int) -> SparseHamiltonian:
+    """Hamiltonian on the full span of s anticommuting pairs and c central
+    codes: X_q, Z_q (q < s) and Z_q (s <= q < s + c), moved by a random
+    circuit of CNOT, H and S gates acting on the (x, z) bits, which keeps
+    every commutation relation. Coefficients are uniform in [-1, 1]."""
+    r = 2 * s + c
+    x = np.zeros((r, n), dtype=bool)
+    z = np.zeros((r, n), dtype=bool)
+    for q in range(s):
+        x[q, q] = z[s + q, q] = True
+    for k in range(c):
+        z[2 * s + k, s + k] = True
+    for _ in range(8 * n):
+        a, b = rng.choice(n, 2, replace=False)
+        gate = rng.integers(3)
+        if gate == 0:  # CNOT a -> b
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+        elif gate == 1:  # H
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        else:  # S
+            z[:, a] ^= x[:, a]
+    digits = (2 * z + (x ^ z)).astype(np.uint64)  # X = 1, Y = 2, Z = 3
+    gens = (digits << (2 * np.arange(n, dtype=np.uint64))).sum(axis=1, dtype=np.uint64)
+    codes = close(SparseHamiltonian(n, dict.fromkeys(gens.tolist(), 1.0)), cap=2**r).codes
+    return SparseHamiltonian(n, dict(zip(codes.tolist(), rng.uniform(-1, 1, codes.size))))
+
+
+SHAPES = [(n, s, r - 2 * s) for r in (1, 2, 5, 8) for s in range(r // 2 + 1)
+          for n in (max(2, r - s), 32)]
+BETAS = (1.0, 0.7j, 0.3 + 0.2j, -2.0, 5.0, 0.0)
+
+
+def _assert_matches_spectral(h, red, betas=BETAS):
+    rows = red.exp_many(betas)
+    log_z = red.log_partition(betas)
+    for beta, row, lz in zip(betas, rows, log_z):
+        want = _row(exp_spectral(h, beta), red.codes)
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), beta
+        # compared through exp: complex log Z may differ by 2 pi i
+        z = 2**h.n * want[0]
+        assert abs(np.exp(lz) - z) <= 1e-12 * abs(z), beta
+
+
+class TestSector:
+    def test_xy_n6_matches_spectral(self):
+        # the other fixtures are in TestReduced::test_grid_matches_per_beta_spectral;
+        # here one 2048 x 2048 eigh serves every beta
+        h = load_hamiltonian(FIXTURES / "xy_n6.txt")
+        red = Reduced(h)
+        assert (red.s, red.c) == (5, 1)
+        w, v = np.linalg.eigh(build_structure_matrix(h).matrix)
+        for beta, row in zip(BETAS, red.exp_many(BETAS)):
+            shift = w[0] if beta.real > 0 else w[-1] if beta.real < 0 else 0.0
+            want = v @ (np.exp(-beta * (w - shift)) * np.conj(v[0])) * np.exp(-beta * shift)
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), beta
+
+    @pytest.mark.parametrize("n,s,c", SHAPES)
+    def test_shapes_match_spectral(self, n, s, c):
+        rng = np.random.default_rng(1000 * n + 10 * s + c)
+        h = shaped_hamiltonian(rng, n, s, c)
+        red = Reduced(h)
+        assert (red.s, red.c, red.tau) == (s, c, 2 ** (2 * s + c) - 1)
+        assert red.codes.tolist() == [0] + close(h).codes.tolist()
+        assert red.w.shape == (2**c, 2**s)
+        _assert_matches_spectral(h, red)
+
+    def test_shapes_reach_the_top_bit(self):
+        tops = [max(shaped_hamiltonian(np.random.default_rng(1000 * n + 10 * s + c),
+                                       n, s, c).support)
+                for n, s, c in SHAPES if n == 32]
+        assert max(tops) >= 2**63
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, 17.0])
+    def test_parseval_at_imaginary_beta(self, rng, t):
+        for h in (load_hamiltonian(FIXTURES / "xy_n6.txt"), shaped_hamiltonian(rng, 32, 3, 2),
+                  shaped_hamiltonian(rng, 9, 0, 6), make_closed_hamiltonian(rng, 16, 10)):
+            row = Reduced(h).exp_many(1j * t)[0]
+            assert abs((np.abs(row) ** 2).sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1e3, 1e6, -1e6])
+    def test_gibbs_identity_exact_on_shapes(self, rng, beta):
+        for n, s, c in ((32, 4, 0), (32, 0, 5), (7, 2, 3)):
+            red = Reduced(shaped_hamiltonian(rng, n, s, c))
+            rows = red.gibbs_many([beta, 1.0])
+            assert (rows[:, 0] == 2.0**-n).all()
+            assert np.isfinite(rows).all()
+
+    def test_identity_only(self):
+        h = SparseHamiltonian(3, {}, identity_offset=0.7)
+        red = Reduced(h)
+        assert (red.s, red.c, red.tau, red.codes.tolist()) == (0, 0, 0, [0])
+        assert red.lambda_min == red.lambda_max == 0.0
+        for beta in (2.0, -1.5, 0.4j, 0.0):
+            assert red.exp(beta).coeffs == {0: pytest.approx(np.exp(-0.7 * beta))}
+            assert red.log_partition(beta)[0] == pytest.approx(-0.7 * beta + 3 * np.log(2))
+        assert red.gibbs(5.0).coeffs == {0: 1 / 8}
+
+    def test_explosion_names_exact_size(self):
+        h = load_hamiltonian(FIXTURES / "xy_n6.txt")
+        with pytest.raises(ClosureExplosion) as info:
+            Reduced(h, cap=512)
+        assert (info.value.size, info.value.cap) == (2047, 512)
+        assert Reduced(h, cap=2047).tau == 2047
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
+    def test_split_invariants(self, n):
+        rng = np.random.default_rng(n)
+        for size in range(1, 2 * n + 3):
+            codes = rng.integers(1, 4**n, size=size, dtype=np.uint64)
+            basis = capped_basis(codes, cap=2**64)
+            e, f, z = symplectic_split(basis)
+            gens = [PauliString(n, int(g)) for g in np.concatenate((e, f, z))]
+            assert len(gens) == basis.size and 2 * e.size + z.size == basis.size
+            for i, a in enumerate(gens):
+                for j, b in enumerate(gens):
+                    paired = j - i in (e.size, -e.size) and min(i, j) < e.size
+                    assert commutes(a, b) != paired, (i, j)
+            # same span: each original code reduces to zero against the new basis
+            assert capped_basis(np.concatenate((basis, e, f, z)), cap=2**64).size == basis.size
 
 
 class TestMultiplyExpansions:
