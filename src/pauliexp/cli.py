@@ -98,9 +98,8 @@ def _emit_bytes(args, blob: bytes):
 def _as_expansion(obj) -> PauliExpansion:
     if isinstance(obj, PauliExpansion):
         return obj
-    coeffs: dict[int, complex] = {0: complex(obj.identity_offset)}
-    coeffs.update({k: complex(v) for k, v in obj.terms.items()})
-    return PauliExpansion(obj.n, coeffs)
+    return PauliExpansion.from_arrays(obj.n, np.append(np.uint64(0), obj.codes),
+                                      np.append(obj.identity_offset, obj.values))
 
 
 def cmd_exp(args) -> int:
@@ -228,9 +227,8 @@ def _bench_pattern(n: int) -> SparseHamiltonian:
     x_first = 1 << (2 * (n - 1))
     gens = [all_x, all_z, x_first]
     ts = close_codes(n, gens)
-    rng = np.random.default_rng(7)
-    values = rng.uniform(-1.0, 1.0, size=len(ts))
-    return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, values)})
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(ts))
+    return SparseHamiltonian.from_arrays(n, ts.codes, values)
 
 
 def _time_call(fn, repeats: int, warmup: bool = True) -> float:
@@ -265,7 +263,7 @@ def cmd_bench(args) -> int:
         for n in n_list:
             h = _bench_pattern(n)
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
-            rows.append((n, len(h.terms), dt))
+            rows.append((n, h.codes.size, dt))
     elif args.suite == "spectral-tau":
         n = args.n
         tau_list = [int(t) for t in args.tau_list.split(",")]
@@ -285,7 +283,7 @@ def cmd_bench(args) -> int:
                 args.repeats,
                 warmup=False,
             )
-            rows.append((n, len(h.terms), dt))
+            rows.append((n, h.codes.size, dt))
     else:
         raise FormatError(f"unknown suite {args.suite!r}")
     lines = ["n,tau,wall_time_s"]

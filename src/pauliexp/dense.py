@@ -50,19 +50,14 @@ def pauli_matrix(p: PauliString, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarr
 
 def reconstruct_dense(obj, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Sum of coefficient * string matrix for an expansion or Hamiltonian."""
-    if isinstance(obj, SparseHamiltonian):
-        items = list(obj.terms.items())
-        if obj.identity_offset != 0.0:
-            items.append((0, obj.identity_offset))
-        n = obj.n
-    elif isinstance(obj, PauliExpansion):
-        items = list(obj.coeffs.items())
-        n = obj.n
-    else:
+    if not isinstance(obj, (SparseHamiltonian, PauliExpansion)):
         raise TypeError(f"cannot reconstruct a {type(obj).__name__}")
+    n, codes, values = obj.n, obj.codes.tolist(), obj.values.tolist()
+    if isinstance(obj, SparseHamiltonian) and obj.identity_offset != 0.0:
+        codes, values = codes + [0], values + [obj.identity_offset]
     _check_cap(n, dense_cap)
     out = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for code, c in items:
+    for code, c in zip(codes, values):
         out += c * pauli_matrix(PauliString(n, code), dense_cap)
     return out
 

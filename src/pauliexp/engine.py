@@ -84,10 +84,9 @@ def _scale(log_scale: complex, beta) -> complex:
 
 def _finish(sm: StructureMatrix, column: np.ndarray, h, beta) -> PauliExpansion:
     scale = _scale(-beta * h.identity_offset, beta)
-    coeffs = {0: scale * complex(column[0])}
-    for i in range(sm.term_set.tau):
-        coeffs[sm.term_set.code_at(i)] = scale * complex(column[i + 1])
-    return PauliExpansion(h.n, coeffs)
+    # Python's complex product: numpy's may fuse multiply-adds and round differently
+    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), sm.term_set.codes),
+                                      [scale * c for c in column.tolist()])
 
 
 def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
@@ -100,10 +99,6 @@ def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
     log_scale = -betas * (shift + offset)
     rows = (slice(None),) + (None,) * np.ndim(w)
     return betas, log_scale, np.exp(-betas[rows] * (w - shift[rows]))
-
-
-def _expansion(n: int, codes: np.ndarray, row: np.ndarray) -> PauliExpansion:
-    return PauliExpansion(n, dict(zip(codes.tolist(), row.tolist())))
 
 
 def _wht(x: np.ndarray, axis: int) -> np.ndarray:
@@ -169,8 +164,7 @@ class Reduced:
 
     def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP):
         self.h = h
-        support = np.array(h.support, dtype=np.uint64)
-        e, f, z = symplectic_split(capped_basis(support, cap))
+        e, f, z = symplectic_split(capped_basis(h.codes, cap))
         self.s, self.c = e.size, z.size
         span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
         for g in np.concatenate((e, f, z)):
@@ -182,7 +176,7 @@ class Reduced:
         i_e = _kernels.I_POWERS_ARR[phase]
         self._phase = i_e / 2 ** (self.s + self.c)
         coeffs = np.zeros(span.size)
-        coeffs[self._order[np.searchsorted(self.codes, support)]] = [h.terms[k] for k in h.support]
+        coeffs[self._order[np.searchsorted(self.codes, h.codes)]] = h.values
         d = (coeffs * np.conj(i_e)).reshape(2**self.c, 2**self.s, -1)
         j = np.arange(2**self.s)
         self._rows, self._cols = j[:, None] ^ j, j[:, None]
@@ -218,7 +212,7 @@ class Reduced:
 
     def exp(self, beta: complex) -> PauliExpansion:
         """exp(-beta H) as a Pauli expansion."""
-        return _expansion(self.h.n, self.codes, self.exp_many(beta)[0])
+        return PauliExpansion.from_arrays(self.h.n, self.codes, self.exp_many(beta)[0])
 
     def log_partition(self, betas) -> np.ndarray:
         """log tr exp(-beta H) per beta, principal branch (real for real beta)."""
@@ -237,7 +231,7 @@ class Reduced:
 
     def gibbs(self, beta: float) -> PauliExpansion:
         """Gibbs state exp(-beta H) / tr exp(-beta H) as a Pauli expansion."""
-        return _expansion(self.h.n, self.codes, self.gibbs_many(beta)[0])
+        return PauliExpansion.from_arrays(self.h.n, self.codes, self.gibbs_many(beta)[0])
 
 
 def exp_spectral(
@@ -250,8 +244,8 @@ def exp_spectral(
     sm = build_structure_matrix(h, cap=cap)
     w, v = np.linalg.eigh(sm.matrix)
     _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta)
-    codes = np.concatenate((np.zeros(1, np.uint64), sm.term_set.codes))
-    return _expansion(h.n, codes, _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
+    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), sm.term_set.codes),
+                                      _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
 def _quadrature(sm: StructureMatrix, beta: complex, spec: ContourSpec) -> np.ndarray:
@@ -306,7 +300,7 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
     """Whether every pair of distinct support strings anticommutes. No more
     than 2n + 1 n-qubit strings anticommute pairwise, so a larger support
     is rejected before any phase is computed."""
-    codes = np.array(h.support, dtype=np.uint64)
+    codes = h.codes
     if codes.size < 2:
         return True
     if codes.size > 2 * h.n + 1:
@@ -318,8 +312,7 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
 
 
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
-    hs = np.array([h.terms[c] for c in h.support], dtype=np.float64)
-    g = float(np.sqrt((hs**2).sum()))
+    g = float(np.sqrt((h.values**2).sum()))
     if g == 0.0:
         return PauliExpansion(h.n, {0: _scale(-beta * h.identity_offset, beta)})
     # g beta = sign (a + ib) with a >= 0. cosh(a) = e^a c and sinh(a) = e^a s
@@ -332,10 +325,9 @@ def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
     c = 1.0 - s
     scale = _scale(-beta * h.identity_offset + a, beta)
     ratio = sign * complex(s * math.cos(b), c * math.sin(b)) / g
-    coeffs: dict[int, complex] = {0: scale * complex(c * math.cos(b), s * math.sin(b))}
-    for code in h.support:
-        coeffs[code] = -scale * ratio * h.terms[code]
-    return PauliExpansion(h.n, coeffs)
+    identity = scale * complex(c * math.cos(b), s * math.sin(b))
+    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), h.codes),
+                                      np.append(identity, -scale * ratio * h.values))
 
 
 def exp_anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
@@ -418,16 +410,11 @@ def multiply_expansions(a: PauliExpansion, b: PauliExpansion) -> PauliExpansion:
     """Product of two expansions, re-expanded in the string basis."""
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
-    ka = np.array(a.support, dtype=np.uint64)
-    kb = np.array(b.support, dtype=np.uint64)
-    if ka.size == 0 or kb.size == 0:
-        return PauliExpansion(a.n, {})
-    ca = np.array([a.coeffs[int(k)] for k in ka], dtype=np.complex128)
-    cb = np.array([b.coeffs[int(k)] for k in kb], dtype=np.complex128)
+    ka, kb, ca, cb = a.codes, b.codes, a.values, b.values
     prods = (ka[:, None] ^ kb[None, :]).ravel()
     exps = _kernels.phase_exponents(ka[:, None], np.broadcast_to(kb[None, :], (ka.size, kb.size)))
     weights = (ca[:, None] * cb[None, :] * _kernels.I_POWERS_ARR[exps]).ravel()
     uniq, inverse = np.unique(prods, return_inverse=True)
     sums = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(sums, inverse, weights)
-    return PauliExpansion(a.n, {int(k): complex(c) for k, c in zip(uniq, sums)})
+    return PauliExpansion.from_arrays(a.n, uniq, sums)

@@ -14,99 +14,168 @@ GF(2)-linear span of the support codes minus the zero word, and its size is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ClosureExplosion, FormatError
-from .pauli import MAX_QUBITS, format_codes, parse_string
+from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
 
 
-@dataclass(frozen=True)
+def checked_codes(n: int, codes, identity_error: str | None = None) -> np.ndarray:
+    """codes as a contiguous uint64 array, checked one-dimensional, strictly
+    increasing and below 4**n on 1 to MAX_QUBITS qubits. Code 0 raises
+    ValueError(identity_error) unless identity_error is None."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    try:
+        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    except OverflowError as exc:  # a negative code, or one past 64 bits
+        raise ValueError(f"code out of range for n={n}: {exc}") from None
+    if codes.ndim != 1:
+        raise ValueError("codes must be one-dimensional")
+    if codes.size:
+        if identity_error is not None and codes[0] == 0:
+            raise ValueError(identity_error)
+        if not (codes[1:] > codes[:-1]).all():
+            raise ValueError("codes must be strictly increasing")
+        if int(codes[-1]) >= 4**n:
+            raise ValueError(f"code {int(codes[-1])} out of range for n={n}")
+    return codes
+
+
+def _finite_values(codes: np.ndarray, values, dtype) -> np.ndarray:
+    """values as a contiguous `dtype` array, checked finite and one per code."""
+    values = np.ascontiguousarray(values, dtype=dtype)
+    if values.shape != codes.shape:
+        raise ValueError(f"values of shape {values.shape} for {codes.size} codes")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite coefficient for code {int(codes[bad[0]])}")
+    return values
+
+
+def _equal_fields(a, b) -> bool:
+    """Field-by-field equality, arrays compared elementwise."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _sorted_items(mapping) -> tuple[list[int], list]:
+    """Codes and values of a {code: value} mapping, ascending by code."""
+    keys = sorted(mapping, key=int)
+    return [int(k) for k in keys], [mapping[k] for k in keys]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SparseHamiltonian:
     """Real combination of non-identity Pauli strings, identity kept aside.
 
-    terms maps packed base-4 codes to real coefficients; code 0 is rejected,
-    the identity component lives in identity_offset. Zero coefficients are
-    dropped on construction.
+    `codes` is a strictly increasing uint64 array of non-identity codes and
+    `values` their nonzero real coefficients; the identity component lives
+    in identity_offset. The constructor takes a {code: coefficient} mapping,
+    from_arrays the two arrays; both drop zero coefficients.
     """
 
     n: int
-    terms: dict[int, float]
+    codes: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     identity_offset: float = 0.0
+    __eq__ = _equal_fields
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        cleaned: dict[int, float] = {}
-        top = 4**self.n
-        for code, h in self.terms.items():
-            code = int(code)
-            h = float(h)
-            if code == 0:
-                raise ValueError("identity term belongs in identity_offset, not terms")
-            if not 0 < code < top:
-                raise ValueError(f"code {code} out of range for n={self.n}")
-            if not np.isfinite(h):
-                raise ValueError(f"non-finite coefficient for code {code}")
-            if h != 0.0:
-                cleaned[code] = h
-        if not np.isfinite(self.identity_offset):
+    def __init__(self, n: int, terms, identity_offset: float = 0.0):
+        self._set(n, *_sorted_items(terms), identity_offset)
+
+    @classmethod
+    def from_arrays(cls, n: int, codes, values, identity_offset: float = 0.0) -> SparseHamiltonian:
+        """From strictly increasing codes and their real coefficients."""
+        return cls.__new__(cls)._set(n, codes, values, identity_offset)
+
+    def _set(self, n, codes, values, identity_offset) -> SparseHamiltonian:
+        codes = checked_codes(n, codes, "identity term belongs in identity_offset, not terms")
+        values = _finite_values(codes, values, np.float64)
+        if not np.isfinite(identity_offset):
             raise ValueError("non-finite identity offset")
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "identity_offset", float(self.identity_offset))
+        kept = values != 0.0
+        for name, value in (("n", n), ("codes", codes[kept]), ("values", values[kept]),
+                            ("identity_offset", float(identity_offset))):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def terms(self) -> Mapping[int, float]:
+        """Read-only {code: coefficient} view, built on each access."""
+        return MappingProxyType(dict(zip(self.codes.tolist(), self.values.tolist())))
 
     @property
     def support(self) -> tuple[int, ...]:
         """Non-identity codes with nonzero coefficient, ascending."""
-        return tuple(sorted(self.terms))
+        return tuple(self.codes.tolist())
 
     def coefficient(self, code: int) -> float:
-        return self.terms.get(int(code), 0.0)
+        """Coefficient of `code`, 0.0 off the support."""
+        return float(self.values[self.codes == code].sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PauliExpansion:
-    """Complex expansion sum_K c_K P_K, identity included as code 0."""
+    """Complex expansion sum_K c_K P_K, identity included as code 0.
+
+    `codes` is a strictly increasing uint64 array and `values` the complex
+    coefficients. The constructor takes a {code: coefficient} mapping,
+    from_arrays the two arrays.
+    """
 
     n: int
-    coeffs: dict[int, complex]
+    codes: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    __eq__ = _equal_fields
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        top = 4**self.n
-        cleaned: dict[int, complex] = {}
-        for code, c in self.coeffs.items():
-            code = int(code)
-            c = complex(c)
-            if not 0 <= code < top:
-                raise ValueError(f"code {code} out of range for n={self.n}")
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient for code {code}")
-            cleaned[code] = c
-        object.__setattr__(self, "coeffs", cleaned)
+    def __init__(self, n: int, coeffs):
+        self._set(n, *_sorted_items(coeffs))
+
+    @classmethod
+    def from_arrays(cls, n: int, codes, values) -> PauliExpansion:
+        """From strictly increasing codes and their complex coefficients."""
+        return cls.__new__(cls)._set(n, codes, values)
+
+    def _set(self, n, codes, values) -> PauliExpansion:
+        codes = checked_codes(n, codes)
+        for name, value in (("n", n), ("codes", codes),
+                            ("values", _finite_values(codes, values, np.complex128))):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def coeffs(self) -> Mapping[int, complex]:
+        """Read-only {code: coefficient} view, built on each access."""
+        return MappingProxyType(dict(zip(self.codes.tolist(), self.values.tolist())))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(self.codes.tolist())
 
     def coefficient(self, code: int) -> complex:
-        return self.coeffs.get(int(code), 0j)
+        """Coefficient of `code`, 0j when absent."""
+        return complex(self.values[self.codes == code].sum())
 
-    def prune(self, tol: float = 0.0) -> "PauliExpansion":
+    def prune(self, tol: float = 0.0) -> PauliExpansion:
         """Drop coefficients with |c| <= tol (identity kept even at zero)."""
-        kept = {k: c for k, c in self.coeffs.items() if abs(c) > tol or k == 0}
-        return PauliExpansion(self.n, kept)
+        kept = (np.abs(self.values) > tol) | (self.codes == 0)
+        return PauliExpansion.from_arrays(self.n, self.codes[kept], self.values[kept])
 
-    def dagger(self) -> "PauliExpansion":
+    def dagger(self) -> PauliExpansion:
         """Hermitian adjoint; Pauli strings are self-adjoint so just conjugate."""
-        return PauliExpansion(self.n, {k: c.conjugate() for k, c in self.coeffs.items()})
+        return PauliExpansion.from_arrays(self.n, self.codes, self.values.conj())
 
-    def scaled(self, factor: complex) -> "PauliExpansion":
-        return PauliExpansion(self.n, {k: factor * c for k, c in self.coeffs.items()})
+    def scaled(self, factor: complex) -> PauliExpansion:
+        return PauliExpansion.from_arrays(self.n, self.codes, factor * self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +190,7 @@ class ClosedTermSet:
     codes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.uint64)
-        if codes.ndim != 1:
-            raise ValueError("codes must be one-dimensional")
-        if codes.size:
-            if codes[0] == 0:
-                raise ValueError("closed sets never contain the identity")
-            if not (codes[1:] > codes[:-1]).all():
-                raise ValueError("codes must be strictly increasing")
-            if int(codes[-1]) >= 4**self.n:
-                raise ValueError(f"code {int(codes[-1])} out of range for n={self.n}")
+        codes = checked_codes(self.n, self.codes, "closed sets never contain the identity")
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -201,7 +261,7 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     the span is built by r doublings and one sort."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    codes = np.asarray(list(codes), dtype=np.uint64)
+    codes = np.fromiter(codes, dtype=np.uint64)
     if codes.size and int(codes.max()) >= 4**n:
         raise ValueError(f"code {int(codes.max())} out of range for n={n}")
     span = np.zeros(1, dtype=np.uint64)
@@ -213,7 +273,7 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
 
 def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     """Closure of a Hamiltonian's support under string composition."""
-    return close_codes(h.n, h.support, cap)
+    return close_codes(h.n, h.codes, cap)
 
 
 def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> SparseHamiltonian:
@@ -228,8 +288,7 @@ def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> Sp
         if _gf2_basis(gens).size == rank:
             break
     ts = close_codes(n, gens, cap=2**rank - 1)
-    vals = rng.uniform(-1.0, 1.0, size=len(ts))
-    return SparseHamiltonian(n, {int(c): float(v) for c, v in zip(ts.codes, vals)})
+    return SparseHamiltonian.from_arrays(n, ts.codes, rng.uniform(-1.0, 1.0, size=len(ts)))
 
 
 _PAULI_1Q = (
@@ -283,19 +342,11 @@ def pauli_decompose(
     m = np.asarray(m, dtype=np.complex128)
     n = qubit_count(m)
     coeffs = _coefficient_tensor(m, n)
-    hermitian = np.abs(m - m.conj().T).max() <= hermitian_tol
-    if hermitian:
-        terms: dict[int, float] = {}
-        offset = float(coeffs[0].real)
-        for code in np.nonzero(np.abs(coeffs) > zero_tol)[0]:
-            if code == 0:
-                continue
-            terms[int(code)] = float(coeffs[code].real)
-        return SparseHamiltonian(n, terms, identity_offset=offset)
-    out: dict[int, complex] = {}
-    for code in np.nonzero(np.abs(coeffs) > zero_tol)[0]:
-        out[int(code)] = complex(coeffs[code])
-    return PauliExpansion(n, out)
+    kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
+    if np.abs(m - m.conj().T).max() <= hermitian_tol:
+        kept = kept[kept != 0]
+        return SparseHamiltonian.from_arrays(n, kept, coeffs[kept].real, coeffs[0].real)
+    return PauliExpansion.from_arrays(n, kept, coeffs[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -306,82 +357,117 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _summed(n: int, codes: np.ndarray, values: list[float]) -> SparseHamiltonian:
+    """Hamiltonian with the values of repeated codes summed in input order
+    (np.add.at is ordered, so sums match a running total bit for bit) and
+    code 0 summed into the identity offset."""
+    unique, inverse = np.unique(codes, return_inverse=True)
+    sums = np.zeros(unique.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # left to the non-finite check
+        np.add.at(sums, inverse, values)
+    skip = int(unique.size > 0 and unique[0] == 0)
+    return SparseHamiltonian.from_arrays(n, unique[skip:], sums[skip:], sums[0] if skip else 0.0)
+
+
+def _read_terms(rows, value_of, label_of, where, n: int | None = None):
+    """(codes, values, labels) of the (place, row) pairs of one file.
+
+    value_of(row) is the row's coefficient or a ValueError naming its
+    fault, label_of(row) its Pauli label. The first fault is reported as a
+    FormatError at where(place): a row's coefficient is checked before its
+    label, and a label on an earlier row before a coefficient on a later one.
+    """
+    places, values, labels, fault = [], [], [], None
+    for place, row in rows:
+        try:
+            values.append(value_of(row))
+        except ValueError as exc:
+            fault = FormatError(f"{where(place)}: {exc}")
+            break
+        places.append(place)
+        labels.append(label_of(row))
+    try:
+        codes = parse_codes(labels, n)
+    except LabelError as exc:
+        raise FormatError(f"{where(places[exc.index])}: {exc}") from None
+    if fault:
+        raise fault
+    return codes, values, labels
+
+
+def _qubits(doc, key: str) -> int:
+    """The "n" of a JSON document that must also hold `key`."""
+    if not isinstance(doc, dict) or "n" not in doc or key not in doc:
+        raise FormatError(f'expected an object with "n" and "{key}"')
+    n = doc["n"]
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise FormatError(f'"n" must be an integer in [1, {MAX_QUBITS}]')
+    return n
+
+
+def _line_value(line: tuple[str, list[str]]) -> float:
+    """Coefficient of a (raw, fields) `<coeff> <pauli>` line; ValueError
+    naming the fault."""
+    raw, parts = line
+    if len(parts) != 2:
+        raise ValueError(f"expected `<coeff> <pauli>`, got {raw.strip()!r}")
+    try:
+        value = float(parts[0])
+    except ValueError:
+        raise ValueError(f"bad coefficient {parts[0]!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite coefficient {parts[0]!r}")
+    return value
+
+
+def _entry_value(entry) -> float:
+    """Coefficient of a {"coeff", "pauli"} entry; ValueError naming the fault."""
+    if not isinstance(entry, dict) or "coeff" not in entry or "pauli" not in entry:
+        raise ValueError('expected {"coeff", "pauli"}')
+    coeff = entry["coeff"]
+    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+        raise ValueError("coeff must be a real number")
+    try:
+        value = float(coeff)
+    except OverflowError:  # an int beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("coeff must be a finite real number")
+    return value
+
+
 def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
     """Parse the line-oriented format: one `<coeff> <pauli>` pair per line.
 
     Blank lines and `#` comments (full-line or trailing) are ignored. The
     Pauli column accepts digits or IXYZ letters; identity lines accumulate
-    into the offset; repeated strings accumulate coefficients.
+    into the offset; repeated strings accumulate coefficients. The first
+    bad line is reported, a line's coefficient before its Pauli string.
     """
-    n = None
-    terms: dict[int, float] = {}
-    offset = 0.0
-    seen_any = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(
-                f"line {lineno}: expected `<coeff> <pauli>`, got {raw.strip()!r}"
-            )
-        try:
-            h = float(parts[0])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad coefficient {parts[0]!r}") from None
-        try:
-            p = parse_string(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if n is None:
-            n = p.n
-        elif p.n != n:
-            raise FormatError(
-                f"line {lineno}: string length {p.n} != {n} from earlier lines"
-            )
-        seen_any = True
-        if p.code == 0:
-            offset += h
-        else:
-            terms[p.code] = terms.get(p.code, 0.0) + h
-    if not seen_any:
+    lines = ((lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (parts := _strip_comment(raw).split()))
+    codes, values, labels = _read_terms(lines, _line_value, lambda raw_parts: raw_parts[1][1],
+                                        "line {}".format)
+    if not labels:
         raise FormatError("no terms found")
-    return SparseHamiltonian(n, terms, identity_offset=offset)
+    return _summed(len(labels[0]), codes, values)
 
 
 def parse_hamiltonian_json(text: str) -> SparseHamiltonian:
-    """Parse {"n": ..., "terms": [{"coeff": ..., "pauli": ...}, ...]}."""
+    """Parse {"n": ..., "terms": [{"coeff": ..., "pauli": ...}, ...]}.
+
+    The first bad entry is reported, an entry's coefficient before its
+    Pauli string."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
-        raise FormatError('expected an object with "n" and "terms"')
-    n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise FormatError(f'"n" must be an integer in [1, {MAX_QUBITS}]')
+    n = _qubits(doc, "terms")
     if not isinstance(doc["terms"], list):
         raise FormatError('"terms" must be a list')
-    terms: dict[int, float] = {}
-    offset = 0.0
-    for i, entry in enumerate(doc["terms"]):
-        if not isinstance(entry, dict) or "coeff" not in entry or "pauli" not in entry:
-            raise FormatError(f'terms[{i}]: expected {{"coeff", "pauli"}}')
-        coeff = entry["coeff"]
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            raise FormatError(f"terms[{i}]: coeff must be a real number")
-        try:
-            p = parse_string(str(entry["pauli"]))
-        except ValueError as exc:
-            raise FormatError(f"terms[{i}]: {exc}") from None
-        if p.n != n:
-            raise FormatError(f"terms[{i}]: string length {p.n} != n={n}")
-        if p.code == 0:
-            offset += float(coeff)
-        else:
-            terms[p.code] = terms.get(p.code, 0.0) + float(coeff)
-    return SparseHamiltonian(n, terms, identity_offset=offset)
+    codes, values, _ = _read_terms(enumerate(doc["terms"]), _entry_value,
+                                   lambda entry: str(entry["pauli"]), "terms[{}]".format, n)
+    return _summed(n, codes, values)
 
 
 def parse_hamiltonian(text: str) -> SparseHamiltonian:
@@ -403,8 +489,9 @@ def format_complex(z: complex) -> str:
 def hamiltonian_to_dict(h: SparseHamiltonian, alphabet: str = "digits") -> dict:
     """{"n", "terms": [{"coeff", "pauli"}, ...]}, the JSON input format, terms
     in ascending code order after the identity when its offset is nonzero."""
-    codes = ([0] if h.identity_offset != 0.0 else []) + list(h.support)
-    coeffs = [h.identity_offset if code == 0 else h.terms[code] for code in codes]
+    codes, coeffs = h.codes.tolist(), h.values.tolist()
+    if h.identity_offset != 0.0:
+        codes, coeffs = [0] + codes, [h.identity_offset] + coeffs
     return {"n": h.n, "terms": [{"coeff": c, "pauli": p}
                                 for p, c in zip(format_codes(h.n, codes, alphabet), coeffs)]}
 
@@ -432,8 +519,7 @@ def format_expansion_text(e: PauliExpansion, method: str, beta=None, alphabet="d
     if beta is not None:
         lines.append(f"# beta {format_complex(beta)}")
     lines.append(f"# method {method}")
-    support = e.support
-    lines += coeff_lines(format_codes(e.n, support, alphabet), map(e.coeffs.get, support))
+    lines += coeff_lines(format_codes(e.n, e.codes, alphabet), e.values.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -444,33 +530,34 @@ def expansion_to_dict(
     doc: dict = {"n": e.n}
     if beta is not None:
         doc["beta"] = {"re": beta.real, "im": beta.imag}
-    support = e.support
-    doc["coeffs"] = coeff_entries(format_codes(e.n, support, alphabet), map(e.coeffs.get, support))
+    doc["coeffs"] = coeff_entries(format_codes(e.n, e.codes, alphabet), e.values.tolist())
     return doc
 
 
 def expansion_from_dict(doc: dict) -> tuple[PauliExpansion, complex | None]:
-    """Inverse of expansion_to_dict; returns (expansion, beta or None)."""
-    if not isinstance(doc, dict) or "n" not in doc or "coeffs" not in doc:
-        raise FormatError('expected an object with "n" and "coeffs"')
-    n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise FormatError(f'"n" must be an integer in [1, {MAX_QUBITS}]')
+    """Inverse of expansion_to_dict; returns (expansion, beta or None).
+
+    A string listed twice keeps its last coefficient. The first bad entry is
+    reported, an entry's Pauli string before its coefficient."""
+    n = _qubits(doc, "coeffs")
     beta = None
     if "beta" in doc:
         b = doc["beta"]
         if not isinstance(b, dict) or "re" not in b or "im" not in b:
             raise FormatError('"beta" must be {"re", "im"}')
         beta = complex(float(b["re"]), float(b["im"]))
-    coeffs: dict[int, complex] = {}
+    entries, fault = [], None
     for i, entry in enumerate(doc["coeffs"]):
         if not isinstance(entry, dict) or not {"pauli", "re", "im"} <= entry.keys():
-            raise FormatError(f'coeffs[{i}]: expected {{"pauli", "re", "im"}}')
-        try:
-            p = parse_string(str(entry["pauli"]))
-        except ValueError as exc:
-            raise FormatError(f"coeffs[{i}]: {exc}") from None
-        if p.n != n:
-            raise FormatError(f"coeffs[{i}]: string length {p.n} != n={n}")
-        coeffs[p.code] = complex(float(entry["re"]), float(entry["im"]))
-    return PauliExpansion(n, coeffs), beta
+            fault = FormatError(f'coeffs[{i}]: expected {{"pauli", "re", "im"}}')
+            break
+        entries.append(entry)
+    try:
+        codes = parse_codes([str(entry["pauli"]) for entry in entries], n)
+    except LabelError as exc:
+        fault, entries = FormatError(f"coeffs[{exc.index}]: {exc}"), entries[:exc.index]
+    values = np.array([complex(float(e["re"]), float(e["im"])) for e in entries], dtype=np.complex128)
+    if fault:
+        raise fault
+    unique, last = np.unique(codes[::-1], return_index=True)
+    return PauliExpansion.from_arrays(n, unique, values[::-1][last]), beta

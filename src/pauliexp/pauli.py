@@ -21,9 +21,14 @@ import numpy as np
 MAX_QUBITS = 32
 
 DIGIT_LETTERS = "IXYZ"
-LETTER_DIGITS = {c: k for k, c in enumerate(DIGIT_LETTERS)}
 # one ASCII byte per digit 0..3, per output alphabet
 _ALPHABET_BYTES = {"digits": b"0123", "letters": DIGIT_LETTERS.encode()}
+# per input byte: its digit, and its alphabet as a bit (1 digits, 2 letters, 4 neither)
+_BYTE_DIGIT = np.zeros(256, dtype=np.uint64)
+_BYTE_ALPHABET = np.full(256, 4, dtype=np.uint8)
+for _bit, _alphabet in enumerate(_ALPHABET_BYTES.values()):
+    _BYTE_DIGIT[list(_alphabet)] = range(4)
+    _BYTE_ALPHABET[list(_alphabet)] = 1 << _bit
 
 # Exponent e of the per-qubit phase i**e picked up by the ordered product
 # (left factor k) . (right factor l).  Rows k, columns l.
@@ -157,23 +162,54 @@ def structure_constant(a: PauliString, b: PauliString) -> float:
     return c.real
 
 
+class LabelError(ValueError):
+    """A label parse_codes rejects; `index` is its position in the list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def parse_codes(labels, n: int | None = None) -> np.ndarray:
+    """Codes of a list of labels, the inverse of format_codes.
+
+    Each label, stripped of surrounding whitespace, is base-4 digits "0123"
+    or case-insensitive letters "IXYZ" (one alphabet per label) on 1 to
+    MAX_QUBITS qubits, and all have n characters, or as many as the first
+    when n is None. The first bad label raises LabelError with its index;
+    a label's characters are checked before its length."""
+    upper = [s.strip().upper() for s in labels]
+    if not upper:
+        return np.zeros(0, dtype=np.uint64)
+    lengths = np.fromiter(map(len, upper), dtype=np.intp, count=len(upper))
+    width = int(lengths[0]) if n is None else n
+    data = np.frombuffer("".join(upper).encode("ascii", "replace"), dtype=np.uint8)
+    # one zero past the end, so that empty labels at the end have a start
+    alphabet = np.bitwise_or.reduceat(np.append(_BYTE_ALPHABET[data], 0),
+                                      np.cumsum(lengths) - lengths)
+    faults = ((lengths == 0, "empty Pauli string"),
+              ((alphabet != 1) & (alphabet != 2),
+               "not a Pauli string (digits 0-3 or letters IXYZ): {label!r}"),
+              (lengths > MAX_QUBITS, "qubit count must be in [1, {top}], got {length}"),
+              (lengths != width, "string length {length} != "
+               + ("{width} from earlier lines" if n is None else "n={width}")))
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(message for mask, message in faults if mask[i])
+        raise LabelError(i, message.format(label=labels[i], length=lengths[i], width=width,
+                                           top=MAX_QUBITS))
+    shifts = np.arange(2 * width - 2, -1, -2, dtype=np.uint64)
+    return np.bitwise_or.reduce(_BYTE_DIGIT[data].reshape(-1, width) << shifts, axis=1)
+
+
 def parse_string(text: str) -> PauliString:
     """Parse a Pauli string written either as base-4 digits or as IXYZ letters.
 
     "123" and "XYZ" denote the same 3-qubit string. Mixing alphabets is
     rejected; case is ignored for letters.
     """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty Pauli string")
-    up = s.upper()
-    if all(c in "0123" for c in up):
-        digits = [int(c) for c in up]
-    elif all(c in LETTER_DIGITS for c in up):
-        digits = [LETTER_DIGITS[c] for c in up]
-    else:
-        raise ValueError(f"not a Pauli string (digits 0-3 or letters IXYZ): {text!r}")
-    return PauliString.from_digits(digits)
+    return PauliString(len(text.strip().upper()), int(parse_codes([text])[0]))
 
 
 def format_codes(n: int, codes, alphabet: str = "digits") -> list[str]:

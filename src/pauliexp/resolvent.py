@@ -53,7 +53,9 @@ def build_structure_matrix(
         term_set = close(h, cap)
     if term_set.n != h.n:
         raise ValueError(f"term set is on {term_set.n} qubits, Hamiltonian on {h.n}")
-    coeffs = np.array([h.coefficient(c) for c in term_set.codes], dtype=np.float64)
+    coeffs = np.zeros(term_set.tau)
+    _, into, of_h = np.intersect1d(term_set.codes, h.codes, assume_unique=True, return_indices=True)
+    coeffs[into] = h.values[of_h]
     matrix, bad_k, bad_l = _kernels.assemble(term_set.codes, coeffs)
     if bad_k >= 0:
         raise ValueError(

@@ -219,6 +219,93 @@ class TestExp:
         assert main(["--help"]) == 0
 
 
+_FINITE = "coeff must be a finite real number"
+_NOT_PAULI = "not a Pauli string (digits 0-3 or letters IXYZ): "
+
+
+class TestInputErrors:
+    """Exit code and the exact stderr line of each class of bad input file."""
+
+    @pytest.mark.parametrize("text,code,message", [
+        ("1 X\nabc Y\n", 1, "input error: line 2: bad coefficient 'abc'"),
+        ("1 X\n1 W\n", 1, f"input error: line 2: {_NOT_PAULI}'W'"),
+        ("1 XY\n1 X1\n", 1, f"input error: line 2: {_NOT_PAULI}'X1'"),
+        ("1 " + "X" * 33 + "\n", 1, "input error: line 1: qubit count must be in [1, 32], got 33"),
+        ("1 X\n2 Y\n1 XX\n", 1, "input error: line 3: string length 2 != 1 from earlier lines"),
+        ("# nothing\n\n", 1, "input error: no terms found"),
+        ("1 X\n1\n", 1, "input error: line 2: expected `<coeff> <pauli>`, got '1'"),
+        ("1 X\nnan Y\n", 1, "input error: line 2: non-finite coefficient 'nan'"),
+        ("inf X\n", 1, "input error: line 1: non-finite coefficient 'inf'"),
+        ("1 X\n1e999 Z\n", 1, "input error: line 2: non-finite coefficient '1e999'"),
+        # finite per line, infinite once summed
+        ("1e308 X\n1e308 X\n", 1, "config error: non-finite coefficient for code 1"),
+        # the first bad line wins; within a line the coefficient comes first
+        ("1 X\n1 W\nabc Y\n", 1, f"input error: line 2: {_NOT_PAULI}'W'"),
+        ("1 X\nabc W\n1 W\n", 1, "input error: line 2: bad coefficient 'abc'"),
+        ("1 XX\n1 Y\n1 W\n", 1, "input error: line 2: string length 1 != 2 from earlier lines"),
+    ])
+    def test_text(self, capsys, tmp_path, text, code, message):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        assert run(capsys, "closure", "-i", str(p)) == (code, "", f"pauliexp: {message}\n")
+
+    @pytest.mark.parametrize("doc,code,message", [
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": "x", "pauli": "Y"}]}', 1,
+         "input error: terms[1]: coeff must be a real number"),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}]}', 1,
+         f"input error: terms[0]: {_NOT_PAULI}'W'"),
+        ('{"n": 2, "terms": [{"coeff": 1, "pauli": "X1"}]}', 1,
+         f"input error: terms[0]: {_NOT_PAULI}'X1'"),
+        ('{"n": 33, "terms": []}', 1, 'input error: "n" must be an integer in [1, 32]'),
+        ('{"n": 32, "terms": [{"coeff": 1, "pauli": "' + "X" * 33 + '"}]}', 1,
+         "input error: terms[0]: qubit count must be in [1, 32], got 33"),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": "XX"}]}', 1,
+         "input error: terms[1]: string length 2 != n=1"),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "XX"}, {"coeff": 1, "pauli": "W"}]}', 1,
+         "input error: terms[0]: string length 2 != n=1"),
+        ('{"n": 1}', 1, 'input error: expected an object with "n" and "terms"'),
+        ('{"n": 1, "terms": [{"pauli": "X"}]}', 1,
+         'input error: terms[0]: expected {"coeff", "pauli"}'),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": NaN, "pauli": "Y"}]}', 1,
+         f"input error: terms[1]: {_FINITE}"),
+        ('{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}', 1,
+         f"input error: terms[0]: {_FINITE}"),
+        ('{"n": 1, "terms": [{"coeff": 1e400, "pauli": "X"}]}', 1,
+         f"input error: terms[0]: {_FINITE}"),
+        pytest.param('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1' + "0" * 400
+                     + ', "pauli": "Z"}]}', 1, f"input error: terms[1]: {_FINITE}", id="int-1e400"),
+        ('{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"}, {"coeff": 1e308, "pauli": "X"}]}', 1,
+         "config error: non-finite coefficient for code 1"),
+    ])
+    def test_json(self, capsys, tmp_path, doc, code, message):
+        p = tmp_path / "h.json"
+        p.write_text(doc)
+        assert run(capsys, "closure", "-i", str(p)) == (code, "", f"pauliexp: {message}\n")
+
+    @pytest.mark.parametrize("name,text", [
+        ("h.txt", "0.5 xyz\n-1 iZy\n"),
+        ("h.json", '{"n": 3, "terms": [{"coeff": 0.5, "pauli": "xyz"}, {"coeff": -1, "pauli": "iZy"}]}'),
+    ])
+    def test_lowercase_accepted(self, capsys, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        assert run(capsys, "closure", "-i", str(p), "--alphabet", "letters") == (
+            0, "n 3\ntau 3\nIZY\nXXX\nXYZ\n", "")
+
+    @pytest.mark.parametrize("doc,message", [
+        pytest.param('{"n": 1, "terms": [{"coeff": 1' + "0" * 400 + ', "pauli": "X"}]}',
+                     f"terms[0]: {_FINITE}", id="int-1e400"),
+        ('{"n": 1, "terms": [{"coeff": -Infinity, "pauli": "X"}]}', f"terms[0]: {_FINITE}"),
+    ])
+    def test_huge_coefficient_is_an_input_error(self, tmp_path, doc, message):
+        p = tmp_path / "h.json"
+        p.write_text(doc)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", "exp", "-i", str(p),
+                               "--beta", "1"], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"pauliexp: input error: {message}\n"
+
+
 class TestPartition:
     def test_table(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),

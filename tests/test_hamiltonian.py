@@ -60,6 +60,21 @@ class TestSparseHamiltonian:
             SparseHamiltonian(1, {1: 1.0}, identity_offset=float("inf"))
 
 
+    def test_from_arrays(self):
+        h = SparseHamiltonian.from_arrays(3, np.array([27, 45], dtype=np.uint64), [1.0, 0.0], 2.0)
+        assert (h.support, h.identity_offset) == ((27,), 2.0)
+        assert h.terms == {27: 1.0}
+        with pytest.raises(TypeError):
+            h.terms[27] = 2.0
+        for codes in ([45, 27], [27, 27], [0, 27], [27, 64]):
+            with pytest.raises(ValueError):
+                SparseHamiltonian.from_arrays(3, codes, [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite coefficient for code 45"):
+            SparseHamiltonian.from_arrays(3, [27, 45], [1.0, np.inf])
+        assert h == SparseHamiltonian(3, {27: 1.0}, identity_offset=2.0)
+        assert h != SparseHamiltonian(3, {27: 1.0})
+
+
 class TestPauliExpansion:
     def test_support_and_lookup(self):
         e = PauliExpansion(2, {0: 1 + 2j, 5: -1j})
@@ -79,6 +94,16 @@ class TestPauliExpansion:
     def test_scaled(self):
         e = PauliExpansion(1, {1: 2.0})
         assert e.scaled(0.5j).coefficient(1) == 1j
+
+    def test_from_arrays(self):
+        e = PauliExpansion.from_arrays(2, [0, 5], [0j, 1 - 1j])
+        assert e.coeffs == {0: 0j, 5: 1 - 1j}
+        with pytest.raises(TypeError):
+            e.coeffs[5] = 1.0
+        with pytest.raises(ValueError):
+            PauliExpansion.from_arrays(2, [5, 0], [1, 1])
+        assert e == PauliExpansion(2, {5: 1 - 1j, 0: 0})
+        assert e != e.scaled(2)
 
 
 class TestParseText:
@@ -422,3 +447,42 @@ class TestExpansionDict:
     def test_from_dict_rejects(self, doc):
         with pytest.raises(FormatError):
             expansion_from_dict(doc)
+
+    @pytest.mark.parametrize("coeffs,error,message", [
+        ([{"pauli": "X", "re": "x", "im": 0}], ValueError, "could not convert string to float: 'x'"),
+        ([{"pauli": "X", "re": 1, "im": 0}, {"pauli": "W", "re": 1, "im": 0}], FormatError,
+         "coeffs[1]: not a Pauli string (digits 0-3 or letters IXYZ): 'W'"),
+        ([{"pauli": "X1", "re": 1, "im": 0}], FormatError,
+         "coeffs[0]: not a Pauli string (digits 0-3 or letters IXYZ): 'X1'"),
+        ([{"pauli": "X" * 33, "re": 1, "im": 0}], FormatError,
+         "coeffs[0]: qubit count must be in [1, 32], got 33"),
+        ([{"pauli": "X", "re": 1, "im": 0}, {"pauli": "XX", "re": 1, "im": 0}], FormatError,
+         "coeffs[1]: string length 2 != n=1"),
+        ([{"pauli": "X", "re": 1}], FormatError, 'coeffs[0]: expected {"pauli", "re", "im"}'),
+        # the first bad entry wins; within an entry the Pauli string comes first
+        ([{"pauli": "X", "re": "x", "im": 0}, {"pauli": "W", "re": 1, "im": 0}], ValueError,
+         "could not convert string to float: 'x'"),
+        ([{"pauli": "W", "re": "x", "im": 0}], FormatError,
+         "coeffs[0]: not a Pauli string (digits 0-3 or letters IXYZ): 'W'"),
+    ])
+    def test_from_dict_errors(self, coeffs, error, message):
+        n = 32 if len(coeffs[0]["pauli"]) == 33 else 1
+        with pytest.raises(error) as info:
+            expansion_from_dict({"n": n, "coeffs": coeffs})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"n": 33, "coeffs": []}, '"n" must be an integer in [1, 32]'),
+        ({"n": 1}, 'expected an object with "n" and "coeffs"'),
+    ])
+    def test_from_dict_document_errors(self, doc, message):
+        with pytest.raises(FormatError) as info:
+            expansion_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_from_dict_lowercase_and_repeats(self):
+        e, _ = expansion_from_dict({"n": 2, "coeffs": [
+            {"pauli": "xz", "re": 1, "im": 0}, {"pauli": "ii", "re": 0, "im": 2},
+            {"pauli": "XZ", "re": 3, "im": 0}]})
+        # a repeated string keeps its last coefficient
+        assert e.coeffs == {0: 2j, 7: 3}

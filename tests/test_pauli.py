@@ -4,12 +4,14 @@ from hypothesis import given, strategies as st
 
 from pauliexp.pauli import (
     MAX_QUBITS,
+    LabelError,
     PauliString,
     Phase,
     commutes,
     compose,
     format_codes,
     format_string,
+    parse_codes,
     parse_string,
     phase,
     phase_exponent,
@@ -120,6 +122,91 @@ class TestFormatCodes:
     def test_unknown_alphabet(self):
         with pytest.raises(ValueError, match="runes"):
             format_codes(2, [1, 2], "runes")
+
+
+def parse_one(text: str) -> PauliString:
+    """Per-character parse of one label: the reference parse_codes must match."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty Pauli string")
+    up = s.upper()
+    if all(c in "0123" for c in up):
+        digits = [int(c) for c in up]
+    elif all(c in "IXYZ" for c in up):
+        digits = ["IXYZ".index(c) for c in up]
+    else:
+        raise ValueError(f"not a Pauli string (digits 0-3 or letters IXYZ): {text!r}")
+    return PauliString.from_digits(digits)
+
+
+def parse_list(labels, n=None):
+    """parse_one over a list with the length rule: (codes, None) or (None, (index, message))."""
+    codes = []
+    for i, label in enumerate(labels):
+        try:
+            p = parse_one(label)
+        except ValueError as exc:
+            return None, (i, str(exc))
+        width = n if n is not None else (p.n if i == 0 else width)
+        if p.n != width:
+            tail = f"{width} from earlier lines" if n is None else f"n={n}"
+            return None, (i, f"string length {p.n} != {tail}")
+        codes.append(p.code)
+    return codes, None
+
+
+# mostly Pauli characters, with whitespace, other ASCII and non-ASCII junk
+# (U+0131 upper-cases to "I")
+label_text = st.text(st.sampled_from("0123IXYZixyz" * 4 + " \t4W-.\u0131\u00e9\u00df"), max_size=6)
+
+
+class TestParseCodes:
+    @given(st.integers(1, MAX_QUBITS).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 4**n - 1), max_size=20))),
+        st.sampled_from(["digits", "letters"]))
+    def test_inverts_format_codes(self, n_codes, alphabet):
+        n, codes = n_codes
+        codes = np.array(codes, dtype=np.uint64)
+        assert np.array_equal(parse_codes(format_codes(n, codes, alphabet)), codes)
+
+    @pytest.mark.parametrize("alphabet", ["digits", "letters"])
+    def test_top_bit(self, alphabet):
+        codes = np.array([2**63, 2**64 - 1, 2**63 + 12345, 0], dtype=np.uint64)
+        assert np.array_equal(parse_codes(format_codes(32, codes, alphabet)), codes)
+
+    @given(label_text)
+    def test_one_label_matches_reference(self, text):
+        try:
+            want = parse_one(text)
+        except ValueError as exc:
+            with pytest.raises(LabelError) as info:
+                parse_codes([text])
+            assert (info.value.index, str(info.value)) == (0, str(exc))
+        else:
+            assert parse_codes([text]).tolist() == [want.code]
+            assert parse_string(text) == want
+
+    @given(st.lists(label_text, max_size=5), st.sampled_from([None, 1, 2, 3]))
+    def test_lists_match_reference(self, labels, n):
+        codes, fault = parse_list(labels, n)
+        if fault is None:
+            assert parse_codes(labels, n).tolist() == codes
+        else:
+            with pytest.raises(LabelError) as info:
+                parse_codes(labels, n)
+            assert (info.value.index, str(info.value)) == fault
+
+    def test_lengths_and_long_labels(self):
+        for labels, n, fault in [
+            (["X" * 33, "W"], None, (0, "qubit count must be in [1, 32], got 33")),
+            (["X", "X" * 33], None, (1, "qubit count must be in [1, 32], got 33")),
+            (["X" * 33], 32, (0, "qubit count must be in [1, 32], got 33")),
+            (["XX", "W"], 1, (0, "string length 2 != n=1")),
+        ]:
+            assert parse_list(labels, n) == (None, fault)
+            with pytest.raises(LabelError) as info:
+                parse_codes(labels, n)
+            assert (info.value.index, str(info.value)) == fault
 
 
 class TestPhase:

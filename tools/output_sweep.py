@@ -1,0 +1,172 @@
+"""In-process CLI output sweep, to check that a change keeps every output.
+
+    python -W error tools/output_sweep.py run SRC_DIR OUT.json
+    python tools/output_sweep.py diff BEFORE.json AFTER.json
+
+`run` imports pauliexp from SRC_DIR (the `src` directory of one checkout),
+calls `pauliexp.cli.main` on a fixed list of argument lists with stdout and
+stderr captured, and writes {case: [exit code, stdout, stderr]}. `diff`
+prints every case whose exit code, stdout or stderr differs between two
+such files. The cases: every text fixture x `exp --method
+auto|spectral|dense|contour` x four betas x two formats (`xy_n6` contour
+left out); `exp`, `gibbs`, `closure` and `partition --gibbs` on all fixtures
+in both formats and alphabets; dense output formats; `decompose` of random
+matrices and of the qutrit fixture; `--symmetry-check`; `verify`;
+non-finite and large betas; `bench` (timings dropped); and good and bad
+input files in both the text and the JSON format.
+"""
+
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TEXT = ["h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt", "xy_n6.txt"]
+BETAS = [["--beta", "1"], ["--time", "0.7"], ["--beta", "0.3+0.2i"], ["--beta=-2"]]
+BIG_INT = "1" + "0" * 400
+INPUTS = {
+    "lower.txt": "0.5 xyz\n-1 zzi\n0.25 iii\n",
+    "repeats.txt": "0.1 XX\n0.2 11\n0.3 XX\n1e-3 II\n2e-3 00\n-0.7 ZY\n",
+    "unsorted.txt": "0.3 ZZX\n-0.2 XII\n0.9 IYI\n0.4 XII\n",
+    "bad_coeff.txt": "1 X\nabc Y\n",
+    "bad_char.txt": "1 X\n1 W\n",
+    "mixed.txt": "1 XY\n1 X1\n",
+    "33_qubits.txt": "1 " + "X" * 33 + "\n",
+    "length.txt": "1 X\n2 Y\n1 XX\n",
+    "no_terms.txt": "# nothing\n\n",
+    "fields.txt": "1 X\n1\n",
+    "nan.txt": "1 X\nnan Y\n",
+    "inf.txt": "inf X\n",
+    "1e999.txt": "1 X\n1e999 Z\n",
+    "overflow.txt": "1e308 X\n1e308 X\n",
+    "first_bad_1.txt": "1 X\n1 W\nabc Y\n",
+    "first_bad_2.txt": "1 X\nabc Y\n1 W\n",
+    "first_bad_3.txt": "1 XX\n1 Y\n1 W\n",
+    "good.json": '{"n": 2, "terms": [{"coeff": 0.5, "pauli": "xz"}, {"coeff": -1, "pauli": "II"},'
+                 ' {"coeff": 0.25, "pauli": "13"}, {"coeff": 3, "pauli": "yy"}]}',
+    "bad_coeff.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": "x", "pauli": "Y"}]}',
+    "bad_char.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}]}',
+    "mixed.json": '{"n": 2, "terms": [{"coeff": 1, "pauli": "X1"}]}',
+    "33_qubits.json": '{"n": 33, "terms": []}',
+    "33_chars.json": '{"n": 32, "terms": [{"coeff": 1, "pauli": "' + "X" * 33 + '"}]}',
+    "length.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": "XX"}]}',
+    "length_first.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "XX"}, {"coeff": 1, "pauli": "W"}]}',
+    "no_terms.json": '{"n": 1}',
+    "empty_terms.json": '{"n": 1, "terms": []}',
+    "missing_key.json": '{"n": 1, "terms": [{"pauli": "X"}]}',
+    "big_int.json": '{"n": 1, "terms": [{"coeff": ' + BIG_INT + ', "pauli": "X"}]}',
+    "nan.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": NaN, "pauli": "Y"}]}',
+    "inf.json": '{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}',
+    "1e400.json": '{"n": 1, "terms": [{"coeff": 1e400, "pauli": "X"}]}',
+    "overflow.json": '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"},'
+                     ' {"coeff": 1e308, "pauli": "X"}]}',
+}
+
+
+def cases(tmp: Path, write_dense) -> list[list[str]]:
+    fix = {name: str(FIXTURES / name) for name in TEXT + ["qutrit_embedded.json"]}
+    out = []
+    for f in TEXT:
+        for method in ["auto", "spectral", "dense", "contour"]:
+            if (f, method) == ("xy_n6.txt", "contour"):
+                continue
+            for beta in BETAS:
+                for fmt in ["pauli-text", "pauli-json"]:
+                    out.append(["exp", "-i", fix[f], "--method", method, *beta, "--format", fmt])
+    for f in fix.values():
+        for alphabet in ["digits", "letters"]:
+            for fmt in ["pauli-text", "pauli-json"]:
+                for command in ["exp", "gibbs"]:
+                    out.append([command, "-i", f, "--beta", "0.5", "--format", fmt,
+                                "--alphabet", alphabet])
+            for fmt in ["text", "json"]:
+                out.append(["closure", "-i", f, "--format", fmt, "--alphabet", alphabet])
+                out.append(["partition", "-i", f, "--betas", "0.1,1,5", "--gibbs", "--format", fmt,
+                            "--alphabet", alphabet])
+    for f in ["h2.txt", "rho_s_n3.txt", "qutrit_pauli.txt"]:
+        for fmt in ["dense-json", "dense-bin"]:
+            out.append(["exp", "-i", fix[f], "--beta", "0.3+0.2i", "--format", fmt])
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3]:
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        for name, m in [(f"herm{n}", a + a.conj().T), (f"gen{n}", a)]:
+            write_dense(tmp / name, m, binary=n == 2)
+            out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
+    out += [["decompose", "-i", fix["qutrit_embedded.json"], "--format", fmt, "--alphabet", a]
+            for fmt in ["text", "json"] for a in ["digits", "letters"]]
+    out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--symmetry-check",
+             fix["h2_mirror.txt"], "--format", fmt] for fmt in ["text", "json"]]
+    out += [["verify", "-i", fix[f], "--method", method, "--beta", "0.7"]
+            for f in ["h1.txt", "h2.txt", "rho_s_n3.txt", "qutrit_pauli.txt"]
+            for method in ["auto", "sector", "spectral", "contour"]]
+    for argv in (["exp", "--beta", "nan"], ["exp", "--time", "inf"], ["exp", "--beta", "1000"],
+                 ["exp", "--beta", "500", "--method", "spectral"],
+                 ["exp", "--beta", "1000", "--method", "dense"],
+                 ["exp", "--beta", "1000", "--method", "contour"],
+                 ["gibbs", "--beta", "1000"], ["partition", "--betas", "1,10,100,1000"],
+                 ["gibbs", "--beta", "inf"]):
+        out.append([argv[0], "-i", fix["h1.txt"], *argv[1:]])
+    out += [["bench", "--n-list", "40"],
+            ["bench", "--suite", "spectral-tau", "--n", "6", "--tau-list", "3,7", "--repeats", "1"],
+            ["bench", "--n-list", "3,5", "--repeats", "1"],
+            ["bench", "--suite", "dense-n", "--n-list", "3", "--repeats", "1"]]
+    for name, text in INPUTS.items():
+        (tmp / name).write_text(text)
+        out += [["exp", "-i", str(tmp / name), "--beta", "0.5"],
+                ["closure", "-i", str(tmp / name), "--alphabet", "letters"]]
+    return out
+
+
+def call(cli, argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one in-process cli.main call."""
+    stdout, stderr = io.BytesIO(), io.StringIO()
+    wrapper = io.TextIOWrapper(stdout, encoding="utf-8", write_through=True)
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = wrapper, stderr
+    try:
+        code = cli.main(argv)
+    except Exception as exc:  # a crash is a result to compare, not a reason to stop
+        code = f"raised {type(exc).__name__}: {exc}"
+    finally:
+        wrapper.flush()
+        wrapper.detach()
+        sys.stdout, sys.stderr = saved
+    text = stdout.getvalue().decode("latin-1")
+    if argv[0] == "bench":  # the last column is a wall time
+        text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    return [code, text, stderr.getvalue()]
+
+
+def run(src: str, out_path: str) -> None:
+    sys.path.insert(0, src)
+    from pauliexp import cli
+    from pauliexp.dense import write_dense
+
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="pauliexp-sweep-") as name:
+        tmp = Path(name)
+        for argv in cases(tmp, write_dense):
+            results[" ".join(argv).replace(str(tmp), "TMP").replace(str(FIXTURES), "FIXTURES")] = [
+                field.replace(str(tmp), "TMP") if isinstance(field, str) else field
+                for field in call(cli, argv)]
+    Path(out_path).write_text(json.dumps(results, indent=0))
+    print(f"{len(results)} cases")
+
+
+def diff(before_path: str, after_path: str) -> None:
+    before, after = (json.loads(Path(p).read_text()) for p in (before_path, after_path))
+    if before.keys() != after.keys():
+        sys.exit("the two files hold different cases")
+    changed = [k for k in before if before[k] != after[k]]
+    for k in changed:
+        print(f"{k}\n  before: {before[k][0]} {before[k][2].strip()}\n  after:  {after[k][0]} "
+              f"{after[k][2].strip()}{'  (stdout differs)' if before[k][1] != after[k][1] else ''}")
+    print(f"{len(before)} cases, {len(before) - len(changed)} identical, {len(changed)} differ")
+
+
+if __name__ == "__main__":
+    {"run": run, "diff": diff}[sys.argv[1]](*sys.argv[2:])
