@@ -34,9 +34,8 @@ from .hamiltonian import (
     SparseHamiltonian,
     close,
     close_codes,
-    coeff_entries,
     coeff_lines,
-    expansion_to_dict,
+    coeffs_json,
     format_complex,
     format_expansion_text,
     format_hamiltonian_text,
@@ -95,6 +94,18 @@ def _emit_bytes(args, blob: bytes):
         sys.stdout.buffer.write(blob)
 
 
+def _json_text(doc: dict, coeff_lists) -> str:
+    """json.dumps(doc) and a newline, with each `"coeffs": null` in it, in
+    order, holding the JSON text of the next coefficient list instead. No
+    other text can match: json escapes every quote inside a string."""
+    pieces = json.dumps(doc).split('"coeffs": null')
+    return "".join(p + '"coeffs": ' + c for p, c in zip(pieces, coeff_lists)) + pieces[-1] + "\n"
+
+
+def _expansion_coeffs(e: PauliExpansion, alphabet: str) -> str:
+    return coeffs_json(format_codes(e.n, e.codes, alphabet), e.values)
+
+
 def _as_expansion(obj) -> PauliExpansion:
     if isinstance(obj, PauliExpansion):
         return obj
@@ -121,9 +132,9 @@ def cmd_exp(args) -> int:
     if args.format == "pauli-text":
         _emit_text(args, format_expansion_text(e, method, beta, args.alphabet))
     elif args.format == "pauli-json":
-        doc = expansion_to_dict(e, beta, args.alphabet)
-        doc["method"] = method
-        _emit_text(args, json.dumps(doc) + "\n")
+        doc = {"n": e.n, "beta": {"re": beta.real, "im": beta.imag}, "coeffs": None,
+               "method": method}
+        _emit_text(args, _json_text(doc, [_expansion_coeffs(e, args.alphabet)]))
     elif args.format == "dense-json":
         _emit_text(args, dense_to_json(reconstruct_dense(e, args.dense_cap)) + "\n")
     elif args.format == "dense-bin":
@@ -157,7 +168,7 @@ def cmd_partition(args) -> int:
                      "free_energy": free_energy})
     if args.gibbs:
         labels = format_codes(h.n, reduced.codes, args.alphabet)
-        gibbs = reduced.gibbs_many(betas).tolist()
+        gibbs = reduced.gibbs_many(betas)
     symmetry = None
     if args.symmetry_check:
         other = Reduced(load_hamiltonian(args.symmetry_check), args.closure_cap)
@@ -165,13 +176,15 @@ def cmd_partition(args) -> int:
         symmetry = max(-math.expm1(-abs(a - b))
                        for a, b in zip(log_z, other.log_partition(betas).real.tolist()))
     if args.format == "json":
+        coeff_lists = []
         if args.gibbs:
             for row, coeffs in zip(rows, gibbs):
-                row["gibbs"] = {"n": h.n, "coeffs": coeff_entries(labels, coeffs)}
+                row["gibbs"] = {"n": h.n, "coeffs": None}
+                coeff_lists.append(coeffs_json(labels, coeffs))
         doc = {"rows": rows}
         if symmetry is not None:
             doc["symmetry_max_rel_diff"] = symmetry
-        _emit_text(args, json.dumps(doc) + "\n")
+        _emit_text(args, _json_text(doc, coeff_lists))
     else:
         lines = ["beta z_normalized z_trace free_energy"]
         for k, row in enumerate(rows):
@@ -181,7 +194,7 @@ def cmd_partition(args) -> int:
                 f"{row['z_trace']:.17g} {fe}"
             )
             if args.gibbs:
-                lines += coeff_lines(labels, gibbs[k], f"gibbs {row['beta']:.17g} ")
+                lines += coeff_lines(labels, gibbs[k].tolist(), f"gibbs {row['beta']:.17g} ")
         if symmetry is not None:
             verdict = "OK" if symmetry <= 1e-10 else "VIOLATED"
             lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}")
@@ -193,9 +206,8 @@ def cmd_gibbs(args) -> int:
     beta = _finite(args.beta, "--beta")
     g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(beta)
     if args.format == "pauli-json":
-        doc = expansion_to_dict(g, alphabet=args.alphabet)
-        doc["beta"] = {"re": beta, "im": 0.0}
-        _emit_text(args, json.dumps(doc) + "\n")
+        doc = {"n": g.n, "coeffs": None, "beta": {"re": beta, "im": 0.0}}
+        _emit_text(args, _json_text(doc, [_expansion_coeffs(g, args.alphabet)]))
     else:
         _emit_text(args, format_expansion_text(g, "gibbs", beta, args.alphabet))
     return EXIT_OK
@@ -295,10 +307,11 @@ def cmd_bench(args) -> int:
 def cmd_decompose(args) -> int:
     m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
-    if args.format == "json":
-        doc = (hamiltonian_to_dict(obj, args.alphabet) if isinstance(obj, SparseHamiltonian)
-               else expansion_to_dict(obj, alphabet=args.alphabet))
-        _emit_text(args, json.dumps(doc) + "\n")
+    if args.format == "json" and isinstance(obj, SparseHamiltonian):
+        _emit_text(args, json.dumps(hamiltonian_to_dict(obj, args.alphabet)) + "\n")
+    elif args.format == "json":
+        _emit_text(args, _json_text({"n": obj.n, "coeffs": None},
+                                    [_expansion_coeffs(obj, args.alphabet)]))
     elif isinstance(obj, SparseHamiltonian):
         _emit_text(args, format_hamiltonian_text(obj, args.alphabet))
     else:

@@ -101,6 +101,14 @@ def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
     return betas, log_scale, np.exp(-betas[rows] * (w - shift[rows]))
 
 
+def _real_rows(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs with the imaginary part of each real-beta row set to 0.0. For
+    Hermitian H and real beta, exp(-beta H) is Hermitian, so every tr(P_K .)
+    of it is real and what the transforms leave there is rounding noise."""
+    coeffs.imag[betas.imag == 0] = 0.0
+    return coeffs
+
+
 def _wht(x: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along `axis`, whose length is a
     power of two, by log2(length) butterfly passes."""
@@ -205,10 +213,11 @@ class Reduced:
         return (g.reshape(t.shape[0], -1) * self._phase)[:, self._order]
 
     def exp_many(self, betas) -> np.ndarray:
-        """Coefficients of exp(-beta H) over `codes`, one row per beta."""
+        """Coefficients of exp(-beta H) over `codes`, one row per beta;
+        exactly real in the rows of real beta."""
         betas, log_scale, t = self._weighted(betas)
         scale = np.array([_scale(ls, b) for ls, b in zip(log_scale, betas)])
-        return scale[:, None] * self._columns(t)
+        return _real_rows(betas, scale[:, None] * self._columns(t))
 
     def exp(self, beta: complex) -> PauliExpansion:
         """exp(-beta H) as a Pauli expansion."""
@@ -222,9 +231,11 @@ class Reduced:
 
     def gibbs_many(self, betas) -> np.ndarray:
         """Coefficients of exp(-beta H) / tr exp(-beta H) over `codes`, one
-        row per real beta; the identity coefficient is exactly 1/2**n."""
-        _, _, t = self._weighted(betas)
-        columns = self._columns(t)
+        row per real beta, exactly real; the identity coefficient is exactly
+        1/2**n. The imaginary noise goes before the complex division, which
+        would otherwise mix it into the real parts."""
+        betas, _, t = self._weighted(betas)
+        columns = _real_rows(betas, self._columns(t))
         gibbs = columns / ((2**self.h.n) * columns[:, :1])
         gibbs[:, 0] = 1.0 / (2**self.h.n)
         return gibbs

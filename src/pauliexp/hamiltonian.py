@@ -420,20 +420,33 @@ def _line_value(line: tuple[str, list[str]]) -> float:
     return value
 
 
+def _real(value, name: str) -> float:
+    """A JSON number as a finite float; ValueError naming the field `name`
+    for a bool, a non-number or a non-finite value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number")
+    return value
+
+
 def _entry_value(entry) -> float:
     """Coefficient of a {"coeff", "pauli"} entry; ValueError naming the fault."""
     if not isinstance(entry, dict) or "coeff" not in entry or "pauli" not in entry:
         raise ValueError('expected {"coeff", "pauli"}')
-    coeff = entry["coeff"]
-    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-        raise ValueError("coeff must be a real number")
+    return _real(entry["coeff"], "coeff")
+
+
+def _complex_field(doc: dict, where: str) -> complex:
+    """The {"re", "im"} number `doc`; FormatError at `where` for a bad part."""
     try:
-        value = float(coeff)
-    except OverflowError:  # an int beyond float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError("coeff must be a finite real number")
-    return value
+        return complex(_real(doc["re"], "re"), _real(doc["im"], "im"))
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
@@ -507,6 +520,25 @@ def coeff_entries(labels, coeffs) -> list[dict]:
     return [{"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)]
 
 
+def coeffs_json(labels, values) -> str:
+    """JSON text of the coefficient list of `labels` and their complex
+    `values` (an array), byte for byte json.dumps(coeff_entries(labels,
+    values.tolist())). The real and the imaginary parts are each rendered
+    by one repr of a list, which is float.__repr__ as json uses it, and
+    fill one repeated template; a non-finite value raises ValueError."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite coefficient in a JSON coefficient list")
+    if not values.size:
+        return "[]"
+    fields = [None] * (3 * values.size)
+    fields[0::3] = labels
+    fields[1::3] = repr(values.real.tolist())[1:-1].split(", ")
+    fields[2::3] = repr(values.imag.tolist())[1:-1].split(", ")
+    template = ", ".join(['{"pauli": "%s", "re": %s, "im": %s}'] * values.size)
+    return "[" + template % tuple(fields) + "]"
+
+
 def coeff_lines(labels, coeffs, prefix: str = "") -> list[str]:
     """One `label re im` line per label and complex coefficient."""
     return [f"{prefix}{p} {c.real:.17g} {c.imag:.17g}" for p, c in zip(labels, coeffs)]
@@ -537,15 +569,16 @@ def expansion_to_dict(
 def expansion_from_dict(doc: dict) -> tuple[PauliExpansion, complex | None]:
     """Inverse of expansion_to_dict; returns (expansion, beta or None).
 
-    A string listed twice keeps its last coefficient. The first bad entry is
-    reported, an entry's Pauli string before its coefficient."""
+    A string listed twice keeps its last coefficient. Every "re" and "im"
+    must be a finite JSON number. The first bad entry is reported, an
+    entry's Pauli string before its numbers."""
     n = _qubits(doc, "coeffs")
     beta = None
     if "beta" in doc:
         b = doc["beta"]
         if not isinstance(b, dict) or "re" not in b or "im" not in b:
             raise FormatError('"beta" must be {"re", "im"}')
-        beta = complex(float(b["re"]), float(b["im"]))
+        beta = _complex_field(b, '"beta"')
     entries, fault = [], None
     for i, entry in enumerate(doc["coeffs"]):
         if not isinstance(entry, dict) or not {"pauli", "re", "im"} <= entry.keys():
@@ -556,7 +589,9 @@ def expansion_from_dict(doc: dict) -> tuple[PauliExpansion, complex | None]:
         codes = parse_codes([str(entry["pauli"]) for entry in entries], n)
     except LabelError as exc:
         fault, entries = FormatError(f"coeffs[{exc.index}]: {exc}"), entries[:exc.index]
-    values = np.array([complex(float(e["re"]), float(e["im"])) for e in entries], dtype=np.complex128)
+    # entries stop short of every fault found so far, so a bad number here is the first
+    values = np.array([_complex_field(e, f"coeffs[{i}]") for i, e in enumerate(entries)],
+                      dtype=np.complex128)
     if fault:
         raise fault
     unique, last = np.unique(codes[::-1], return_index=True)

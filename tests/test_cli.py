@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pauliexp import (
+    PauliExpansion,
     dense_exp,
     gibbs_state,
     load_hamiltonian,
@@ -18,7 +19,13 @@ from pauliexp import (
 )
 from pauliexp.cli import main, parse_beta
 from pauliexp.dense import dense_from_bytes, dense_from_json
-from pauliexp.hamiltonian import expansion_from_dict, expansion_to_dict
+from pauliexp.engine import Reduced, exp_with_method
+from pauliexp.hamiltonian import (
+    expansion_from_dict,
+    expansion_to_dict,
+    format_hamiltonian_text,
+    random_closed_hamiltonian,
+)
 import pauliexp.cli
 
 
@@ -515,6 +522,96 @@ class TestGibbs:
         assert code == 0
         doc = json.loads(out)
         assert doc["beta"] == {"re": 2.0, "im": 0.0}
+
+
+FIXTURE_FILES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt",
+                 "xy_n6.txt")
+
+
+def _json_coeff_lists(doc: dict) -> list[list[dict]]:
+    """Every coefficient list of an exp, gibbs or partition JSON document."""
+    if "rows" in doc:
+        return [row["gibbs"]["coeffs"] for row in doc["rows"]]
+    return [doc["coeffs"]]
+
+
+class TestJsonWriters:
+    """The JSON writers keep json.dumps's layout of today's documents: key
+    order, `, ` and `: ` separators, float.__repr__ numbers."""
+
+    @pytest.mark.parametrize("command,beta,method,alphabet", [
+        ("exp", 0.5, "auto", "digits"),
+        ("exp", 0.3 + 0.2j, "sector", "letters"),
+        ("exp", 0.7j, "auto", "digits"),
+        ("gibbs", 0.5, None, "digits"),
+        ("gibbs", -3.0, None, "letters"),
+    ])
+    @pytest.mark.parametrize("name", ["h2.txt", "xy_n6.txt"])
+    def test_expansion_documents(self, capsys, fixtures_dir, command, beta, method, alphabet,
+                                 name):
+        path = fixtures_dir / name
+        h = load_hamiltonian(path)
+        if command == "exp":
+            beta = complex(beta)
+            flags = [f"--beta={beta.real}{beta.imag:+}i", "--method", method]
+            e, method = exp_with_method(h, beta, method)
+            want = {**expansion_to_dict(e, beta, alphabet), "method": method}
+        else:
+            flags = [f"--beta={beta}"]
+            want = {**expansion_to_dict(Reduced(h).gibbs(beta), alphabet=alphabet),
+                    "beta": {"re": beta, "im": 0.0}}
+        code, out, err = run(capsys, command, "-i", str(path), *flags, "--alphabet", alphabet,
+                             "--format", "pauli-json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out)) + "\n"
+        assert out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--symmetry-check", "h2_mirror.txt"]])
+    @pytest.mark.parametrize("alphabet", ["digits", "letters"])
+    def test_partition_documents(self, capsys, fixtures_dir, extra, alphabet):
+        extra = [extra[0], str(fixtures_dir / extra[1])] if extra else []
+        betas = [0.1, 1.0, 5.0]
+        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                             "--betas", "0.1,1,5", "--gibbs", "--format", "json",
+                             "--alphabet", alphabet, *extra)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out)) + "\n"
+        doc = json.loads(out)
+        assert list(doc) == (["rows", "symmetry_max_rel_diff"] if extra else ["rows"])
+        red = Reduced(load_hamiltonian(fixtures_dir / "h2.txt"))
+        for beta, row, gibbs in zip(betas, doc["rows"], red.gibbs_many(betas)):
+            assert list(row) == ["beta", "z_normalized", "z_trace", "free_energy", "gibbs"]
+            want = expansion_to_dict(PauliExpansion.from_arrays(4, red.codes, gibbs),
+                                     alphabet=alphabet)
+            assert json.dumps(row["gibbs"]) == json.dumps(want)
+
+    def test_partition_without_gibbs(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
+                             "--betas", "0,1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out)) + "\n"
+        assert "gibbs" not in out
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES + ("closed_n32",))
+    def test_real_beta_is_exactly_real(self, capsys, fixtures_dir, tmp_path, name):
+        path = str(fixtures_dir / name)
+        if name == "closed_n32":  # a rank-6 closed set with codes up to 4**32
+            path = str(tmp_path / name)
+            h = random_closed_hamiltonian(np.random.default_rng(32), 32, 6)
+            Path(path).write_text(format_hamiltonian_text(h))
+        calls = [["exp", "-i", path, "--method", method, "--format", "pauli-json", beta]
+                 for method in ("auto", "sector") for beta in ("--beta=0.5", "--beta=-2",
+                                                               "--beta=30")]
+        calls += [["gibbs", "-i", path, "--format", "pauli-json", f"--beta={beta}"]
+                  for beta in ("0.5", "-2", "1000", "-1e6")]
+        calls.append(["partition", "-i", path, "--gibbs", "--format", "json",
+                      "--betas=-2,0,0.5,5,40"])
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            for coeffs in _json_coeff_lists(json.loads(out)):
+                # -0.0 only from the anticommuting closed form, which auto picks for h1
+                assert all(c["im"] == 0.0 for c in coeffs), argv
 
 
 class TestVerify:

@@ -26,7 +26,7 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.dense import dense_exp
-from pauliexp.engine import _quadrature, exp_with_method, symplectic_split
+from pauliexp.engine import _quadrature, _scale, exp_with_method, symplectic_split
 from pauliexp.hamiltonian import capped_basis, load_hamiltonian
 from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
 
@@ -519,6 +519,71 @@ class TestSector:
                     assert commutes(a, b) != paired, (i, j)
             # same span: each original code reduces to zero against the new basis
             assert capped_basis(np.concatenate((basis, e, f, z)), cap=2**64).size == basis.size
+
+
+def _exactly_real(rows: np.ndarray) -> bool:
+    """Every imaginary part is 0.0, with a positive sign."""
+    return not (rows.imag != 0).any() and not np.signbit(rows.imag).any()
+
+
+def _unrounded(red: Reduced, betas) -> tuple[np.ndarray, np.ndarray]:
+    """(exp rows, Gibbs rows) as the transforms give them, noise and all."""
+    betas, log_scale, t = red._weighted(betas)
+    columns = red._columns(t)
+    scale = np.array([_scale(ls, b) for ls, b in zip(log_scale, betas)])
+    gibbs = columns / (2**red.h.n * columns[:, :1])
+    gibbs[:, 0] = 2.0**-red.h.n
+    return scale[:, None] * columns, gibbs
+
+
+REAL_BETAS = (1.0, -2.0, 0.0, 0.45, 40.0, -25.0)
+LARGE_BETAS = (1e3, -1e3, 1e6)
+
+
+class TestExactlyReal:
+    """For Hermitian H and real beta, exp(-beta H) is Hermitian and every
+    coefficient is real: the sector path returns imaginary parts of 0.0."""
+
+    @pytest.mark.parametrize("name", HAMILTONIAN_FIXTURES)
+    def test_fixtures(self, name):
+        self._check(load_hamiltonian(FIXTURES / name))
+
+    @pytest.mark.parametrize("s,c", [(3, 2), (4, 0), (0, 5)])
+    def test_shapes_at_32_qubits(self, s, c):
+        self._check(shaped_hamiltonian(np.random.default_rng(10 * s + c), 32, s, c))
+
+    def test_offset_and_closed_set(self, rng):
+        h = make_closed_hamiltonian(rng, 16, 6)
+        self._check(SparseHamiltonian(16, dict(h.terms), identity_offset=-0.8))
+
+    def _check(self, h):
+        red = Reduced(h)
+        rows = red.exp_many(REAL_BETAS)
+        assert _exactly_real(rows)
+        assert _exactly_real(red.gibbs_many(REAL_BETAS + LARGE_BETAS))
+        assert _exactly_real(red.exp(0.7).values) and _exactly_real(red.gibbs(3.0).values)
+        # the scale is real, so the real parts are those of the unrounded product
+        exp_rows, _ = _unrounded(red, REAL_BETAS)
+        assert np.array_equal(rows.real, exp_rows.real)
+        assert not np.signbit(rows.imag).any()
+
+    def test_gibbs_drops_noise_before_dividing(self):
+        # 0 in exact math; dividing first left 8.4e-39 in the real part
+        g = Reduced(load_hamiltonian(FIXTURES / "xy_n6.txt")).gibbs(0.5)
+        assert g.coefficient(int("011021", 4)) == 0.0
+
+    def test_complex_beta_unchanged(self, rng):
+        mixed = [0.3 + 0.2j, 1.0, 0.7j, -0.5 - 0.25j, 2.0]
+        complex_rows = [0, 2, 3]
+        for h in (load_hamiltonian(FIXTURES / "xy_n6.txt"), shaped_hamiltonian(rng, 32, 3, 2)):
+            red = Reduced(h)
+            exp_rows, gibbs_rows = _unrounded(red, mixed)
+            got_exp, got_gibbs = red.exp_many(mixed), red.gibbs_many(mixed)
+            assert np.array_equal(got_exp[complex_rows], exp_rows[complex_rows])
+            assert np.array_equal(got_gibbs[complex_rows], gibbs_rows[complex_rows])
+            assert _exactly_real(got_exp[[1, 4]]) and _exactly_real(got_gibbs[[1, 4]])
+            # the rounding noise dropped was at the rounding level
+            assert np.abs(got_gibbs[[1, 4]] - gibbs_rows[[1, 4]]).max() <= 1e-15 * 2.0**-h.n
 
 
 class TestMultiplyExpansions:

@@ -5,6 +5,7 @@ from operator import xor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pauliexp import (
     ClosedTermSet,
@@ -21,6 +22,8 @@ from pauliexp import (
 )
 from pauliexp.dense import pauli_matrix, reconstruct_dense
 from pauliexp.hamiltonian import (
+    coeff_entries,
+    coeffs_json,
     expansion_from_dict,
     expansion_to_dict,
     format_hamiltonian_text,
@@ -30,6 +33,7 @@ from pauliexp.hamiltonian import (
     qubit_count,
     random_closed_hamiltonian,
 )
+from pauliexp.pauli import MAX_QUBITS, format_codes
 from conftest import make_closed_hamiltonian
 
 
@@ -449,7 +453,7 @@ class TestExpansionDict:
             expansion_from_dict(doc)
 
     @pytest.mark.parametrize("coeffs,error,message", [
-        ([{"pauli": "X", "re": "x", "im": 0}], ValueError, "could not convert string to float: 'x'"),
+        ([{"pauli": "X", "re": "x", "im": 0}], FormatError, "coeffs[0]: re must be a real number"),
         ([{"pauli": "X", "re": 1, "im": 0}, {"pauli": "W", "re": 1, "im": 0}], FormatError,
          "coeffs[1]: not a Pauli string (digits 0-3 or letters IXYZ): 'W'"),
         ([{"pauli": "X1", "re": 1, "im": 0}], FormatError,
@@ -460,10 +464,22 @@ class TestExpansionDict:
          "coeffs[1]: string length 2 != n=1"),
         ([{"pauli": "X", "re": 1}], FormatError, 'coeffs[0]: expected {"pauli", "re", "im"}'),
         # the first bad entry wins; within an entry the Pauli string comes first
-        ([{"pauli": "X", "re": "x", "im": 0}, {"pauli": "W", "re": 1, "im": 0}], ValueError,
-         "could not convert string to float: 'x'"),
+        ([{"pauli": "X", "re": "x", "im": 0}, {"pauli": "W", "re": 1, "im": 0}], FormatError,
+         "coeffs[0]: re must be a real number"),
         ([{"pauli": "W", "re": "x", "im": 0}], FormatError,
          "coeffs[0]: not a Pauli string (digits 0-3 or letters IXYZ): 'W'"),
+        ([{"pauli": "X", "re": None, "im": 0}], FormatError, "coeffs[0]: re must be a real number"),
+        ([{"pauli": "X", "re": 1, "im": 0}, {"pauli": "Y", "re": 1, "im": True}], FormatError,
+         "coeffs[1]: im must be a real number"),
+        ([{"pauli": "X", "re": float("nan"), "im": 0}], FormatError,
+         "coeffs[0]: re must be a finite real number"),
+        ([{"pauli": "X", "re": 0, "im": 10**400}], FormatError,
+         "coeffs[0]: im must be a finite real number"),
+        # a bad number at an earlier entry comes before a missing key at a later one
+        ([{"pauli": "X", "re": [], "im": 0}, {"pauli": "X"}], FormatError,
+         "coeffs[0]: re must be a real number"),
+        ([{"pauli": "X", "re": 1, "im": 0}, {"pauli": "X", "re": "x"}], FormatError,
+         'coeffs[1]: expected {"pauli", "re", "im"}'),
     ])
     def test_from_dict_errors(self, coeffs, error, message):
         n = 32 if len(coeffs[0]["pauli"]) == 33 else 1
@@ -474,6 +490,14 @@ class TestExpansionDict:
     @pytest.mark.parametrize("doc,message", [
         ({"n": 33, "coeffs": []}, '"n" must be an integer in [1, 32]'),
         ({"n": 1}, 'expected an object with "n" and "coeffs"'),
+        ({"n": 1, "beta": {"re": "1", "im": 0}, "coeffs": []}, '"beta": re must be a real number'),
+        ({"n": 1, "beta": {"re": 1, "im": None}, "coeffs": []}, '"beta": im must be a real number'),
+        ({"n": 1, "beta": {"re": False, "im": 0}, "coeffs": []},
+         '"beta": re must be a real number'),
+        ({"n": 1, "beta": {"re": float("inf"), "im": 0}, "coeffs": []},
+         '"beta": re must be a finite real number'),
+        ({"n": 1, "beta": {"re": 1, "im": 0},
+          "coeffs": [{"pauli": "X", "re": "x", "im": 0}]}, "coeffs[0]: re must be a real number"),
     ])
     def test_from_dict_document_errors(self, doc, message):
         with pytest.raises(FormatError) as info:
@@ -486,3 +510,33 @@ class TestExpansionDict:
             {"pauli": "XZ", "re": 3, "im": 0}]})
         # a repeated string keeps its last coefficient
         assert e.coeffs == {0: 2j, 7: 3}
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 1.0, -3.0, 1e300]
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCoeffsJson:
+    @given(st.integers(1, MAX_QUBITS).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, 4**n - 1), finite, finite), max_size=20,
+                             unique_by=lambda item: item[0]))),
+        st.sampled_from(["digits", "letters"]))
+    @example((32, [(2**64 - 1, -0.0, 5e-324), (2**63, 1e16, 1e-5), (0, 2.0, -0.0)]), "letters")
+    @example((1, []), "digits")
+    def test_matches_json_dumps(self, n_items, alphabet):
+        n, items = n_items
+        items = sorted(items, key=lambda item: item[0])
+        codes = np.array([code for code, _, _ in items], dtype=np.uint64)
+        values = np.array([complex(re, im) for _, re, im in items], dtype=np.complex128)
+        labels = format_codes(n, codes, alphabet)
+        assert coeffs_json(labels, values) == json.dumps(coeff_entries(labels, values.tolist()))
+
+    def test_real_array(self):
+        values = np.array([0.5, -0.0, 3.0])
+        labels = format_codes(2, [0, 1, 15], "letters")
+        assert coeffs_json(labels, values) == json.dumps(coeff_entries(labels, values.tolist()))
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), -np.inf])
+    def test_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            coeffs_json(["0", "1"], np.array([1.0, bad]))

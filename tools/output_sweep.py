@@ -7,17 +7,22 @@
 calls `pauliexp.cli.main` on a fixed list of argument lists with stdout and
 stderr captured, and writes {case: [exit code, stdout, stderr]}. `diff`
 prints every case whose exit code, stdout or stderr differs between two
-such files. The cases: every text fixture x `exp --method
-auto|spectral|dense|contour` x four betas x two formats (`xy_n6` contour
-left out); `exp`, `gibbs`, `closure` and `partition --gibbs` on all fixtures
-in both formats and alphabets; dense output formats; `decompose` of random
-matrices and of the qutrit fixture; `--symmetry-check`; `verify`;
+such files, then one summary line: over the cases that differ in stdout
+only, the largest change of a number relative to the case's largest
+coefficient (read from JSON documents and from `label re im` lines), or
+how many differ in more than numbers. The cases: every text fixture x
+`exp --method auto|spectral|dense|contour` x four betas x two formats
+(`xy_n6` contour left out); `exp`, `gibbs`, `closure` and `partition
+--gibbs` on all fixtures in both formats and alphabets; dense output
+formats; `decompose` of random matrices and of the qutrit fixture;
+`--symmetry-check`, with `--gibbs` in JSON in both alphabets; `verify`;
 non-finite and large betas; `bench` (timings dropped); and good and bad
 input files in both the text and the JSON format.
 """
 
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -100,6 +105,9 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
             for fmt in ["text", "json"] for a in ["digits", "letters"]]
     out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--symmetry-check",
              fix["h2_mirror.txt"], "--format", fmt] for fmt in ["text", "json"]]
+    out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--gibbs",
+             "--symmetry-check", fix["h2_mirror.txt"], "--format", "json", "--alphabet", a]
+            for a in ["digits", "letters"]]
     out += [["verify", "-i", fix[f], "--method", method, "--beta", "0.7"]
             for f in ["h1.txt", "h2.txt", "rho_s_n3.txt", "qutrit_pauli.txt"]
             for method in ["auto", "sector", "spectral", "contour"]]
@@ -157,6 +165,76 @@ def run(src: str, out_path: str) -> None:
     print(f"{len(results)} cases")
 
 
+LABEL = re.compile(r"[0-3]+|[IXYZ]+")
+
+
+def _number(token: str):
+    """token as a float, or as a complex written `a+bi`; None if neither."""
+    try:
+        return float(token)
+    except ValueError:
+        pass
+    try:
+        return complex(token[:-1] + "j") if token.endswith("i") else None
+    except ValueError:
+        return None
+
+
+def _leaves(doc, path: str, out: list) -> None:
+    """(path, value, is_coefficient) of every leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _leaves(value, f"{path}.{key}", out)
+    elif isinstance(doc, list):
+        for value in doc:
+            _leaves(value, f"{path}[]", out)
+    else:
+        is_number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+        out.append((path if is_number else (path, doc), doc if is_number else None,
+                    path.endswith(("coeffs[].re", "coeffs[].im"))))
+
+
+def _fields(stdout: str) -> list:
+    """(skeleton, number or None, is_coefficient) of each field of an output:
+    the leaves of a JSON document, or the whitespace-separated tokens of a
+    text, `key=value` split at the `=`. In a text, the last two numbers of
+    a line whose third-last token is a Pauli label are a coefficient."""
+    try:
+        out = []
+        _leaves(json.loads(stdout), "", out)
+        return out
+    except ValueError:
+        pass
+    out = []
+    for line in stdout.splitlines():
+        tokens = line.split()
+        coeff = (len(tokens) >= 3 and LABEL.fullmatch(tokens[-3]) is not None
+                 and None not in map(_number, tokens[-2:]))
+        for i, token in enumerate(tokens):
+            key, _, value = token.rpartition("=")
+            number = None if coeff and i == len(tokens) - 3 else _number(value)
+            out.append((key if number is not None else token, number,
+                        coeff and i >= len(tokens) - 2))
+        out.append(("\n", None, False))
+    return out
+
+
+def numeric_change(before: str, after: str) -> float | None:
+    """Largest |after - before| over the numbers of two outputs, relative to
+    the largest coefficient of `before` (its largest number when it holds
+    none); None when the outputs differ in more than their numbers."""
+    a, b = _fields(before), _fields(after)
+    if len(a) != len(b) or any(x[0] != y[0] or (x[1] is None) != (y[1] is None)
+                               for x, y in zip(a, b)):
+        return None
+    numbers = [(x[1], y[1], x[2]) for x, y in zip(a, b) if x[1] is not None]
+    if not numbers:
+        return 0.0
+    scale = max((abs(x) for x, _, coeff in numbers if coeff), default=0.0) or max(
+        abs(x) for x, _, _ in numbers) or 1.0
+    return max(abs(y - x) for x, y, _ in numbers) / scale
+
+
 def diff(before_path: str, after_path: str) -> None:
     before, after = (json.loads(Path(p).read_text()) for p in (before_path, after_path))
     if before.keys() != after.keys():
@@ -166,6 +244,13 @@ def diff(before_path: str, after_path: str) -> None:
         print(f"{k}\n  before: {before[k][0]} {before[k][2].strip()}\n  after:  {after[k][0]} "
               f"{after[k][2].strip()}{'  (stdout differs)' if before[k][1] != after[k][1] else ''}")
     print(f"{len(before)} cases, {len(before) - len(changed)} identical, {len(changed)} differ")
+    same_run = [k for k in changed if before[k][0] == after[k][0] and before[k][2] == after[k][2]]
+    changes = {k: numeric_change(before[k][1], after[k][1]) for k in same_run}
+    worst = max((k for k in changes if changes[k] is not None), key=changes.get, default=None)
+    print(f"{len(same_run)} differ in stdout only; "
+          f"{sum(c is None for c in changes.values())} of them in more than numbers; "
+          f"largest numeric change relative to the case's largest coefficient: "
+          + ("none" if worst is None else f"{changes[worst]:.3g} ({worst})"))
 
 
 if __name__ == "__main__":
