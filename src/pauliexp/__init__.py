@@ -42,7 +42,6 @@ from .resolvent import (
     StructureMatrix,
     build_structure_matrix,
     characteristic_poly_at,
-    gershgorin_bounds,
     resolvent_at,
 )
 from .engine import (
@@ -103,7 +102,6 @@ __all__ = [
     "build_structure_matrix",
     "resolvent_at",
     "characteristic_poly_at",
-    "gershgorin_bounds",
     "exp_pauli",
     "exp_spectral",
     "exp_contour",

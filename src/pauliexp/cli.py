@@ -32,6 +32,7 @@ from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
     PauliExpansion,
     SparseHamiltonian,
+    capped_basis,
     close,
     close_codes,
     coeff_lines,
@@ -126,7 +127,8 @@ def cmd_exp(args) -> int:
         if (center is None) != (args.radius is None):
             raise FormatError("--center and --radius must be given together")
         if center is not None:
-            contour = ContourSpec(center, args.radius, args.nodes or DEFAULT_NODES)
+            nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+            contour = ContourSpec(center, args.radius, nodes)
         e, method = exp_with_method(h, beta, args.method, args.closure_cap,
                                     contour=contour, nodes=args.nodes)
     if args.format == "pauli-text":
@@ -216,7 +218,8 @@ def cmd_gibbs(args) -> int:
 def cmd_verify(args) -> int:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
-    tau = close(h, args.closure_cap).tau
+    # from the GF(2) rank alone: each method enforces its own cap
+    tau = 2 ** capped_basis(h.codes, math.inf).size - 1
     e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
     approx = reconstruct_dense(e, args.dense_cap)
     exact = dense_exp(reconstruct_dense(h, args.dense_cap), beta)

@@ -10,7 +10,8 @@ Four routes produce the same expansion:
                      structure matrix and read off the first column of
                      exp(-beta A): the paper's reference path
   exp_contour        trapezoidal quadrature of the resolvent around a circle
-                     enclosing the spectrum
+                     enclosing the spectrum, one stacked solve of the
+                     Reduced blocks per node
   exp_anticommuting  closed form cosh/sinh when the support pairwise
                      anticommutes
 
@@ -37,12 +38,7 @@ from .hamiltonian import (
     SparseHamiltonian,
     capped_basis,
 )
-from .resolvent import (
-    StructureMatrix,
-    build_structure_matrix,
-    gershgorin_bounds,
-    resolvent_at,
-)
+from .resolvent import build_structure_matrix, solve_shifted
 
 DEFAULT_NODES = 64
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
@@ -62,15 +58,6 @@ class ContourSpec:
         if self.nodes < 4:
             raise ValueError(f"need at least 4 nodes, got {self.nodes}")
 
-    @classmethod
-    def for_matrix(cls, sm, nodes: int = DEFAULT_NODES) -> "ContourSpec":
-        """Default circle from Gershgorin bounds: centered on the interval
-        midpoint, radius = half-spread * 1.25 + 1."""
-        lo, hi = gershgorin_bounds(sm)
-        center = complex((lo + hi) / 2.0)
-        radius = (hi - lo) / 2.0 * 1.25 + 1.0
-        return cls(center, radius, nodes)
-
 
 def _scale(log_scale: complex, beta) -> complex:
     """exp(log_scale); OverflowError naming beta when it does not fit in float64."""
@@ -80,13 +67,6 @@ def _scale(log_scale: complex, beta) -> complex:
         raise OverflowError(
             f"exp(-beta H) at beta {complex(beta):g} does not fit in float64"
         ) from None
-
-
-def _finish(sm: StructureMatrix, column: np.ndarray, h, beta) -> PauliExpansion:
-    scale = _scale(-beta * h.identity_offset, beta)
-    # Python's complex product: numpy's may fuse multiply-adds and round differently
-    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), sm.term_set.codes),
-                                      [scale * c for c in column.tolist()])
 
 
 def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
@@ -158,9 +138,10 @@ class Reduced:
     e^x f^y z^w = i^E_K P_K, so P_K acts on the eigenspace of character
     lambda of the central codes as i^-E_K (-1)^(lambda.w) X^x Z^y on s
     virtual qubits. H is then 2^c Hermitian blocks of size 2^s, built by
-    Walsh-Hadamard transforms and eigendecomposed by one stacked eigh;
-    coefficients come back by the inverse transforms. `codes` is the
-    identity, then the closure, ascending.
+    Walsh-Hadamard transforms, kept as `blocks` and eigendecomposed by one
+    stacked eigh; `coefficients` reads any operator given by its blocks
+    back by the inverse transforms. `codes` is the identity, then the
+    closure, ascending.
 
     Each evaluation shifts the spectrum by its global lambda_min when
     Re beta > 0 and by lambda_max when Re beta < 0, so no exponential of it
@@ -189,7 +170,8 @@ class Reduced:
         j = np.arange(2**self.s)
         self._rows, self._cols = j[:, None] ^ j, j[:, None]
         # block lambda: M[j ^ x, j] = sum_y D_lambda[x, y] (-1)^(y.j)
-        self.w, self.v = np.linalg.eigh(_wht(_wht(d, 0), 1)[:, self._cols.T, self._rows])
+        self.blocks = _wht(_wht(d, 0), 1)[:, self._cols.T, self._rows]
+        self.w, self.v = np.linalg.eigh(self.blocks)
         self.lambda_min, self.lambda_max = float(self.w.min()), float(self.w.max())
 
     @property
@@ -205,12 +187,16 @@ class Reduced:
         return _log_weights(self.w, self.lambda_min, self.lambda_max,
                             self.h.identity_offset, betas)
 
-    def _columns(self, t: np.ndarray) -> np.ndarray:
-        """Coefficients over `codes` of the operator whose block lambda is
-        V_lambda diag(t[lambda]) V_lambda^dagger, one row per row of t."""
-        f = (self.v * t[..., None, :]) @ np.conj(self.v).swapaxes(-1, -2)
+    def coefficients(self, f: np.ndarray) -> np.ndarray:
+        """Coefficients over `codes` of the operators given by their blocks
+        f of shape (k, 2^c, 2^s, 2^s), one row per operator."""
         g = _wht(_wht(f[..., self._rows, self._cols], 2), 1)  # F[j ^ x, j] -> [w, y, x]
-        return (g.reshape(t.shape[0], -1) * self._phase)[:, self._order]
+        return (g.reshape(f.shape[0], -1) * self._phase)[:, self._order]
+
+    def _columns(self, t: np.ndarray) -> np.ndarray:
+        """Coefficients of the operator whose block lambda is
+        V_lambda diag(t[lambda]) V_lambda^dagger, one row per row of t."""
+        return self.coefficients((self.v * t[..., None, :]) @ np.conj(self.v).swapaxes(-1, -2))
 
     def exp_many(self, betas) -> np.ndarray:
         """Coefficients of exp(-beta H) over `codes`, one row per beta;
@@ -259,15 +245,18 @@ def exp_spectral(
                                       _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
-def _quadrature(sm: StructureMatrix, beta: complex, spec: ContourSpec) -> np.ndarray:
+def _quadrature(r: Reduced, beta: complex, spec: ContourSpec, norm: float) -> np.ndarray:
+    """Blocks of (1/N) sum_z (z - center) e^{-beta z} (z - H0)^{-1} over the
+    N nodes z of the circle, one stacked solve of z I - M_lambda per node."""
     angles = 2.0 * np.pi * np.arange(spec.nodes) / spec.nodes
     zs = spec.center + spec.radius * np.exp(1j * angles)
     if (-beta * zs).real.max() > _LOG_FLOAT_MAX:
         raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
                             f"does not fit in float64; the spectral path has no such limit")
-    acc = np.zeros(sm.size, dtype=np.complex128)
+    eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
+    acc = np.zeros(r.blocks.shape, dtype=np.complex128)
     for z in zs:
-        acc += (z - spec.center) * np.exp(-beta * z) * resolvent_at(sm, z)
+        acc += (z - spec.center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, norm)
     return acc / spec.nodes
 
 
@@ -278,33 +267,37 @@ def exp_contour(
     cap: int = DEFAULT_CLOSURE_CAP,
     nodes: int | None = None,
 ) -> PauliExpansion:
-    """exp(-beta H) via trapezoidal resolvent quadrature on a circle.
+    """exp(-beta H) via trapezoidal resolvent quadrature on a circle, solved
+    on the blocks of Reduced.
 
-    The default contour encloses the Gershgorin interval with margin; a
-    user contour must also enclose it or ContourError is raised. If a node
+    The spectrum lies in [-g, g] with g = sum |h_K|, the Gershgorin interval
+    of the structure matrix (zero diagonal, each |h_K| once in every row).
+    The default circle has center 0 and radius 1.25 g + 1; a user contour
+    must also enclose the spectrum or ContourError is raised. If a node
     lands on (or too near) an eigenvalue, the radius is grown by 1% and the
     quadrature retried once. `nodes` overrides the node count of the
     default contour; an explicit `contour` carries its own.
     """
-    sm = build_structure_matrix(h, cap=cap)
-    eigs = np.linalg.eigvalsh(sm.matrix)
+    r = Reduced(h, cap)
+    g = float(np.abs(h.values).sum())
     spec = (
         contour
         if contour is not None
-        else ContourSpec.for_matrix(sm, nodes=nodes or DEFAULT_NODES)
+        else ContourSpec(0j, 1.25 * g + 1.0, DEFAULT_NODES if nodes is None else nodes)
     )
-    reach = float(np.abs(eigs - spec.center).max()) if eigs.size else 0.0
+    reach = float(np.abs(r.w - spec.center).max())
     if reach >= spec.radius:
         raise ContourError(
             f"circle (center {spec.center}, radius {spec.radius}) does not "
             f"enclose the spectrum (furthest eigenvalue at distance {reach})"
         )
     try:
-        column = _quadrature(sm, beta, spec)
+        f = _quadrature(r, beta, spec, g)
     except SingularSystem:
         spec = replace(spec, radius=spec.radius * 1.01)
-        column = _quadrature(sm, beta, spec)
-    return _finish(sm, column, h, beta)
+        f = _quadrature(r, beta, spec, g)
+    scale = _scale(-beta * h.identity_offset, beta)
+    return PauliExpansion.from_arrays(h.n, r.codes, scale * r.coefficients(f[None])[0])
 
 
 def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
@@ -325,20 +318,23 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
     g = float(np.sqrt((h.values**2).sum()))
     if g == 0.0:
-        return PauliExpansion(h.n, {0: _scale(-beta * h.identity_offset, beta)})
-    # g beta = sign (a + ib) with a >= 0. cosh(a) = e^a c and sinh(a) = e^a s
-    # with s = (1 - e^{-2a})/2 and c = 1 - s, so e^a goes into the scale and
-    # cosh(a + ib), sinh(a + ib) keep their exact real and imaginary parts.
-    y = g * beta
-    sign = 1.0 if y.real >= 0 else -1.0
-    a, b = sign * y.real, sign * y.imag
-    s = -math.expm1(-2.0 * a) / 2.0
-    c = 1.0 - s
-    scale = _scale(-beta * h.identity_offset + a, beta)
-    ratio = sign * complex(s * math.cos(b), c * math.sin(b)) / g
-    identity = scale * complex(c * math.cos(b), s * math.sin(b))
-    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), h.codes),
-                                      np.append(identity, -scale * ratio * h.values))
+        values = np.array([_scale(-beta * h.identity_offset, beta)])
+    else:
+        # g beta = sign (a + ib) with a >= 0. cosh(a) = e^a c and sinh(a) = e^a s
+        # with s = (1 - e^{-2a})/2 and c = 1 - s, so e^a goes into the scale and
+        # cosh(a + ib), sinh(a + ib) keep their exact real and imaginary parts.
+        y = g * beta
+        sign = 1.0 if y.real >= 0 else -1.0
+        a, b = sign * y.real, sign * y.imag
+        s = -math.expm1(-2.0 * a) / 2.0
+        c = 1.0 - s
+        scale = _scale(-beta * h.identity_offset + a, beta)
+        ratio = sign * complex(s * math.cos(b), c * math.sin(b)) / g
+        identity = scale * complex(c * math.cos(b), s * math.sin(b))
+        values = np.append(identity, -scale * ratio * h.values)
+    if beta.imag == 0:  # exactly real (see _real_rows); the products above leave -0.0
+        values.imag = 0.0
+    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), h.codes), values)
 
 
 def exp_anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:

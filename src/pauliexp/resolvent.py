@@ -73,39 +73,38 @@ def _matrix_and_norm(a) -> tuple[np.ndarray, float]:
     return m, float(np.linalg.norm(m, np.inf))
 
 
-def resolvent_at(a, z: complex) -> np.ndarray:
-    """Solve (zI - A) r = e0 and verify the residual.
+def solve_shifted(m: np.ndarray, z: complex, rhs: np.ndarray, norm: float) -> np.ndarray:
+    """Solve (zI - m) x = rhs for a matrix m or a stack of them, and verify
+    the residual of each column of x.
 
-    Returns the coefficient vector of (z - H)^{-1} over (identity, codes).
-    Raises SingularSystem when the factorization fails outright or the
-    residual exceeds RESIDUAL_RTOL * (|z| + ||A||_inf).
+    Raises SingularSystem when the factorization fails outright, x is not
+    finite, or a column's residual exceeds RESIDUAL_RTOL * (|z| + norm).
     """
-    m, norm = _matrix_and_norm(a)
-    size = m.shape[0]
-    shifted = z * np.eye(size, dtype=np.complex128) - m
-    rhs = np.zeros(size, dtype=np.complex128)
-    rhs[0] = 1.0
+    shifted = z * np.eye(m.shape[-1], dtype=np.complex128) - m
     try:
-        r = np.linalg.solve(shifted, rhs)
+        x = np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystem(z) from None
-    if not np.isfinite(r).all():
+    if not np.isfinite(x).all():
         raise SingularSystem(z)
-    residual = float(np.linalg.norm(shifted @ r - rhs))
+    residual = float(np.linalg.norm(shifted @ x - rhs, axis=-2).max())
     if residual > RESIDUAL_RTOL * (abs(z) + norm):
         raise SingularSystem(z, residual)
-    return r
+    return x
+
+
+def resolvent_at(a, z: complex) -> np.ndarray:
+    """Solve (zI - A) r = e0 by solve_shifted.
+
+    Returns the coefficient vector of (z - H)^{-1} over (identity, codes).
+    """
+    m, norm = _matrix_and_norm(a)
+    rhs = np.zeros((m.shape[0], 1), dtype=np.complex128)
+    rhs[0] = 1.0
+    return solve_shifted(m, z, rhs, norm)[:, 0]
 
 
 def characteristic_poly_at(a, z: complex) -> complex:
     """det(zI - A), the denominator of every resolvent coefficient."""
     m, _ = _matrix_and_norm(a)
     return complex(np.linalg.det(z * np.eye(m.shape[0], dtype=np.complex128) - m))
-
-
-def gershgorin_bounds(a) -> tuple[float, float]:
-    """Real interval certain to contain the (real) spectrum of Hermitian A."""
-    m, _ = _matrix_and_norm(a)
-    d = np.real(np.diagonal(m))
-    radii = np.abs(m).sum(axis=1) - np.abs(np.diagonal(m))
-    return float((d - radii).min()), float((d + radii).max())

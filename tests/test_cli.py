@@ -100,22 +100,26 @@ class TestExp:
         assert e.n == 4
 
     def test_methods_agree(self, capsys, fixtures_dir):
-        outs = {}
-        for method in ("spectral", "sector", "contour", "dense"):
-            code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
-                               "--beta", "1", "--method", method,
-                               "--format", "pauli-json")
-            assert code == 0
-            doc = json.loads(out)
-            assert doc["method"] == method
-            outs[method], _ = expansion_from_dict(doc)
-        keys = set().union(*(e.support for e in outs.values()))
-        for method in ("sector", "contour", "dense"):
-            worst = max(
-                abs(outs[method].coefficient(k) - outs["spectral"].coefficient(k))
-                for k in keys
-            )
-            assert worst < 1e-10
+        # on xy_n6 (contour at tau 2047) the bound is relative to the largest
+        # coefficient, about 56
+        for name, relative in (("h2.txt", False), ("xy_n6.txt", True)):
+            outs = {}
+            for method in ("spectral", "sector", "contour", "dense"):
+                code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / name),
+                                   "--beta", "1", "--method", method,
+                                   "--format", "pauli-json")
+                assert code == 0
+                doc = json.loads(out)
+                assert doc["method"] == method
+                outs[method], _ = expansion_from_dict(doc)
+            keys = set().union(*(e.support for e in outs.values()))
+            tol = 1e-10 * (np.abs(outs["spectral"].values).max() if relative else 1.0)
+            for method in ("sector", "contour", "dense"):
+                worst = max(
+                    abs(outs[method].coefficient(k) - outs["spectral"].coefficient(k))
+                    for k in keys
+                )
+                assert worst < tol, (name, method)
 
     def test_contour_nodes_flag(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
@@ -128,6 +132,14 @@ class TestExp:
         e2, _ = expansion_from_dict(json.loads(out2))
         keys = set(e1.support) | set(e2.support)
         assert max(abs(e1.coefficient(k) - e2.coefficient(k)) for k in keys) < 1e-8
+
+    @pytest.mark.parametrize("nodes", ["0", "2", "-3"])
+    @pytest.mark.parametrize("circle", [[], ["--center", "0", "--radius", "4"]])
+    def test_too_few_nodes_exit_1(self, capsys, fixtures_dir, nodes, circle):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
+                             "--method", "contour", "--nodes", nodes, *circle)
+        assert (code, out) == (1, "")
+        assert err == f"pauliexp: config error: need at least 4 nodes, got {nodes}\n"
 
     def test_dense_json_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
@@ -610,8 +622,8 @@ class TestJsonWriters:
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv
             for coeffs in _json_coeff_lists(json.loads(out)):
-                # -0.0 only from the anticommuting closed form, which auto picks for h1
-                assert all(c["im"] == 0.0 for c in coeffs), argv
+                assert all(c["im"] == 0.0 and math.copysign(1.0, c["im"]) == 1.0
+                           for c in coeffs), argv
 
 
 class TestVerify:
@@ -627,6 +639,27 @@ class TestVerify:
                            "--time", "0.9", "--method", "contour")
         assert code == 0
         assert out.startswith("PASS")
+
+    @pytest.mark.parametrize("method", ["auto", "anticommute"])
+    def test_anticommuting_past_the_cap(self, capsys, tmp_path, method):
+        # the 14 Jordan-Wigner Majorana strings on 7 qubits: closure 16383 > 4096,
+        # which the closed form never enumerates
+        path = tmp_path / "majorana.txt"
+        path.write_text("".join(f"{(k + 1) / 10} {'Z' * q}{p}{'I' * (6 - q)}\n"
+                                for k, (q, p) in enumerate((q, p) for q in range(7)
+                                                           for p in "XY")))
+        code, out, err = run(capsys, "verify", "-i", str(path), "--beta", "0.7",
+                             "--method", method)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"PASS n=7 tau=16383 method={method} ")
+
+    @pytest.mark.parametrize("method", ["spectral", "sector"])
+    def test_methods_keep_their_cap(self, capsys, fixtures_dir, method):
+        code, out, err = run(capsys, "verify", "-i", str(fixtures_dir / "xy_n6.txt"),
+                             "--beta", "1", "--method", method, "--closure-cap", "512")
+        assert (code, out) == (2, "")
+        assert err == ("pauliexp: closure error: closure has 2047 non-identity "
+                       "strings, more than the cap 512\n")
 
     def test_corrupted_expansion_fails(self, capsys, fixtures_dir, monkeypatch):
         # flip one coefficient's sign on the sparse side: the oracle must

@@ -130,12 +130,11 @@ class TestContour:
     def test_radius_retry_after_singular_node(self, h_cycle):
         # the angle-0 node lands within 1e-13 of the top eigenvalue: the
         # first quadrature fails the residual check, the 1% retry succeeds
-        sm = build_structure_matrix(h_cycle)
-        lam = float(np.linalg.eigvalsh(sm.matrix)[-1])
+        red = Reduced(h_cycle)
         radius = 4.0
-        spec = ContourSpec(center=lam + 1e-13 - radius, radius=radius, nodes=16)
+        spec = ContourSpec(center=red.lambda_max + 1e-13 - radius, radius=radius, nodes=16)
         with pytest.raises(SingularSystem):
-            _quadrature(sm, 0.5, spec)
+            _quadrature(red, 0.5, spec, float(np.abs(h_cycle.values).sum()))
         e = exp_contour(h_cycle, 0.5, contour=spec)
         assert np.isfinite([abs(c) for c in e.coeffs.values()]).all()
 
@@ -147,11 +146,23 @@ class TestContour:
             with pytest.raises(OverflowError, match=r"beta -?300.*spectral path"):
                 exp_contour(h_cycle, beta)
 
-    def test_contour_spec_validation(self):
+    def test_contour_spec_validation(self, h_cycle):
         with pytest.raises(ValueError):
             ContourSpec(0.0, -1.0)
         with pytest.raises(ValueError):
             ContourSpec(0.0, 1.0, nodes=2)
+        for nodes in (0, 2, -3):
+            with pytest.raises(ValueError, match=f"need at least 4 nodes, got {nodes}"):
+                exp_contour(h_cycle, 1.0, nodes=nodes)
+
+    def test_spectrum_within_coefficient_sum(self, rng, h_cycle):
+        # the default circle (center 0, radius 1.25 sum |h_K| + 1) rests on
+        # the Gershgorin interval [-sum |h_K|, sum |h_K|] of the structure matrix
+        for h in [make_closed_hamiltonian(rng, 5, rank) for rank in (2, 4)] + [h_cycle]:
+            bound = np.abs(h.values).sum()
+            assert np.abs(Reduced(h).w).max() <= bound
+            w = np.linalg.eigvalsh(build_structure_matrix(h).matrix)
+            assert np.abs(w).max() <= bound
 
 
 class TestAnticommuting:
@@ -566,6 +577,23 @@ class TestExactlyReal:
         exp_rows, _ = _unrounded(red, REAL_BETAS)
         assert np.array_equal(rows.real, exp_rows.real)
         assert not np.signbit(rows.imag).any()
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_anticommuting_closed_form(self, rng, n):
+        fam = anticommuting_family(rng, n, 2 * n)
+        terms = dict(zip(fam, rng.uniform(-1, 1, len(fam))))
+        for h in (SparseHamiltonian(n, terms, 0.3), SparseHamiltonian(n, {}, 0.3)):
+            for beta in REAL_BETAS:
+                e = exp_anticommuting(h, beta)
+                assert _exactly_real(e.values), beta
+                assert _exactly_real(exp_anticommuting(h, complex(beta)).values), beta
+            assert not _exactly_real(exp_anticommuting(h, 0.5 + 0.1j).values)
+
+    def test_auto_on_h1(self):
+        h = load_hamiltonian(FIXTURES / "h1.txt")
+        for beta in REAL_BETAS:
+            e, method = exp_with_method(h, complex(beta))
+            assert method == "anticommute" and _exactly_real(e.values), beta
 
     def test_gibbs_drops_noise_before_dividing(self):
         # 0 in exact math; dividing first left 8.4e-39 in the real part

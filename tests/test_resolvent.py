@@ -7,7 +7,6 @@ from pauliexp import (
     build_structure_matrix,
     characteristic_poly_at,
     close_codes,
-    gershgorin_bounds,
     parse_hamiltonian,
     resolvent_at,
 )
@@ -174,18 +173,3 @@ class TestCharacteristicPoly:
         sm = build_structure_matrix(h1_hamiltonian(1.0, -0.5, 2.0))
         z = 1e6
         assert characteristic_poly_at(sm, z) == pytest.approx(z**sm.size, rel=1e-6)
-
-
-class TestGershgorin:
-    def test_contains_spectrum(self, rng):
-        for rank in (2, 4):
-            h = make_closed_hamiltonian(rng, 5, rank)
-            sm = build_structure_matrix(h)
-            lo, hi = gershgorin_bounds(sm)
-            w = np.linalg.eigvalsh(sm.matrix)
-            assert lo <= w[0] and w[-1] <= hi
-
-    def test_symmetric_for_zero_diagonal(self):
-        sm = build_structure_matrix(h1_hamiltonian(1.0, 1.0, 1.0))
-        lo, hi = gershgorin_bounds(sm)
-        assert lo == -hi

@@ -11,13 +11,14 @@ such files, then one summary line: over the cases that differ in stdout
 only, the largest change of a number relative to the case's largest
 coefficient (read from JSON documents and from `label re im` lines), or
 how many differ in more than numbers. The cases: every text fixture x
-`exp --method auto|spectral|dense|contour` x four betas x two formats
-(`xy_n6` contour left out); `exp`, `gibbs`, `closure` and `partition
---gibbs` on all fixtures in both formats and alphabets; dense output
-formats; `decompose` of random matrices and of the qutrit fixture;
-`--symmetry-check`, with `--gibbs` in JSON in both alphabets; `verify`;
-non-finite and large betas; `bench` (timings dropped); and good and bad
-input files in both the text and the JSON format.
+`exp --method auto|spectral|dense|contour` x four betas x two formats;
+`exp`, `gibbs`, `closure` and `partition --gibbs` on all fixtures in both
+formats and alphabets; dense output formats; `decompose` of random
+matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
+JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
+closure exceeds the default cap; non-finite and large betas; `--nodes 0`;
+`bench` (timings dropped); and good and bad input files in both the text
+and the JSON format.
 """
 
 import io
@@ -33,6 +34,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TEXT = ["h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt", "xy_n6.txt"]
 BETAS = [["--beta", "1"], ["--time", "0.7"], ["--beta", "0.3+0.2i"], ["--beta=-2"]]
 BIG_INT = "1" + "0" * 400
+# the 14 Jordan-Wigner Majorana strings on 7 qubits: rank 14, tau 16383
+MAJORANA_7 = "".join(f"{(k + 1) / 10} {'Z' * q}{p}{'I' * (6 - q)}\n"
+                     for k, (q, p) in enumerate((q, p) for q in range(7) for p in "XY"))
 INPUTS = {
     "lower.txt": "0.5 xyz\n-1 zzi\n0.25 iii\n",
     "repeats.txt": "0.1 XX\n0.2 11\n0.3 XX\n1e-3 II\n2e-3 00\n-0.7 ZY\n",
@@ -77,8 +81,6 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
     out = []
     for f in TEXT:
         for method in ["auto", "spectral", "dense", "contour"]:
-            if (f, method) == ("xy_n6.txt", "contour"):
-                continue
             for beta in BETAS:
                 for fmt in ["pauli-text", "pauli-json"]:
                     out.append(["exp", "-i", fix[f], "--method", method, *beta, "--format", fmt])
@@ -115,6 +117,7 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
                  ["exp", "--beta", "500", "--method", "spectral"],
                  ["exp", "--beta", "1000", "--method", "dense"],
                  ["exp", "--beta", "1000", "--method", "contour"],
+                 ["exp", "--beta", "1", "--method", "contour", "--nodes", "0"],
                  ["gibbs", "--beta", "1000"], ["partition", "--betas", "1,10,100,1000"],
                  ["gibbs", "--beta", "inf"]):
         out.append([argv[0], "-i", fix["h1.txt"], *argv[1:]])
@@ -126,6 +129,9 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
         (tmp / name).write_text(text)
         out += [["exp", "-i", str(tmp / name), "--beta", "0.5"],
                 ["closure", "-i", str(tmp / name), "--alphabet", "letters"]]
+    (tmp / "majorana_7.txt").write_text(MAJORANA_7)
+    out += [["verify", "-i", str(tmp / "majorana_7.txt"), "--method", method, "--beta", "0.7"]
+            for method in ["auto", "anticommute"]]
     return out
 
 
