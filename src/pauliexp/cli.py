@@ -26,7 +26,15 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import DEFAULT_NODES, ContourSpec, Reduced, exp_pauli, exp_spectral, exp_with_method
+from .engine import (
+    DEFAULT_NODES,
+    ContourSpec,
+    Reduced,
+    exp_contour,
+    exp_pauli,
+    exp_spectral,
+    exp_with_method,
+)
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -118,19 +126,20 @@ def cmd_exp(args) -> int:
     beta = _beta_from_args(args)
     center = parse_beta(args.center) if args.center is not None else None
     h = load_hamiltonian(args.input)
+    if (center is None) != (args.radius is None):
+        raise FormatError("--center and --radius must be given together")
+    if args.method != "contour" and (center is not None or args.nodes is not None):
+        raise FormatError("--nodes, --center and --radius apply only to --method contour")
     if args.method == "dense":
         m = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
         e = _as_expansion(pauli_decompose(m, zero_tol=args.zero_tol))
         method = "dense"
+    elif args.method == "contour":
+        nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+        contour = None if center is None else ContourSpec(center, args.radius, nodes)
+        e, method = exp_contour(h, beta, contour, args.closure_cap, args.nodes), "contour"
     else:
-        contour = None
-        if (center is None) != (args.radius is None):
-            raise FormatError("--center and --radius must be given together")
-        if center is not None:
-            nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-            contour = ContourSpec(center, args.radius, nodes)
-        e, method = exp_with_method(h, beta, args.method, args.closure_cap,
-                                    contour=contour, nodes=args.nodes)
+        e, method = exp_with_method(h, beta, args.method, args.closure_cap)
     if args.format == "pauli-text":
         _emit_text(args, format_expansion_text(e, method, beta, args.alphabet))
     elif args.format == "pauli-json":
@@ -236,7 +245,7 @@ def cmd_verify(args) -> int:
 
 
 def _bench_pattern(n: int) -> SparseHamiltonian:
-    """Three-generator pattern spanning all n qubits, closure size 7."""
+    """Three generators spanning all n qubits; closure size 7, or 3 at n = 1 (X, Z, X)."""
     all_x = int("1" * n, 4)
     all_z = int("3" * n, 4)
     x_first = 1 << (2 * (n - 1))

@@ -9,12 +9,12 @@ entrywise. A cap on n keeps the oracle desk-scale.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import _LOG_FLOAT_MAX
 from .errors import FormatError
 from .hamiltonian import (
     PauliExpansion,
@@ -28,6 +28,7 @@ DENSE_CAP_DEFAULT = 10
 DENSE_CAP_MAX = 12
 
 _MAGIC = b"PEXP"
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
 
 
 def _check_cap(n: int, dense_cap: int):

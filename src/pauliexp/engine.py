@@ -11,7 +11,8 @@ Four routes produce the same expansion:
                      exp(-beta A): the paper's reference path
   exp_contour        trapezoidal quadrature of the resolvent around a circle
                      enclosing the spectrum, one stacked solve of the
-                     Reduced blocks per node
+                     Reduced blocks per node; the circle and node count
+                     are its own arguments, not exp_with_method's
   exp_anticommuting  closed form cosh/sinh when the support pairwise
                      anticommutes
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .errors import ContourError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -38,6 +38,7 @@ from .hamiltonian import (
     SparseHamiltonian,
     capped_basis,
 )
+from .pauli import I_POWERS_ARR, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
 
 DEFAULT_NODES = 64
@@ -109,7 +110,7 @@ def symplectic_split(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     matrix: v <- v + [v, f] e + [v, e] f clears a pair from the rest, and the
     matrix follows as A_kl <- A_kl + a_k b_l + b_k a_l."""
     gens = basis.copy()
-    anti = (_kernels.phase_exponents(gens[:, None], gens[None, :]) & 1).astype(bool)
+    anti = (phase_exponents(gens[:, None], gens[None, :]) & 1).astype(bool)
     live = np.arange(gens.size)
     zero = np.uint64(0)
     es, fs, zs = [], [], []
@@ -157,12 +158,12 @@ class Reduced:
         self.s, self.c = e.size, z.size
         span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
         for g in np.concatenate((e, f, z)):
-            phase = np.concatenate((phase, (phase + _kernels.phase_exponents(span, g)) & 3))
+            phase = np.concatenate((phase, (phase + phase_exponents(span, g)) & 3))
             span = np.concatenate((span, span ^ g))
         # span index x + (y << s) + (w << 2s); coefficients carry i^E_K / 2^(s+c)
         self._order = np.argsort(span)
         self.codes = span[self._order]
-        i_e = _kernels.I_POWERS_ARR[phase]
+        i_e = I_POWERS_ARR[phase]
         self._phase = i_e / 2 ** (self.s + self.c)
         coeffs = np.zeros(span.size)
         coeffs[self._order[np.searchsorted(self.codes, h.codes)]] = h.values
@@ -309,7 +310,7 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
         return True
     if codes.size > 2 * h.n + 1:
         return False
-    fwd = _kernels.phase_exponents(codes[:, None], codes[None, :])
+    fwd = phase_exponents(codes[:, None], codes[None, :])
     commuting = fwd == fwd.T
     np.fill_diagonal(commuting, False)
     return not bool(commuting.any())
@@ -350,19 +351,15 @@ def exp_anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
 
 
 def exp_with_method(
-    h: SparseHamiltonian,
-    beta: complex,
-    method: str = "auto",
-    cap: int = DEFAULT_CLOSURE_CAP,
-    contour: ContourSpec | None = None,
-    nodes: int | None = None,
+    h: SparseHamiltonian, beta: complex, method: str = "auto", cap: int = DEFAULT_CLOSURE_CAP
 ) -> tuple[PauliExpansion, str]:
     """exp(-beta H) and the name of the path that computed it.
 
     method=auto prefers the exact anticommuting closed form when the
     precondition holds, else the sector path (Reduced). Explicit methods
     never fall back: asking for anticommute on a non-anticommuting support
-    is an error. `contour` and `nodes` apply to the contour path.
+    is an error. method=contour runs the default circle; exp_contour takes
+    a circle or a node count.
     """
     if method == "auto":
         if is_pairwise_anticommuting(h):
@@ -373,21 +370,17 @@ def exp_with_method(
     if method == "spectral":
         return exp_spectral(h, beta, cap), method
     if method == "contour":
-        return exp_contour(h, beta, contour, cap, nodes), method
+        return exp_contour(h, beta, cap=cap), method
     if method == "anticommute":
         return exp_anticommuting(h, beta), method
     raise ValueError(f"unknown method {method!r}")
 
 
 def exp_pauli(
-    h: SparseHamiltonian,
-    beta: complex,
-    method: str = "auto",
-    cap: int = DEFAULT_CLOSURE_CAP,
-    contour: ContourSpec | None = None,
+    h: SparseHamiltonian, beta: complex, method: str = "auto", cap: int = DEFAULT_CLOSURE_CAP
 ) -> PauliExpansion:
     """exp(-beta H) by the path `method` selects (see exp_with_method)."""
-    return exp_with_method(h, beta, method, cap, contour)[0]
+    return exp_with_method(h, beta, method, cap)[0]
 
 
 def partition_function(
@@ -419,8 +412,8 @@ def multiply_expansions(a: PauliExpansion, b: PauliExpansion) -> PauliExpansion:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     ka, kb, ca, cb = a.codes, b.codes, a.values, b.values
     prods = (ka[:, None] ^ kb[None, :]).ravel()
-    exps = _kernels.phase_exponents(ka[:, None], np.broadcast_to(kb[None, :], (ka.size, kb.size)))
-    weights = (ca[:, None] * cb[None, :] * _kernels.I_POWERS_ARR[exps]).ravel()
+    exps = phase_exponents(ka[:, None], np.broadcast_to(kb[None, :], (ka.size, kb.size)))
+    weights = (ca[:, None] * cb[None, :] * I_POWERS_ARR[exps]).ravel()
     uniq, inverse = np.unique(prods, return_inverse=True)
     sums = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(sums, inverse, weights)

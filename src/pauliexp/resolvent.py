@@ -6,6 +6,9 @@ by (z - H) and matching Pauli-basis coefficients closes into a finite
 border: entries A[0, i] = A[i, 0] = h_{K_i}; the block entry A[m, k] is
 h_L S(K_k, L) for the unique L with K_k xor L = K_m. Diagonal entries are
 exactly zero because K xor K is the identity, which lives on the border.
+
+This is the paper's reference path, under exp_spectral, resolvent_at and
+characteristic_poly_at; solve_shifted also serves the contour quadrature.
 """
 
 from __future__ import annotations
@@ -14,12 +17,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import SingularSystem
 from .hamiltonian import DEFAULT_CLOSURE_CAP, ClosedTermSet, SparseHamiltonian, close
+from .pauli import I_POWERS_ARR, phase_exponents
 
 # residual acceptance: ||(zI - A) r - e0|| <= RESIDUAL_RTOL * (|z| + ||A||_inf)
 RESIDUAL_RTOL = 1e-10
+
+
+def assemble(codes: np.ndarray, coeffs: np.ndarray):
+    """Structure matrix over a sorted, composition-closed code array.
+
+    Returns (a, bad_k, bad_l); bad_k == -1 means success, otherwise
+    codes[bad_k] ^ codes[bad_l] escaped the set (the first such pair in
+    (l, k) order). With the identity in front, the border follows the block
+    rule too, and K -> K xor L permutes the codes, so each L with h_L != 0
+    fills one entry of every column by one searchsorted and one phase call,
+    added onto +0.0 so that no entry is a negative zero.
+    """
+    full = np.append(np.uint64(0), np.asarray(codes, dtype=np.uint64))
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    cols = np.arange(full.size)
+    a = np.zeros((full.size, full.size), dtype=np.complex128)
+    for l in np.flatnonzero(coeffs):
+        prod = full ^ full[l + 1]
+        rows = np.searchsorted(full, prod)
+        bad = full[np.minimum(rows, full.size - 1)] != prod
+        if bad.any():
+            return a, int(np.argmax(bad)) - 1, int(l)
+        a[rows, cols] += coeffs[l] * I_POWERS_ARR[phase_exponents(full, full[l + 1])]
+    return a, -1, -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +83,7 @@ def build_structure_matrix(
     coeffs = np.zeros(term_set.tau)
     _, into, of_h = np.intersect1d(term_set.codes, h.codes, assume_unique=True, return_indices=True)
     coeffs[into] = h.values[of_h]
-    matrix, bad_k, bad_l = _kernels.assemble(term_set.codes, coeffs)
+    matrix, bad_k, bad_l = assemble(term_set.codes, coeffs)
     if bad_k >= 0:
         raise ValueError(
             "term set is not closed: "

@@ -203,6 +203,31 @@ class TestExp:
         assert err.startswith("pauliexp: numerical error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["auto", "sector", "spectral", "anticommute", "dense"])
+    @pytest.mark.parametrize("flags", [["--nodes", "8"], ["--nodes", "0"],
+                                       ["--center", "40", "--radius", "0.5"],
+                                       ["--center", "0", "--radius", "1", "--nodes", "64"]])
+    def test_contour_flags_need_contour(self, capsys, fixtures_dir, method, flags):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta", "1",
+                             "--method", method, *flags)
+        assert (code, out) == (1, "")
+        assert err == ("pauliexp: input error: --nodes, --center and --radius apply only "
+                       "to --method contour\n")
+
+    def test_dense_at_imaginary_beta(self, capsys, fixtures_dir):
+        # the complex branch of _as_expansion; a coefficient that --zero-tol
+        # drops from either output reads as 0
+        outs = {}
+        for method in ("dense", "sector"):
+            code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--time", "0.7",
+                               "--method", method, "--format", "pauli-json")
+            assert code == 0
+            outs[method], beta = expansion_from_dict(json.loads(out))
+            assert beta == 0.7j
+        keys = set(outs["dense"].support) | set(outs["sector"].support)
+        assert max(abs(outs["dense"].coefficient(k) - outs["sector"].coefficient(k))
+                   for k in keys) < 1e-10
+
     def test_center_without_radius(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
                            "--beta", "1", "--center", "0")
@@ -390,6 +415,9 @@ class TestPartition:
         code, _, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
                            "--betas", "1,x")
         assert code == 1
+        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
+                             "--betas", ",")
+        assert (code, out, err) == (1, "", "pauliexp: input error: --betas is empty\n")
 
     def test_gibbs_rows_match_gibbs_state(self, capsys, fixtures_dir):
         betas = [-0.5, 0.0, 0.25, 1.0, 3.0]

@@ -226,6 +226,8 @@ class TestFormats:
             '{"matrix": []}',
             '{"n": 1, "matrix": [[[0,0]]]}',
             '{"n": 1, "matrix": [[[0,0],[0,0]],[[0,0],[0]]]}',
+            '{"n": 0, "matrix": [[[0,0]]]}',
+            '{"n": 1, "matrix": [[[0,0],[0,0]],[[0,0]]]}',
         ],
     )
     def test_bad_json(self, text):

@@ -77,6 +77,7 @@ class TestSparseHamiltonian:
             SparseHamiltonian.from_arrays(3, [27, 45], [1.0, np.inf])
         assert h == SparseHamiltonian(3, {27: 1.0}, identity_offset=2.0)
         assert h != SparseHamiltonian(3, {27: 1.0})
+        assert (h == {27: 1.0}) is False
 
 
 class TestPauliExpansion:
@@ -108,6 +109,21 @@ class TestPauliExpansion:
             PauliExpansion.from_arrays(2, [5, 0], [1, 1])
         assert e == PauliExpansion(2, {5: 1 - 1j, 0: 0})
         assert e != e.scaled(2)
+        assert (e == "2 5") is False
+
+
+@pytest.mark.parametrize("cls", [SparseHamiltonian, PauliExpansion])
+@pytest.mark.parametrize("n,codes,values,message", [
+    (0, [1], [1.0], "qubit count"),
+    (33, [1], [1.0], "qubit count"),
+    (2, [-1], [1.0], "out of range"),
+    (2, [[1, 2]], [[1.0, 1.0]], "one-dimensional"),
+    (2, [1, 2], [1.0], "values of shape"),
+    (2, [1, 2], [[1.0, 2.0]], "values of shape"),
+])
+def test_from_arrays_rejects(cls, n, codes, values, message):
+    with pytest.raises(ValueError, match=message):
+        cls.from_arrays(n, codes, values)
 
 
 class TestParseText:

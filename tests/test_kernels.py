@@ -1,10 +1,9 @@
 """Phase and assembly kernels against naive scalar references."""
 
 import numpy as np
-import pytest
 
-from pauliexp import _kernels
-from pauliexp.pauli import PauliString, compose, phase_exponent
+from pauliexp.pauli import PauliString, compose, phase_exponent, phase_exponents
+from pauliexp.resolvent import assemble
 from conftest import make_closed_hamiltonian
 
 
@@ -24,7 +23,7 @@ class TestPhaseExponents:
         # outer broadcast, as engine.is_pairwise_anticommuting calls it
         cases.append((32, random_codes(rng, 32, 30)[:, None], random_codes(rng, 32, 20)[None, :]))
         for n, a, b in cases:
-            out = _kernels.phase_exponents(a, b)
+            out = phase_exponents(a, b)
             assert out.dtype == np.uint8
             assert out.shape == np.broadcast_shapes(a.shape, b.shape)
             for (x, y), e in zip(np.broadcast(a, b), out.ravel()):
@@ -33,7 +32,7 @@ class TestPhaseExponents:
 
     def test_empty(self):
         a = np.empty(0, dtype=np.uint64)
-        assert _kernels.phase_exponents(a, a).shape == (0,)
+        assert phase_exponents(a, a).shape == (0,)
 
 
 def naive_assemble(codes, coeffs):
@@ -60,25 +59,22 @@ class TestAssemble:
             h = make_closed_hamiltonian(rng, 5, rank)
             codes = np.array(h.support, dtype=np.uint64)
             coeffs = np.array([h.terms[c] for c in h.support])
-            got, bad_k, bad_l = _kernels.assemble(codes, coeffs)
+            got, bad_k, bad_l = assemble(codes, coeffs)
             assert bad_k == -1
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
-    def test_blocks_match_naive(self, rng, monkeypatch):
-        # one column a block, zero coefficients and codes >= 2**63
-        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 0)
+    def test_zero_coefficients_and_high_codes(self, rng):
+        # zero coefficients skip their string; codes >= 2**63 at n = 32
         for n, rank in ((5, 5), (32, 4)):
             h = make_closed_hamiltonian(rng, n, rank)
             codes = np.array(h.support, dtype=np.uint64)
             coeffs = np.array([h.terms[c] for c in h.support])
             coeffs[::3] = 0.0
-            got, bad_k, bad_l = _kernels.assemble(codes, coeffs)
+            got, bad_k, bad_l = assemble(codes, coeffs)
             assert (bad_k, bad_l) == (-1, -1)
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
-    @pytest.mark.parametrize("block_entries", [0, 8192])
-    def test_reports_first_escaping_pair(self, rng, monkeypatch, block_entries):
-        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", block_entries)
+    def test_reports_first_escaping_pair(self, rng):
         h = make_closed_hamiltonian(rng, 6, 5)
         codes = np.delete(np.array(h.support, dtype=np.uint64), 11)
         coeffs = np.array([h.terms[int(c)] for c in codes])
@@ -87,25 +83,25 @@ class TestAssemble:
         want = next((k, l) for l in range(codes.size) if coeffs[l]
                     for k in range(codes.size)
                     if k != l and int(codes[k]) ^ int(codes[l]) not in members)
-        _, bad_k, bad_l = _kernels.assemble(codes, coeffs)
+        _, bad_k, bad_l = assemble(codes, coeffs)
         assert (bad_k, bad_l) == want
 
     def test_hermitian_exactly(self, rng):
         h = make_closed_hamiltonian(rng, 6, 4)
         codes = np.array(h.support, dtype=np.uint64)
         coeffs = np.array([h.terms[c] for c in h.support])
-        a, _, _ = _kernels.assemble(codes, coeffs)
+        a, _, _ = assemble(codes, coeffs)
         assert np.array_equal(a, a.conj().T)
 
     def test_flags_unclosed_set(self):
         # {X, Y} without their product Z
         codes = np.array([1, 2], dtype=np.uint64)
         coeffs = np.array([0.5, 0.25])
-        _, bad_k, bad_l = _kernels.assemble(codes, coeffs)
+        _, bad_k, bad_l = assemble(codes, coeffs)
         assert bad_k >= 0
 
     def test_empty_set(self):
-        a, bad_k, _ = _kernels.assemble(
+        a, bad_k, _ = assemble(
             np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
         )
         assert bad_k == -1

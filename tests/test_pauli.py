@@ -272,6 +272,8 @@ class TestCompose:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             compose(parse_string("12"), parse_string("123"))
+        with pytest.raises(ValueError, match="qubit counts differ: 2 != 3"):
+            phase_exponent(parse_string("12"), parse_string("123"))
 
 
 class TestCommutesAndStructure:

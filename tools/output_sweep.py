@@ -16,8 +16,8 @@ how many differ in more than numbers. The cases: every text fixture x
 formats and alphabets; dense output formats; `decompose` of random
 matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
 JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
-closure exceeds the default cap; non-finite and large betas; `--nodes 0`;
-`bench` (timings dropped); and good and bad input files in both the text
+closure exceeds the default cap; non-finite and large betas; `--nodes 0`
+under contour and the contour flags under other methods; `bench` (timings dropped); and good and bad input files in both the text
 and the JSON format.
 """
 
@@ -118,6 +118,9 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
                  ["exp", "--beta", "1000", "--method", "dense"],
                  ["exp", "--beta", "1000", "--method", "contour"],
                  ["exp", "--beta", "1", "--method", "contour", "--nodes", "0"],
+                 ["exp", "--beta", "1", "--nodes", "8"],
+                 ["exp", "--beta", "1", "--method", "sector", "--center", "40", "--radius", "0.5"],
+                 ["exp", "--beta", "1", "--method", "dense", "--center", "0", "--radius", "1"],
                  ["gibbs", "--beta", "1000"], ["partition", "--betas", "1,10,100,1000"],
                  ["gibbs", "--beta", "inf"]):
         out.append([argv[0], "-i", fix["h1.txt"], *argv[1:]])
