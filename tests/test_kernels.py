@@ -1,6 +1,7 @@
 """Phase and assembly kernels against naive scalar references."""
 
 import numpy as np
+import pytest
 
 from pauliexp.pauli import PauliString, compose, phase_exponent, phase_exponents
 from pauliexp.resolvent import assemble
@@ -74,8 +75,10 @@ class TestAssemble:
             assert (bad_k, bad_l) == (-1, -1)
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
-    def test_reports_first_escaping_pair(self, rng):
-        h = make_closed_hamiltonian(rng, 6, 5)
+    @pytest.mark.parametrize("seed", [0, 8192])
+    def test_reports_first_escaping_pair(self, seed):
+        # two independent random Hamiltonians, each with one code removed
+        h = make_closed_hamiltonian(np.random.default_rng(seed), 6, 5)
         codes = np.delete(np.array(h.support, dtype=np.uint64), 11)
         coeffs = np.array([h.terms[int(c)] for c in codes])
         coeffs[:2] = 0.0
