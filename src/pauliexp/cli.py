@@ -26,15 +26,8 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import (
-    DEFAULT_NODES,
-    ContourSpec,
-    Reduced,
-    exp_contour,
-    exp_pauli,
-    exp_spectral,
-    exp_with_method,
-)
+from .engine import (DEFAULT_NODES, ContourSpec, Reduced, exp_contour, exp_pauli, exp_spectral,
+                     exp_with_method)
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -187,23 +180,18 @@ def cmd_partition(args) -> int:
         symmetry = max(-math.expm1(-abs(a - b))
                        for a, b in zip(log_z, other.log_partition(betas).real.tolist()))
     if args.format == "json":
-        coeff_lists = []
-        if args.gibbs:
-            for row, coeffs in zip(rows, gibbs):
-                row["gibbs"] = {"n": h.n, "coeffs": None}
-                coeff_lists.append(coeffs_json(labels, coeffs))
+        for row in rows if args.gibbs else []:
+            row["gibbs"] = {"n": h.n, "coeffs": None}
         doc = {"rows": rows}
         if symmetry is not None:
             doc["symmetry_max_rel_diff"] = symmetry
-        _emit_text(args, _json_text(doc, coeff_lists))
+        _emit_text(args, _json_text(doc, coeffs_json(labels, gibbs) if args.gibbs else []))
     else:
         lines = ["beta z_normalized z_trace free_energy"]
         for k, row in enumerate(rows):
             fe = "n/a" if row["free_energy"] is None else _G % row["free_energy"]
-            lines.append(
-                f"{row['beta']:.17g} {row['z_normalized']:.17g} "
-                f"{row['z_trace']:.17g} {fe}"
-            )
+            lines.append(f"{row['beta']:.17g} {row['z_normalized']:.17g} "
+                         f"{row['z_trace']:.17g} {fe}")
             if args.gibbs:
                 lines += coeff_lines(labels, gibbs[k].tolist(), f"gibbs {row['beta']:.17g} ")
         if symmetry is not None:

@@ -31,14 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContourError, SingularSystem
-from .hamiltonian import (
-    DEFAULT_CLOSURE_CAP,
-    PauliExpansion,
-    SparseHamiltonian,
-    capped_basis,
-)
-from .pauli import I_POWERS_ARR, phase_exponents
+from .errors import ClosureExplosion, ContourError, SingularSystem
+from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, capped_basis
+from .pauli import I_POWERS_ARR, LANES, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
 
 DEFAULT_NODES = 64
@@ -75,11 +70,10 @@ def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
     any shape: t = exp(-beta (w - shift)) and log_scale = -beta (shift +
     offset), with shift lo when Re beta > 0, hi when Re beta < 0 and 0 at
     Re beta = 0, so that no entry of t exceeds 1 in modulus."""
-    betas = np.atleast_1d(np.asarray(betas, dtype=np.complex128))
-    shift = np.where(betas.real > 0, lo, np.where(betas.real < 0, hi, 0.0))
-    log_scale = -betas * (shift + offset)
-    rows = (slice(None),) + (None,) * np.ndim(w)
-    return betas, log_scale, np.exp(-betas[rows] * (w - shift[rows]))
+    betas = np.asarray(betas, dtype=np.complex128).reshape(-1)
+    shift = np.array([lo if b > 0 else hi if b < 0 else 0.0 for b in betas.real.tolist()])
+    col = (-1,) + (1,) * w.ndim
+    return betas, -betas * (shift + offset), np.exp(-betas.reshape(col) * (w - shift.reshape(col)))
 
 
 def _real_rows(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -90,44 +84,47 @@ def _real_rows(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _wht(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along `axis`, whose length is a
-    power of two, by log2(length) butterfly passes."""
-    shape, m = x.shape, x.shape[axis]
-    x = x.reshape(math.prod(shape[:axis]), m, -1)
-    h = 1
-    while h < m:
-        y = x.reshape(x.shape[0], m // (2 * h), 2, -1)
-        x = np.stack((y[:, :, 0] + y[:, :, 1], y[:, :, 0] - y[:, :, 1]), axis=2)
-        h *= 2
-    return x.reshape(shape)
+def _wht(x: np.ndarray, strides) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard butterflies along the middle axis of x,
+    of shape (a, m, b), one pass per stride h in `strides` (each pairs i
+    with i + h in blocks of 2h), between two buffers."""
+    a, m, b = x.shape
+    bufs = np.empty((2, a * m * b), x.dtype)
+    for k, h in enumerate(strides):
+        y, x = x.reshape(-1, 2, h * b), bufs[k & 1].reshape(-1, 2, h * b)
+        lo, hi = y[:, 0], y[:, 1]
+        np.add(lo, hi, out=x[:, 0])
+        np.subtract(lo, hi, out=x[:, 1])
+    return x.reshape(a, m, b)
 
 
-def symplectic_split(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, f, z): a basis of the same span with each e_i anticommuting with
-    f_i and with no other code of the three, and each z_k commuting with
-    every code of the span. Symplectic Gram-Schmidt on the commutation
-    matrix: v <- v + [v, f] e + [v, e] f clears a pair from the rest, and the
-    matrix follows as A_kl <- A_kl + a_k b_l + b_k a_l."""
-    gens = basis.copy()
-    anti = (phase_exponents(gens[:, None], gens[None, :]) & 1).astype(bool)
-    live = np.arange(gens.size)
-    zero = np.uint64(0)
-    es, fs, zs = [], [], []
-    while live.size:
-        i, live = live[0], live[1:]
-        hits = live[anti[i, live]]
-        if not hits.size:
-            zs.append(i)
+def symplectic_split(basis: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """(e, f, z), lists of codes: a basis of the same span with each e_i
+    anticommuting with f_i and with no other code of the three, and each z_k
+    commuting with every code of the span. Symplectic Gram-Schmidt on the
+    commutation form, row k an int of the bits l with x_k . z_l + z_k . x_l odd:
+    v <- v + [v, f] e + [v, e] f clears a pair, A_k <- A_k + a_k b + b_k a."""
+    z = basis >> np.uint64(1) & LANES
+    x = (basis & LANES) ^ z
+    anti = np.bitwise_count(x[:, None] & z ^ z[:, None] & x) & np.uint8(1)
+    rows = (anti @ (np.uint64(1) << np.arange(basis.size, dtype=np.uint64))).tolist()
+    gens, live, es, fs, zs = basis.tolist(), (1 << basis.size) - 1, [], [], []
+    while live:
+        i = (live & -live).bit_length() - 1
+        live ^= 1 << i
+        hits = rows[i] & live
+        if not hits:
+            zs.append(gens[i])
             continue
-        j = hits[0]
-        live = live[live != j]
-        a, b = anti[live, j], anti[live, i]
-        gens[live] ^= np.where(a, gens[i], zero) ^ np.where(b, gens[j], zero)
-        anti[np.ix_(live, live)] ^= np.outer(a, b) ^ np.outer(b, a)
-        es.append(i)
-        fs.append(j)
-    return gens[es], gens[fs], gens[zs]
+        j = (hits & -hits).bit_length() - 1
+        live ^= 1 << j
+        a, b = rows[j] & live, rows[i] & live
+        for k in range(len(gens)):  # a and b: the columns of f and e on the codes left
+            ak, bk = a >> k & 1, b >> k & 1
+            gens[k], rows[k] = gens[k] ^ gens[i] * ak ^ gens[j] * bk, rows[k] ^ b * ak ^ a * bk
+        es.append(gens[i])
+        fs.append(gens[j])
+    return es, fs, zs
 
 
 class Reduced:
@@ -153,27 +150,38 @@ class Reduced:
     """
 
     def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP):
+        self._reduce(h, capped_basis(h.codes, cap))
+
+    def _reduce(self, h: SparseHamiltonian, basis: np.ndarray) -> Reduced:
         self.h = h
-        e, f, z = symplectic_split(capped_basis(h.codes, cap))
-        self.s, self.c = e.size, z.size
-        span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
-        for g in np.concatenate((e, f, z)):
-            phase = np.concatenate((phase, (phase + phase_exponents(span, g)) & 3))
-            span = np.concatenate((span, span ^ g))
-        # span index x + (y << s) + (w << 2s); coefficients carry i^E_K / 2^(s+c)
+        e, f, z = symplectic_split(basis)
+        self.s, self.c = len(e), len(z)
+        # span index x + (y << s) + (w << 2s): e^x f^y z^w = i^E P_K, each string being
+        # i^#Y X^x Z^z (x = lo xor hi, z = hi), so E = sum #Y(g_t) + 2 sum_{t<u} [z_t . x_u
+        # odd] - #Y(K) mod 4, and doubling by g_u adds z(K) . x_u = popcount(K & x_u << 1);
+        # coefficients carry i^E_K / 2^(s+c)
+        span, phase = np.zeros(2**basis.size, np.uint64), np.zeros(2**basis.size, np.uint8)
+        for t, g in enumerate(e + f + z):
+            lo, hi, k = g & int(LANES), g >> 1 & int(LANES), 1 << t
+            np.bitwise_xor(span[:k], g, out=span[k:2 * k])
+            odd = np.bitwise_count(span[:k] & (lo ^ hi) << 1)
+            np.add(phase[:k], (odd << 1) + (hi & ~lo).bit_count(), out=phase[k:2 * k])
+        phase = (phase - np.bitwise_count(span >> np.uint64(1) & ~span & LANES)) & 3
         self._order = np.argsort(span)
         self.codes = span[self._order]
         i_e = I_POWERS_ARR[phase]
         self._phase = i_e / 2 ** (self.s + self.c)
         coeffs = np.zeros(span.size)
         coeffs[self._order[np.searchsorted(self.codes, h.codes)]] = h.values
-        d = (coeffs * np.conj(i_e)).reshape(2**self.c, 2**self.s, -1)
-        j = np.arange(2**self.s)
+        d = (coeffs * np.conj(i_e)).reshape(1, 2 ** (self.s + self.c), -1)
+        j, self._strides = np.arange(2**self.s), [2**k for k in range(self.s + self.c)]
         self._rows, self._cols = j[:, None] ^ j, j[:, None]
-        # block lambda: M[j ^ x, j] = sum_y D_lambda[x, y] (-1)^(y.j)
-        self.blocks = _wht(_wht(d, 0), 1)[:, self._cols.T, self._rows]
+        # block lambda: M[j ^ x, j] = sum_y D_lambda[x, y] (-1)^(y.j), transformed in w then y
+        d = _wht(d, self._strides[self.s:] + self._strides[:self.s])
+        self.blocks = d.reshape(2**self.c, 2**self.s, -1)[:, self._cols.T, self._rows]
         self.w, self.v = np.linalg.eigh(self.blocks)
         self.lambda_min, self.lambda_max = float(self.w.min()), float(self.w.max())
+        return self
 
     @property
     def tau(self) -> int:
@@ -191,8 +199,8 @@ class Reduced:
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Coefficients over `codes` of the operators given by their blocks
         f of shape (k, 2^c, 2^s, 2^s), one row per operator."""
-        g = _wht(_wht(f[..., self._rows, self._cols], 2), 1)  # F[j ^ x, j] -> [w, y, x]
-        return (g.reshape(f.shape[0], -1) * self._phase)[:, self._order]
+        g = f[..., self._rows, self._cols].reshape(f.shape[0], self.codes.size >> self.s, -1)
+        return (_wht(g, self._strides).reshape(f.shape[0], -1) * self._phase)[:, self._order]
 
     def _columns(self, t: np.ndarray) -> np.ndarray:
         """Coefficients of the operator whose block lambda is
@@ -301,19 +309,16 @@ def exp_contour(
     return PauliExpansion.from_arrays(h.n, r.codes, scale * r.coefficients(f[None])[0])
 
 
+def _anticommute_pairwise(codes: np.ndarray, rank: int) -> bool:
+    """Whether codes of GF(2) rank `rank` pairwise anticommute. Their form is
+    all ones off the diagonal, of rank m or m - 1, so m > rank + 1 fails."""
+    m = codes.size
+    return m <= rank + 1 and int((phase_exponents(codes[:, None], codes) & 1).sum()) == m * (m - 1)
+
+
 def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
-    """Whether every pair of distinct support strings anticommutes. No more
-    than 2n + 1 n-qubit strings anticommute pairwise, so a larger support
-    is rejected before any phase is computed."""
-    codes = h.codes
-    if codes.size < 2:
-        return True
-    if codes.size > 2 * h.n + 1:
-        return False
-    fwd = phase_exponents(codes[:, None], codes[None, :])
-    commuting = fwd == fwd.T
-    np.fill_diagonal(commuting, False)
-    return not bool(commuting.any())
+    """Whether every pair of distinct support strings anticommutes."""
+    return _anticommute_pairwise(h.codes, capped_basis(h.codes, math.inf).size)
 
 
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
@@ -361,12 +366,13 @@ def exp_with_method(
     is an error. method=contour runs the default circle; exp_contour takes
     a circle or a node count.
     """
-    if method == "auto":
-        if is_pairwise_anticommuting(h):
+    if method in ("auto", "sector"):  # one GF(2) basis for the check and the reduction
+        basis = capped_basis(h.codes, math.inf)
+        if method == "auto" and _anticommute_pairwise(h.codes, basis.size):
             return _anticommuting(h, beta), "anticommute"
-        method = "sector"
-    if method == "sector":
-        return Reduced(h, cap).exp(beta), method
+        if 2**basis.size - 1 > cap:
+            raise ClosureExplosion(2**basis.size - 1, cap)
+        return Reduced.__new__(Reduced)._reduce(h, basis).exp(beta), "sector"
     if method == "spectral":
         return exp_spectral(h, beta, cap), method
     if method == "contour":

@@ -54,9 +54,9 @@ def _finite_values(codes: np.ndarray, values, dtype) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=dtype)
     if values.shape != codes.shape:
         raise ValueError(f"values of shape {values.shape} for {codes.size} codes")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"non-finite coefficient for code {int(codes[bad[0]])}")
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"non-finite coefficient for code {int(codes[bad])}")
     return values
 
 
@@ -232,13 +232,10 @@ def _gf2_basis(codes: np.ndarray) -> np.ndarray:
 
     The largest code left holds the highest leading bit left, so min(c, c ^
     pivot) clears that bit wherever it is set: at most 64 steps in all."""
-    basis = []
-    rest = codes[codes != 0]
-    while rest.size:
-        pivot = rest.max()
+    basis, rest = [], codes
+    while pivot := rest.max(initial=0):
         basis.append(pivot)
         rest = np.minimum(rest, rest ^ pivot)
-        rest = rest[rest != 0]
     return np.array(basis, dtype=np.uint64)
 
 
@@ -353,15 +350,12 @@ def pauli_decompose(
 # file formats
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
-def _summed(n: int, codes: np.ndarray, values: list[float]) -> SparseHamiltonian:
+def _summed(n: int, codes: np.ndarray, values) -> SparseHamiltonian:
     """Hamiltonian with the values of repeated codes summed in input order
     (np.add.at is ordered, so sums match a running total bit for bit) and
-    code 0 summed into the identity offset."""
-    unique, inverse = np.unique(codes, return_inverse=True)
+    code 0 summed into the identity offset; codes that strictly increase skip np.unique."""
+    unique, inverse = ((codes, slice(None)) if (codes[1:] > codes[:-1]).all()
+                       else np.unique(codes, return_inverse=True))
     sums = np.zeros(unique.size)
     with np.errstate(over="ignore", invalid="ignore"):  # left to the non-finite check
         np.add.at(sums, inverse, values)
@@ -457,12 +451,19 @@ def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
     into the offset; repeated strings accumulate coefficients. The first
     bad line is reported, a line's coefficient before its Pauli string.
     """
-    lines = ((lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (parts := _strip_comment(raw).split()))
-    codes, values, labels = _read_terms(lines, _line_value, lambda raw_parts: raw_parts[1][1],
-                                        "line {}".format)
-    if not labels:
-        raise FormatError("no terms found")
+    lines = [(lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (parts := raw.split("#", 1)[0].split())]
+    try:  # every line `<coeff> <pauli>`, or a ValueError
+        coeffs, labels = zip(*(parts for _, (_, parts) in lines), strict=True)
+        values = np.array(list(map(float, coeffs)))
+        if not np.isfinite(values).all():
+            raise ValueError
+        codes = parse_codes(labels)
+    except ValueError:  # LabelError included
+        codes, values, labels = _read_terms(lines, _line_value, lambda line: line[1][1],
+                                            "line {}".format)
+        if not labels:
+            raise FormatError("no terms found")
     return _summed(len(labels[0]), codes, values)
 
 
@@ -520,23 +521,25 @@ def coeff_entries(labels, coeffs) -> list[dict]:
     return [{"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)]
 
 
-def coeffs_json(labels, values) -> str:
+def coeffs_json(labels, values):
     """JSON text of the coefficient list of `labels` and their complex
     `values` (an array), byte for byte json.dumps(coeff_entries(labels,
-    values.tolist())). The real and the imaginary parts are each rendered
-    by one repr of a list, which is float.__repr__ as json uses it, and
-    fill one repeated template; a non-finite value raises ValueError."""
+    values.tolist())); for 2-D `values`, a list of such texts, one per row.
+    The template is built once, and the real and the imaginary parts of all
+    rows are each rendered by one repr of a list, which is float.__repr__
+    as json uses it; a non-finite value raises ValueError."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ValueError("non-finite coefficient in a JSON coefficient list")
-    if not values.size:
-        return "[]"
-    fields = [None] * (3 * values.size)
+    m, fields, texts = len(labels), [None] * (3 * len(labels)), []
+    template = "[" + ", ".join(['{"pauli": "%s", "re": %s, "im": %s}'] * m) + "]"
+    re = repr(values.real.reshape(-1).tolist())[1:-1].split(", ")
+    im = repr(values.imag.reshape(-1).tolist())[1:-1].split(", ")
     fields[0::3] = labels
-    fields[1::3] = repr(values.real.tolist())[1:-1].split(", ")
-    fields[2::3] = repr(values.imag.tolist())[1:-1].split(", ")
-    template = ", ".join(['{"pauli": "%s", "re": %s, "im": %s}'] * values.size)
-    return "[" + template % tuple(fields) + "]"
+    for k in range(len(values)) if values.ndim == 2 else [0]:
+        fields[1::3], fields[2::3] = re[k * m:k * m + m], im[k * m:k * m + m]
+        texts.append(template % tuple(fields))
+    return texts if values.ndim == 2 else texts[0]
 
 
 def coeff_lines(labels, coeffs, prefix: str = "") -> list[str]:

@@ -211,30 +211,31 @@ def parse_codes(labels, n: int | None = None) -> np.ndarray:
     or case-insensitive letters "IXYZ" (one alphabet per label) on 1 to
     MAX_QUBITS qubits, and all have n characters, or as many as the first
     when n is None. The first bad label raises LabelError with its index;
-    a label's characters are checked before its length."""
-    upper = [s.strip().upper() for s in labels]
-    if not upper:
+    a label's characters are checked before its length. The labels are packed
+    as they are, or else stripped and uppercased first, or else checked one by one."""
+    if not labels:
         return np.zeros(0, dtype=np.uint64)
-    lengths = np.fromiter(map(len, upper), dtype=np.intp, count=len(upper))
-    width = int(lengths[0]) if n is None else n
-    data = np.frombuffer("".join(upper).encode("ascii", "replace"), dtype=np.uint8)
-    # one zero past the end, so that empty labels at the end have a start
-    alphabet = np.bitwise_or.reduceat(np.append(_BYTE_ALPHABET[data], 0),
-                                      np.cumsum(lengths) - lengths)
-    faults = ((lengths == 0, "empty Pauli string"),
-              ((alphabet != 1) & (alphabet != 2),
-               "not a Pauli string (digits 0-3 or letters IXYZ): {label!r}"),
-              (lengths > MAX_QUBITS, "qubit count must be in [1, {top}], got {length}"),
-              (lengths != width, "string length {length} != "
-               + ("{width} from earlier lines" if n is None else "n={width}")))
-    bad = np.logical_or.reduce([mask for mask, _ in faults])
-    if bad.any():
-        i = int(np.argmax(bad))
-        message = next(message for mask, message in faults if mask[i])
-        raise LabelError(i, message.format(label=labels[i], length=lengths[i], width=width,
-                                           top=MAX_QUBITS))
-    shifts = np.arange(2 * width - 2, -1, -2, dtype=np.uint64)
-    return np.bitwise_or.reduce(_BYTE_DIGIT[data].reshape(-1, width) << shifts, axis=1)
+    for strip in (False, True):
+        rows = [s.strip().upper() for s in labels] if strip else labels
+        width = len(rows[0]) if n is None else n
+        if (text := "".join(rows)).isascii() and 1 <= width <= MAX_QUBITS and set(
+                map(len, rows)) == {width}:
+            data = np.frombuffer(text.upper().encode(), dtype=np.uint8).reshape(-1, width)
+            alphabet = np.bitwise_or.reduce(_BYTE_ALPHABET[data], axis=1)
+            if ((alphabet == 1) | (alphabet == 2)).all():
+                shifts = np.arange(2 * width - 2, -1, -2, dtype=np.uint64)
+                return np.bitwise_or.reduce(_BYTE_DIGIT[data] << shifts, axis=1)
+    for i, label in enumerate(rows):  # neither packed, so some label is at fault
+        for bad, message in (
+                (not label, "empty Pauli string"),
+                (not any(set(label) <= set(a.decode()) for a in _ALPHABET_BYTES.values()),
+                 "not a Pauli string (digits 0-3 or letters IXYZ): {label!r}"),
+                (len(label) > MAX_QUBITS, "qubit count must be in [1, {top}], got {length}"),
+                (len(label) != width, "string length {length} != "
+                 + ("{width} from earlier lines" if n is None else "n={width}"))):
+            if bad:
+                raise LabelError(i, message.format(label=labels[i], length=len(label),
+                                                   width=width, top=MAX_QUBITS))
 
 
 def parse_string(text: str) -> PauliString:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from pauliexp import (
 from pauliexp.dense import dense_exp
 from pauliexp.engine import _quadrature, _scale, exp_with_method, symplectic_split
 from pauliexp.hamiltonian import capped_basis, load_hamiltonian
+from pauliexp.pauli import I_POWERS_ARR, phase_exponents
 from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
 
 HAMILTONIAN_FIXTURES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt",
@@ -253,6 +256,31 @@ class TestDispatch:
         with pytest.raises(ValueError):
             exp_pauli(h_cycle, 1.0, method="magic")
 
+    def test_auto_picks_anticommute_exactly_when_brute_force_does(self, rng):
+        # X, Y, Z on one qubit: m = r + 1; the 7-qubit Majorana strings: rank
+        # 14, closure 16383 past the default cap, which auto never enumerates;
+        # Z on all 7 qubits anticommutes with each, ZZIIIII commutes with the fifth
+        majorana = [int("3" * q + p + "0" * (6 - q), 4) for q in range(7) for p in "12"]
+        supports = [(1, [1, 2, 3]), (7, majorana), (7, majorana[:5] + [int("3" * 7, 4)]),
+                    (7, majorana + [int("33" + "0" * 5, 4)])]
+        for n in (1, 2, 3, 4):
+            supports += [(n, anticommuting_family(rng, n, k)) for k in range(1, 2 * n + 2)]
+            supports += [(n, rng.choice(np.arange(1, 4**n), size=k, replace=False).tolist())
+                         for k in range(1, min(4**n - 1, 9)) for _ in range(4)]
+        verdicts = set()
+        for n, codes in supports:
+            strings = [PauliString(n, int(c)) for c in codes]
+            want = all(not commutes(a, b) for i, a in enumerate(strings) for b in strings[:i])
+            h = SparseHamiltonian(n, dict.fromkeys(map(int, codes), 0.5))
+            try:
+                method = exp_with_method(h, 0.3)[1]
+            except ClosureExplosion:  # past the cap, the sector path refuses
+                method = None
+            assert (method == "anticommute") == want, codes
+            assert is_pairwise_anticommuting(h) == want, codes
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
 
 class TestPartitionAndGibbs:
     def test_beta_zero(self, rng):
@@ -454,7 +482,45 @@ def _assert_matches_spectral(h, red, betas=BETAS):
         assert abs(np.exp(lz) - z) <= 1e-12 * abs(z), beta
 
 
+def _reference_reduction(h: SparseHamiltonian):
+    """(codes, phase, blocks) of Reduced built the old way: span and phases
+    by doubling with phase_exponents, and each Walsh-Hadamard pass stacked."""
+    basis = capped_basis(h.codes, 2**64)
+    e, f, z = (np.array(g, dtype=np.uint64) for g in symplectic_split(basis))
+    span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
+    for g in np.concatenate((e, f, z)):
+        phase = np.concatenate((phase, (phase + phase_exponents(span, g)) & 3))
+        span = np.concatenate((span, span ^ g))
+    order, i_e = np.argsort(span), I_POWERS_ARR[phase]
+    coeffs = np.zeros(span.size)
+    coeffs[order[np.searchsorted(span[order], h.codes)]] = h.values
+    d = (coeffs * np.conj(i_e)).reshape(2**z.size, 2**e.size, -1)
+    for axis in (0, 1):
+        x, m = d.reshape(math.prod(d.shape[:axis]), d.shape[axis], -1), d.shape[axis]
+        for h2 in 2 ** np.arange(m.bit_length() - 1):
+            y = x.reshape(x.shape[0], m // (2 * h2), 2, -1)
+            x = np.stack((y[:, :, 0] + y[:, :, 1], y[:, :, 0] - y[:, :, 1]), axis=2)
+        d = x.reshape(d.shape)
+    j = np.arange(2**e.size)
+    return span[order], i_e / 2 ** (e.size + z.size), d[:, j[:, None].T, j[:, None] ^ j]
+
+
 class TestSector:
+    @pytest.mark.parametrize("n,s,c", [(1, 1, 0), (1, 0, 1), (5, 2, 1), (5, 0, 5), (5, 2, 0),
+                                       (16, 3, 2), (16, 0, 6), (32, 4, 0), (32, 3, 3),
+                                       (32, 0, 7)])
+    def test_matches_the_reference_reduction_bit_for_bit(self, n, s, c):
+        rng = np.random.default_rng(100 * n + 10 * s + c)
+        hams = ([SparseHamiltonian(1, {1: 0.3, 2: 0.5, 3: -0.7} if s else {2: 0.4}, 0.1)]
+                if n == 1 else [shaped_hamiltonian(rng, n, s, c) for _ in range(2)])
+        if n == 32:  # a random closed set reaches codes of 2**63 and above
+            hams.append(make_closed_hamiltonian(rng, n, 2 * s + c))
+            assert hams[-1].codes[-1] >= 2**63
+        for h in hams:
+            red, (codes, phase, blocks) = Reduced(h), _reference_reduction(h)
+            for got, want in ((red.codes, codes), (red._phase, phase), (red.blocks, blocks)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_xy_n6_matches_spectral(self):
         # the other fixtures are in TestReduced::test_grid_matches_per_beta_spectral;
         # here one 2048 x 2048 eigh serves every beta
@@ -521,7 +587,7 @@ class TestSector:
         for size in range(1, 2 * n + 3):
             codes = rng.integers(1, 4**n, size=size, dtype=np.uint64)
             basis = capped_basis(codes, cap=2**64)
-            e, f, z = symplectic_split(basis)
+            e, f, z = (np.array(g, dtype=np.uint64) for g in symplectic_split(basis))
             gens = [PauliString(n, int(g)) for g in np.concatenate((e, f, z))]
             assert len(gens) == basis.size and 2 * e.size + z.size == basis.size
             for i, a in enumerate(gens):

@@ -163,6 +163,28 @@ class TestParseText:
         with pytest.raises(FormatError, match="line 2"):
             parse_hamiltonian_text("1 X\nbogus\n")
 
+    @pytest.mark.parametrize("text,terms,offset", [
+        ("1 X\r\n2 Z\r\n", {1: 1.0, 3: 2.0}, 0.0),
+        ("1 X\x0b2 Z\x1c3 Y\n", {1: 1.0, 3: 2.0, 2: 3.0}, 0.0),
+        ("1\tX\n2\u00a0Z\n", {1: 1.0, 3: 2.0}, 0.0),
+        ("1_0 X\n", {1: 10.0}, 0.0),
+        ("0.5 XZ # note\n# skip\n0.25 II  # id\n", {7: 0.5}, 0.25),
+        ("3 ZZ\n1 XX\n2 ZZ\n-1 II\n0.5 XX\n", {15: 5.0, 5: 1.5}, -1.0),
+    ])
+    def test_accepts(self, text, terms, offset):
+        h = parse_hamiltonian_text(text)
+        assert (h.terms, h.identity_offset) == (terms, offset)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0x1p0 X\n", "line 1: bad coefficient '0x1p0'"),
+        ("1 X\n1 \u0425\n", "line 2: not a Pauli string (digits 0-3 or letters IXYZ): '\u0425'"),
+        ("1 X 2\nY\n", "line 1: expected `<coeff> <pauli>`, got '1 X 2'"),
+    ])
+    def test_rejects_with_message(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_hamiltonian_text(text)
+        assert str(info.value) == message
+
 
 class TestParseJson:
     def test_basic(self):
@@ -551,6 +573,15 @@ class TestCoeffsJson:
         values = np.array([0.5, -0.0, 3.0])
         labels = format_codes(2, [0, 1, 15], "letters")
         assert coeffs_json(labels, values) == json.dumps(coeff_entries(labels, values.tolist()))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 7), (3, 0), (2, 1)])
+    def test_rows(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[:, ::2] = values[:, ::2].real
+        labels = format_codes(32, 2**63 + np.arange(shape[1], dtype=np.uint64), "letters")
+        assert coeffs_json(labels, values) == [
+            json.dumps(coeff_entries(labels, row.tolist())) for row in values]
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), -np.inf])
     def test_refuses_non_finite(self, bad):

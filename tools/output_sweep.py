@@ -17,8 +17,10 @@ formats and alphabets; dense output formats; `decompose` of random
 matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
 JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
 closure exceeds the default cap; non-finite and large betas; `--nodes 0`
-under contour and the contour flags under other methods; `bench` (timings dropped); and good and bad input files in both the text
-and the JSON format.
+under contour and the contour flags under other methods; `bench` (timings
+dropped); good and bad input files in both the text and the JSON format;
+and closed sets of rank 4-7 on 32 qubits, with codes of 2**63 and above,
+under `exp --time`, `exp --beta` and `partition --gibbs`.
 """
 
 import io
@@ -74,6 +76,20 @@ INPUTS = {
     "overflow.json": '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"},'
                      ' {"coeff": 1e308, "pauli": "X"}]}',
 }
+
+
+def closed_n32(rank: int) -> str:
+    """Text of a closed set on 32 qubits: all 2**rank - 1 products of `rank`
+    independent random codes, the first with its top bit set so that codes
+    of 2**63 and above occur, with coefficients in [-1, 1] and an identity."""
+    rng = np.random.default_rng(rank)
+    span = [0]
+    while len(set(span)) < 2**rank:
+        span = [0]
+        for k, g in enumerate(rng.integers(0, 2**64, size=rank, dtype=np.uint64).tolist()):
+            span += [c ^ (g | (k == 0) << 63) for c in span]
+    return "".join(f"{v!r} {''.join(str(c >> 2 * q & 3) for q in range(31, -1, -1))}\n"
+                   for c, v in zip(span, rng.uniform(-1.0, 1.0, len(span)).tolist()))
 
 
 def cases(tmp: Path, write_dense) -> list[list[str]]:
@@ -132,6 +148,11 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
         (tmp / name).write_text(text)
         out += [["exp", "-i", str(tmp / name), "--beta", "0.5"],
                 ["closure", "-i", str(tmp / name), "--alphabet", "letters"]]
+    for rank in range(4, 8):
+        (tmp / f"closed_n32_r{rank}.txt").write_text(closed_n32(rank))
+        for argv in (["exp", "--time", "0.7"], ["exp", "--beta", "0.5", "--format", "pauli-json"],
+                     ["partition", "--betas", "0.1,1,5", "--gibbs", "--format", "json"]):
+            out.append([argv[0], "-i", str(tmp / f"closed_n32_r{rank}.txt"), *argv[1:]])
     (tmp / "majorana_7.txt").write_text(MAJORANA_7)
     out += [["verify", "-i", str(tmp / "majorana_7.txt"), "--method", method, "--beta", "0.7"]
             for method in ["auto", "anticommute"]]
