@@ -69,53 +69,3 @@ from .dense import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MAX_QUBITS",
-    "DEFAULT_CLOSURE_CAP",
-    "DENSE_CAP_DEFAULT",
-    "PauliString",
-    "Phase",
-    "SparseHamiltonian",
-    "PauliExpansion",
-    "ClosedTermSet",
-    "StructureMatrix",
-    "Reduced",
-    "ContourSpec",
-    "CompareResult",
-    "PauliExpError",
-    "ClosureExplosion",
-    "SingularSystem",
-    "ContourError",
-    "FormatError",
-    "compose",
-    "phase",
-    "commutes",
-    "structure_constant",
-    "parse_string",
-    "format_string",
-    "close",
-    "close_codes",
-    "parse_hamiltonian",
-    "load_hamiltonian",
-    "pauli_decompose",
-    "build_structure_matrix",
-    "resolvent_at",
-    "characteristic_poly_at",
-    "exp_pauli",
-    "exp_spectral",
-    "exp_contour",
-    "exp_anticommuting",
-    "is_pairwise_anticommuting",
-    "partition_function",
-    "gibbs_state",
-    "multiply_expansions",
-    "pauli_matrix",
-    "reconstruct_dense",
-    "dense_exp",
-    "compare",
-    "embed",
-    "write_dense",
-    "read_dense",
-    "__version__",
-]

@@ -254,11 +254,15 @@ def _time_call(fn, repeats: int, warmup: bool = True) -> float:
     return best
 
 
-def _qubit_count(text, flag: str) -> int:
+def _integer(text, flag: str, what: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
-        raise FormatError(f"{flag} {text!r} is not an integer qubit count") from None
+        raise FormatError(f"{flag} {text!r} is not an integer {what}") from None
+
+
+def _qubit_count(text, flag: str) -> int:
+    n = _integer(text, flag, "qubit count")
     if not 1 <= n <= MAX_QUBITS:
         raise FormatError(f"{flag} {n}: qubit count must be in [1, {MAX_QUBITS}]")
     return n
@@ -278,12 +282,15 @@ def cmd_bench(args) -> int:
             rows.append((n, h.codes.size, dt))
     elif args.suite == "spectral-tau":
         n = args.n
-        tau_list = [int(t) for t in args.tau_list.split(",")]
+        tau_list = [_integer(t, "--tau-list entry", "closed-set size")
+                    for t in args.tau_list.split(",")]
         for k, tau in enumerate(tau_list):
             rank = (tau + 1).bit_length() - 1
             if 2**rank - 1 != tau:
                 raise FormatError(f"tau must be 2^k - 1 for a closed set, got {tau}")
-            h = random_closed_hamiltonian(np.random.default_rng(100 + k), n, rank)
+            if rank > 2 * n:  # s + c = ceil(rank / 2) <= n
+                raise ValueError(f"rank {rank} exceeds 2n = {2 * n}, the most n={n} qubits allow")
+            h = random_closed_hamiltonian(np.random.default_rng(100 + k), n, rank // 2, rank % 2)
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
             rows.append((n, tau, dt))
     elif args.suite == "dense-n":

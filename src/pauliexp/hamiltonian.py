@@ -273,19 +273,35 @@ def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet
     return close_codes(h.n, h.codes, cap)
 
 
-def random_closed_hamiltonian(rng: np.random.Generator, n: int, rank: int) -> SparseHamiltonian:
-    """Random Hamiltonian whose support is a full closed set of 2**rank - 1
-    codes: the closure of `rank` codes drawn from rng until they are
-    independent, with coefficients uniform in [-1, 1]. No n-qubit span has
-    rank above 2n, so a larger rank raises ValueError before any draw."""
-    if rank > 2 * n:
-        raise ValueError(f"rank {rank} exceeds 2n = {2 * n}, the most n={n} qubits allow")
-    while True:
-        gens = rng.integers(1, 4**n, size=rank, dtype=np.uint64)
-        if _gf2_basis(gens).size == rank:
-            break
-    ts = close_codes(n, gens, cap=2**rank - 1)
-    return SparseHamiltonian.from_arrays(n, ts.codes, rng.uniform(-1.0, 1.0, size=len(ts)))
+def random_closed_hamiltonian(rng: np.random.Generator, n: int, s: int,
+                              c: int) -> SparseHamiltonian:
+    """Random Hamiltonian on the full closed set of s anticommuting pairs and
+    c central strings, 2**(2s + c) - 1 codes with coefficients uniform in
+    [-1, 1]. X_q, Z_q (q < s) and Z_q (s <= q < s + c), qubit 0 first as in
+    labels, are moved by 8n random CNOT, H and S gates on their (x, z) bits,
+    which keep every commutation relation (Aaronson and Gottesman, PRA 70,
+    052328, 2004). A shape outside s, c >= 0 and s + c <= n, or n outside
+    [1, MAX_QUBITS], raises ValueError before any draw."""
+    if not 1 <= n <= MAX_QUBITS or min(s, c) < 0 or s + c > n:
+        raise ValueError(f"no closed set of shape (s, c) = ({s}, {c}) on n = {n} qubits: "
+                         f"need s, c >= 0, s + c <= n and 1 <= n <= {MAX_QUBITS}")
+    x, z = np.zeros((2, 2 * s + c, n), dtype=bool)
+    q = np.arange(s + c)
+    x[q[:s], q[:s]] = z[s + q, q] = True
+    for _ in range(8 * n):
+        a, b = rng.choice(n, 2, replace=n == 1)  # a == b only at n = 1, which skips CNOT
+        gate = rng.integers(3)
+        if gate == 0 and a != b:  # CNOT a -> b
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+        elif gate == 1:  # H
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        elif gate == 2:  # S
+            z[:, a] ^= x[:, a]
+    digits = (2 * z + (x ^ z)).astype(np.uint64)  # X = 1, Y = 2, Z = 3
+    gens = (digits << 2 * np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    codes = close_codes(n, gens, cap=2 ** (2 * s + c) - 1).codes
+    return SparseHamiltonian.from_arrays(n, codes, rng.uniform(-1.0, 1.0, size=codes.size))
 
 
 _PAULI_1Q = (

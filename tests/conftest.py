@@ -3,7 +3,6 @@ import pytest
 from pathlib import Path
 
 from pauliexp import PauliString, commutes
-from pauliexp.hamiltonian import random_closed_hamiltonian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,9 +15,6 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
-
-
-make_closed_hamiltonian = random_closed_hamiltonian
 
 
 def anticommuting_family(rng, n: int, target: int) -> list[int]:

@@ -26,8 +26,9 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.cli import main
+from pauliexp.hamiltonian import random_closed_hamiltonian
 
-from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
+from conftest import FIXTURES, anticommuting_family
 
 # codes for the 3-qubit cyclic triple XYZ, YZX, ZXY
 TRIPLE_CODES = (27, 45, 54)
@@ -58,14 +59,10 @@ def mu_nu(hs) -> tuple[float, float]:
 @pytest.fixture(scope="module")
 def closed_cases() -> list[SparseHamiltonian]:
     # 50 Hamiltonians with fully closed support, n cycling 2..6,
-    # rank 2..4 so tau in {3, 7, 15} <= 30
+    # shapes (1, 0), (1, 1), (2, 0) so tau in {3, 7, 15} <= 30
     rng = np.random.default_rng(404)
-    cases = []
-    for i in range(50):
-        n = 2 + (i % 5)
-        rank = 2 + (i % 3)
-        cases.append(make_closed_hamiltonian(rng, n, rank))
-    return cases
+    return [random_closed_hamiltonian(rng, 2 + i % 5, *((1, 0), (1, 1), (2, 0))[i % 3])
+            for i in range(50)]
 
 
 def test_criterion_01_anticommuting_triple_closed_form():
@@ -179,7 +176,7 @@ def test_criterion_06_anticommuting_closed_form():
 
 
 def test_criterion_07_contour_convergence():
-    ham = make_closed_hamiltonian(np.random.default_rng(707), 5, 3)
+    ham = random_closed_hamiltonian(np.random.default_rng(707), 5, 1, 1)
     assert len(ham.terms) == 7
     beta = 1.0
     ref = exp_spectral(ham, beta)

@@ -635,9 +635,9 @@ class TestJsonWriters:
     @pytest.mark.parametrize("name", FIXTURE_FILES + ("closed_n32",))
     def test_real_beta_is_exactly_real(self, capsys, fixtures_dir, tmp_path, name):
         path = str(fixtures_dir / name)
-        if name == "closed_n32":  # a rank-6 closed set with codes up to 4**32
+        if name == "closed_n32":  # a closed set of shape (3, 0) with codes up to 4**32
             path = str(tmp_path / name)
-            h = random_closed_hamiltonian(np.random.default_rng(32), 32, 6)
+            h = random_closed_hamiltonian(np.random.default_rng(32), 32, 3, 0)
             Path(path).write_text(format_hamiltonian_text(h))
         calls = [["exp", "-i", path, "--method", method, "--format", "pauli-json", beta]
                  for method in ("auto", "sector") for beta in ("--beta=0.5", "--beta=-2",
@@ -859,6 +859,12 @@ class TestBench:
         (["--n-list", "4,x"], "--n-list entry 'x' is not an integer qubit count"),
         (["--suite", "spectral-tau", "--n", "40"], "--n 40: qubit count must be in [1, 32]"),
         (["--suite", "spectral-tau", "--n", "0"], "--n 0: qubit count must be in [1, 32]"),
+        (["--suite", "spectral-tau", "--tau-list", "x"],
+         "--tau-list entry 'x' is not an integer closed-set size"),
+        (["--suite", "spectral-tau", "--tau-list", "2.5"],
+         "--tau-list entry '2.5' is not an integer closed-set size"),
+        (["--suite", "spectral-tau", "--tau-list", "1,,"],
+         "--tau-list entry '' is not an integer closed-set size"),
     ])
     def test_bad_qubit_count_names_flag(self, argv, needle):
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", "bench", *argv],

@@ -29,9 +29,9 @@ from pauliexp import (
 )
 from pauliexp.dense import dense_exp
 from pauliexp.engine import _quadrature, _scale, exp_with_method, symplectic_split
-from pauliexp.hamiltonian import capped_basis, load_hamiltonian
+from pauliexp.hamiltonian import capped_basis, load_hamiltonian, random_closed_hamiltonian
 from pauliexp.pauli import I_POWERS_ARR, phase_exponents
-from conftest import FIXTURES, anticommuting_family, make_closed_hamiltonian
+from conftest import FIXTURES, anticommuting_family
 
 HAMILTONIAN_FIXTURES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt",
                         "rho_s_n3.txt", "xy_n6.txt")
@@ -61,14 +61,14 @@ class TestSpectral:
             assert abs(e.coefficient(code) - want) < 1e-13
 
     def test_beta_zero_is_identity(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 3)
+        h = random_closed_hamiltonian(rng, 4, 1, 1)
         e = exp_spectral(h, 0.0)
         assert abs(e.coefficient(0) - 1.0) < 1e-14
         for code in h.support:
             assert abs(e.coefficient(code)) < 1e-14
 
     def test_identity_offset_scales(self, rng):
-        h0 = make_closed_hamiltonian(rng, 3, 2)
+        h0 = random_closed_hamiltonian(rng, 3, 1, 0)
         delta = 0.9
         h = SparseHamiltonian(h0.n, dict(h0.terms), identity_offset=delta)
         beta = 0.4 + 0.2j
@@ -82,7 +82,7 @@ class TestSpectral:
         assert e.support == (0, 27, 45, 54)
 
     def test_real_beta_gives_real_coefficients(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 3)
+        h = random_closed_hamiltonian(rng, 4, 1, 1)
         e = exp_spectral(h, 1.3)
         for c in e.coeffs.values():
             assert abs(c.imag) < 1e-12
@@ -96,8 +96,8 @@ class TestSpectral:
 
 class TestContour:
     def test_default_matches_spectral(self, rng):
-        for rank in (1, 2, 3):
-            h = make_closed_hamiltonian(rng, 4, rank)
+        for s, c in ((0, 1), (1, 0), (1, 1)):
+            h = random_closed_hamiltonian(rng, 4, s, c)
             for beta in (0.7, 0.5j, 0.3 - 0.2j):
                 assert coeff_distance(
                     exp_contour(h, beta), exp_spectral(h, beta)
@@ -161,7 +161,7 @@ class TestContour:
     def test_spectrum_within_coefficient_sum(self, rng, h_cycle):
         # the default circle (center 0, radius 1.25 sum |h_K| + 1) rests on
         # the Gershgorin interval [-sum |h_K|, sum |h_K|] of the structure matrix
-        for h in [make_closed_hamiltonian(rng, 5, rank) for rank in (2, 4)] + [h_cycle]:
+        for h in [random_closed_hamiltonian(rng, 5, s, 0) for s in (1, 2)] + [h_cycle]:
             bound = np.abs(h.values).sum()
             assert np.abs(Reduced(h).w).max() <= bound
             w = np.linalg.eigvalsh(build_structure_matrix(h).matrix)
@@ -238,9 +238,7 @@ class TestDispatch:
         assert exp_pauli(h_cycle, 0.4).coeffs == exp_anticommuting(h_cycle, 0.4).coeffs
 
     def test_auto_falls_back_to_sector(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 3)
-        if is_pairwise_anticommuting(h):  # pragma: no cover - seed-dependent guard
-            pytest.skip("sampled family happens to anticommute")
+        h = random_closed_hamiltonian(rng, 4, 1, 1)  # no closed set of rank 3 anticommutes
         auto, method = exp_with_method(h, 0.4)
         assert method == "sector"
         assert auto.coeffs == exp_pauli(h, 0.4, method="sector").coeffs
@@ -284,20 +282,20 @@ class TestDispatch:
 
 class TestPartitionAndGibbs:
     def test_beta_zero(self, rng):
-        h = make_closed_hamiltonian(rng, 3, 2)
+        h = random_closed_hamiltonian(rng, 3, 1, 0)
         z_norm, z_trace = partition_function(h, 0.0)
         assert z_norm == pytest.approx(1.0)
         assert z_trace == pytest.approx(2**3)
 
     def test_matches_dense_trace(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 3)
+        h = random_closed_hamiltonian(rng, 4, 1, 1)
         beta = 0.9
         _, z_trace = partition_function(h, beta)
         w = np.linalg.eigvalsh(reconstruct_dense(h))
         assert z_trace.real == pytest.approx(np.exp(-beta * w).sum(), rel=1e-12)
 
     def test_gibbs_normalization(self, rng):
-        h = make_closed_hamiltonian(rng, 3, 3)
+        h = random_closed_hamiltonian(rng, 3, 1, 1)
         g = gibbs_state(h, 1.2)
         assert g.coefficient(0) == 1.0 / 8.0  # exact by construction
         rho = reconstruct_dense(g)
@@ -306,7 +304,7 @@ class TestPartitionAndGibbs:
         assert w.min() > -1e-12
 
     def test_gibbs_matches_dense(self, rng):
-        h = make_closed_hamiltonian(rng, 3, 2)
+        h = random_closed_hamiltonian(rng, 3, 1, 0)
         beta = 0.7
         rho = reconstruct_dense(gibbs_state(h, beta))
         m = reconstruct_dense(h)
@@ -347,8 +345,8 @@ class TestReduced:
 
     def test_grid_matches_per_beta_spectral(self, rng):
         cases = [load_hamiltonian(FIXTURES / name) for name in HAMILTONIAN_FIXTURES[:5]]
-        cases += [make_closed_hamiltonian(rng, n, rank) for n, rank in
-                  ((3, 2), (5, 4), (8, 5), (32, 4))]
+        cases += [random_closed_hamiltonian(rng, n, s, c) for n, s, c in
+                  ((3, 1, 0), (5, 2, 0), (8, 2, 1), (32, 2, 0))]
         offset = SparseHamiltonian(4, dict(cases[1].terms), identity_offset=-0.8)
         for h in cases + [offset]:
             red = Reduced(h)
@@ -365,7 +363,7 @@ class TestReduced:
 
     def test_exp_matches_unshifted_formula(self, rng):
         # the direct first column V (e^{-beta w} . conj(V[0])), with no shift
-        h = make_closed_hamiltonian(rng, 6, 5)
+        h = random_closed_hamiltonian(rng, 6, 2, 1)
         sm = build_structure_matrix(h)
         w, v = np.linalg.eigh(sm.matrix)
         red = Reduced(h)
@@ -375,7 +373,7 @@ class TestReduced:
             assert np.abs(red.exp_many(beta)[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_spectral_range_and_ground_energy(self, rng):
-        h0 = make_closed_hamiltonian(rng, 4, 3)
+        h0 = random_closed_hamiltonian(rng, 4, 1, 1)
         h = SparseHamiltonian(4, dict(h0.terms), identity_offset=0.3)
         red = Reduced(h)
         e = np.linalg.eigvalsh(reconstruct_dense(h))
@@ -386,14 +384,14 @@ class TestReduced:
 
     @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.8, 1e3, 1e6])
     def test_gibbs_identity_coefficient_exact(self, rng, beta):
-        for h in (make_closed_hamiltonian(rng, 5, 4), load_hamiltonian(FIXTURES / "h2.txt"),
-                  make_closed_hamiltonian(rng, 32, 3)):
+        for h in (random_closed_hamiltonian(rng, 5, 2, 0), load_hamiltonian(FIXTURES / "h2.txt"),
+                  random_closed_hamiltonian(rng, 32, 1, 1)):
             red = Reduced(h)
             assert red.gibbs(beta).coefficient(0) == 1.0 / 2**h.n
             assert (red.gibbs_many([beta, 2 * beta])[:, 0] == 1.0 / 2**h.n).all()
 
     def test_gibbs_matches_dense_on_grid(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 4)
+        h = random_closed_hamiltonian(rng, 4, 2, 0)
         betas = [-2.0, 0.3, 1.7, 6.0]
         m = reconstruct_dense(h)
         w, v = np.linalg.eigh(m)
@@ -416,7 +414,7 @@ class TestReduced:
                                                             rel=1e-8)
 
     def test_free_energy_tends_to_ground_energy(self, rng):
-        h0 = make_closed_hamiltonian(rng, 6, 4)
+        h0 = random_closed_hamiltonian(rng, 6, 2, 0)
         h = SparseHamiltonian(6, dict(h0.terms), identity_offset=1.25)
         red = Reduced(h)
         e0 = np.linalg.eigvalsh(reconstruct_dense(h))[0]
@@ -436,34 +434,6 @@ class TestReduced:
             assert np.isfinite(red.log_partition(beta)).all()
         # four of the eight eigenvalues are -sqrt(3)
         assert red.log_partition(1000.0)[0].real == pytest.approx(1000 * np.sqrt(3) + np.log(4))
-
-
-def shaped_hamiltonian(rng, n: int, s: int, c: int) -> SparseHamiltonian:
-    """Hamiltonian on the full span of s anticommuting pairs and c central
-    codes: X_q, Z_q (q < s) and Z_q (s <= q < s + c), moved by a random
-    circuit of CNOT, H and S gates acting on the (x, z) bits, which keeps
-    every commutation relation. Coefficients are uniform in [-1, 1]."""
-    r = 2 * s + c
-    x = np.zeros((r, n), dtype=bool)
-    z = np.zeros((r, n), dtype=bool)
-    for q in range(s):
-        x[q, q] = z[s + q, q] = True
-    for k in range(c):
-        z[2 * s + k, s + k] = True
-    for _ in range(8 * n):
-        a, b = rng.choice(n, 2, replace=False)
-        gate = rng.integers(3)
-        if gate == 0:  # CNOT a -> b
-            x[:, b] ^= x[:, a]
-            z[:, a] ^= z[:, b]
-        elif gate == 1:  # H
-            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
-        else:  # S
-            z[:, a] ^= x[:, a]
-    digits = (2 * z + (x ^ z)).astype(np.uint64)  # X = 1, Y = 2, Z = 3
-    gens = (digits << (2 * np.arange(n, dtype=np.uint64))).sum(axis=1, dtype=np.uint64)
-    codes = close(SparseHamiltonian(n, dict.fromkeys(gens.tolist(), 1.0)), cap=2**r).codes
-    return SparseHamiltonian(n, dict(zip(codes.tolist(), rng.uniform(-1, 1, codes.size))))
 
 
 SHAPES = [(n, s, r - 2 * s) for r in (1, 2, 5, 8) for s in range(r // 2 + 1)
@@ -511,10 +481,10 @@ class TestSector:
                                        (32, 0, 7)])
     def test_matches_the_reference_reduction_bit_for_bit(self, n, s, c):
         rng = np.random.default_rng(100 * n + 10 * s + c)
-        hams = ([SparseHamiltonian(1, {1: 0.3, 2: 0.5, 3: -0.7} if s else {2: 0.4}, 0.1)]
-                if n == 1 else [shaped_hamiltonian(rng, n, s, c) for _ in range(2)])
-        if n == 32:  # a random closed set reaches codes of 2**63 and above
-            hams.append(make_closed_hamiltonian(rng, n, 2 * s + c))
+        hams = [random_closed_hamiltonian(rng, n, s, c) for _ in range(2)]
+        if n == 32:  # one of the same rank and shape (r // 2, r % 2), codes of 2**63 and above
+            r = 2 * s + c
+            hams.append(random_closed_hamiltonian(rng, n, r // 2, r % 2))
             assert hams[-1].codes[-1] >= 2**63
         for h in hams:
             red, (codes, phase, blocks) = Reduced(h), _reference_reduction(h)
@@ -536,7 +506,7 @@ class TestSector:
     @pytest.mark.parametrize("n,s,c", SHAPES)
     def test_shapes_match_spectral(self, n, s, c):
         rng = np.random.default_rng(1000 * n + 10 * s + c)
-        h = shaped_hamiltonian(rng, n, s, c)
+        h = random_closed_hamiltonian(rng, n, s, c)
         red = Reduced(h)
         assert (red.s, red.c, red.tau) == (s, c, 2 ** (2 * s + c) - 1)
         assert red.codes.tolist() == [0] + close(h).codes.tolist()
@@ -544,22 +514,23 @@ class TestSector:
         _assert_matches_spectral(h, red)
 
     def test_shapes_reach_the_top_bit(self):
-        tops = [max(shaped_hamiltonian(np.random.default_rng(1000 * n + 10 * s + c),
-                                       n, s, c).support)
+        tops = [max(random_closed_hamiltonian(np.random.default_rng(1000 * n + 10 * s + c),
+                                              n, s, c).support)
                 for n, s, c in SHAPES if n == 32]
         assert max(tops) >= 2**63
 
     @pytest.mark.parametrize("t", [0.3, 2.0, 17.0])
     def test_parseval_at_imaginary_beta(self, rng, t):
-        for h in (load_hamiltonian(FIXTURES / "xy_n6.txt"), shaped_hamiltonian(rng, 32, 3, 2),
-                  shaped_hamiltonian(rng, 9, 0, 6), make_closed_hamiltonian(rng, 16, 10)):
+        shaped = [random_closed_hamiltonian(rng, *shape) for shape in
+                  ((32, 3, 2), (9, 0, 6), (16, 5, 0))]
+        for h in [load_hamiltonian(FIXTURES / "xy_n6.txt")] + shaped:
             row = Reduced(h).exp_many(1j * t)[0]
             assert abs((np.abs(row) ** 2).sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("beta", [1e3, 1e6, -1e6])
     def test_gibbs_identity_exact_on_shapes(self, rng, beta):
         for n, s, c in ((32, 4, 0), (32, 0, 5), (7, 2, 3)):
-            red = Reduced(shaped_hamiltonian(rng, n, s, c))
+            red = Reduced(random_closed_hamiltonian(rng, n, s, c))
             rows = red.gibbs_many([beta, 1.0])
             assert (rows[:, 0] == 2.0**-n).all()
             assert np.isfinite(rows).all()
@@ -627,10 +598,10 @@ class TestExactlyReal:
 
     @pytest.mark.parametrize("s,c", [(3, 2), (4, 0), (0, 5)])
     def test_shapes_at_32_qubits(self, s, c):
-        self._check(shaped_hamiltonian(np.random.default_rng(10 * s + c), 32, s, c))
+        self._check(random_closed_hamiltonian(np.random.default_rng(10 * s + c), 32, s, c))
 
     def test_offset_and_closed_set(self, rng):
-        h = make_closed_hamiltonian(rng, 16, 6)
+        h = random_closed_hamiltonian(rng, 16, 3, 0)
         self._check(SparseHamiltonian(16, dict(h.terms), identity_offset=-0.8))
 
     def _check(self, h):
@@ -669,7 +640,8 @@ class TestExactlyReal:
     def test_complex_beta_unchanged(self, rng):
         mixed = [0.3 + 0.2j, 1.0, 0.7j, -0.5 - 0.25j, 2.0]
         complex_rows = [0, 2, 3]
-        for h in (load_hamiltonian(FIXTURES / "xy_n6.txt"), shaped_hamiltonian(rng, 32, 3, 2)):
+        for h in (load_hamiltonian(FIXTURES / "xy_n6.txt"),
+                  random_closed_hamiltonian(rng, 32, 3, 2)):
             red = Reduced(h)
             exp_rows, gibbs_rows = _unrounded(red, mixed)
             got_exp, got_gibbs = red.exp_many(mixed), red.gibbs_many(mixed)
@@ -690,7 +662,7 @@ class TestMultiplyExpansions:
                 assert abs(prod.coefficient(code)) < 1e-13
 
     def test_semigroup(self, rng):
-        h = make_closed_hamiltonian(rng, 3, 3)
+        h = random_closed_hamiltonian(rng, 3, 1, 1)
         e1 = exp_spectral(h, 0.3)
         e2 = exp_spectral(h, 0.5)
         prod = multiply_expansions(e1, e2)

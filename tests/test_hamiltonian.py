@@ -34,7 +34,6 @@ from pauliexp.hamiltonian import (
     random_closed_hamiltonian,
 )
 from pauliexp.pauli import MAX_QUBITS, format_codes
-from conftest import make_closed_hamiltonian
 
 
 class TestSparseHamiltonian:
@@ -279,8 +278,8 @@ class TestClosure:
         assert close(h) == close_codes(3, [27, 45])
 
     def test_idempotent(self, rng):
-        for rank in (2, 4):
-            h = make_closed_hamiltonian(rng, 6, rank)
+        for s in (1, 2):
+            h = random_closed_hamiltonian(rng, 6, s, 0)
             ts = close(h)
             again = close_codes(6, [int(c) for c in ts.codes])
             assert again == ts
@@ -334,14 +333,20 @@ class TestClosure:
 class TestRandomClosedHamiltonian:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rank_up_to_2n(self, rng, n):
-        h = random_closed_hamiltonian(rng, n, 2 * n)
+        # s = n pairs span all 4**n - 1 non-identity strings; n = 1 is shape (1, 0)
+        h = random_closed_hamiltonian(rng, n, n, 0)
         assert len(h.terms) == close(h).tau == 4**n - 1
 
-    @pytest.mark.parametrize("n,rank", [(1, 3), (2, 5), (32, 65)])
-    def test_rank_above_2n_raises_before_drawing(self, rng, n, rank):
+    def test_one_qubit_central_string(self, rng):
+        h = random_closed_hamiltonian(rng, 1, 0, 1)
+        assert len(h.terms) == close(h).tau == 1
+
+    @pytest.mark.parametrize("n,s,c", [(1, 1, 1), (2, 2, 1), (32, 32, 1), (4, -1, 2), (4, 2, -1),
+                                       (0, 0, 0), (33, 1, 0)])
+    def test_bad_shape_raises_before_drawing(self, rng, n, s, c):
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"rank {rank} exceeds 2n"):
-            random_closed_hamiltonian(rng, n, rank)
+        with pytest.raises(ValueError, match=rf"shape \(s, c\) = \({s}, {c}\) on n = {n} "):
+            random_closed_hamiltonian(rng, n, s, c)
         assert rng.bit_generator.state == state
 
 
@@ -409,8 +414,8 @@ class TestPauliDecompose:
                 assert abs(e.coefficient(code) - oracle[code]) < 1e-12
 
     def test_reconstruct_round_trip(self, rng):
-        for rank in (1, 2, 3):
-            h = make_closed_hamiltonian(rng, 4, rank)
+        for s, c in ((0, 1), (1, 0), (1, 1)):
+            h = random_closed_hamiltonian(rng, 4, s, c)
             back = pauli_decompose(reconstruct_dense(h))
             assert back.support == h.support
             for code in h.support:

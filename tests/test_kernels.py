@@ -5,7 +5,7 @@ import pytest
 
 from pauliexp.pauli import PauliString, compose, phase_exponent, phase_exponents
 from pauliexp.resolvent import assemble
-from conftest import make_closed_hamiltonian
+from pauliexp.hamiltonian import random_closed_hamiltonian
 
 
 def random_codes(rng, n, size):
@@ -56,8 +56,8 @@ def naive_assemble(codes, coeffs):
 
 class TestAssemble:
     def test_against_naive(self, rng):
-        for rank in (1, 2, 3, 4):
-            h = make_closed_hamiltonian(rng, 5, rank)
+        for s, c in ((0, 1), (1, 0), (1, 1), (2, 0)):
+            h = random_closed_hamiltonian(rng, 5, s, c)
             codes = np.array(h.support, dtype=np.uint64)
             coeffs = np.array([h.terms[c] for c in h.support])
             got, bad_k, bad_l = assemble(codes, coeffs)
@@ -66,8 +66,8 @@ class TestAssemble:
 
     def test_zero_coefficients_and_high_codes(self, rng):
         # zero coefficients skip their string; codes >= 2**63 at n = 32
-        for n, rank in ((5, 5), (32, 4)):
-            h = make_closed_hamiltonian(rng, n, rank)
+        for n, s, c in ((5, 2, 1), (32, 2, 0)):
+            h = random_closed_hamiltonian(rng, n, s, c)
             codes = np.array(h.support, dtype=np.uint64)
             coeffs = np.array([h.terms[c] for c in h.support])
             coeffs[::3] = 0.0
@@ -78,7 +78,7 @@ class TestAssemble:
     @pytest.mark.parametrize("seed", [0, 8192])
     def test_reports_first_escaping_pair(self, seed):
         # two independent random Hamiltonians, each with one code removed
-        h = make_closed_hamiltonian(np.random.default_rng(seed), 6, 5)
+        h = random_closed_hamiltonian(np.random.default_rng(seed), 6, 2, 1)
         codes = np.delete(np.array(h.support, dtype=np.uint64), 11)
         coeffs = np.array([h.terms[int(c)] for c in codes])
         coeffs[:2] = 0.0
@@ -90,7 +90,7 @@ class TestAssemble:
         assert (bad_k, bad_l) == want
 
     def test_hermitian_exactly(self, rng):
-        h = make_closed_hamiltonian(rng, 6, 4)
+        h = random_closed_hamiltonian(rng, 6, 2, 0)
         codes = np.array(h.support, dtype=np.uint64)
         coeffs = np.array([h.terms[c] for c in h.support])
         a, _, _ = assemble(codes, coeffs)

@@ -10,7 +10,7 @@ from pauliexp import (
     parse_hamiltonian,
     resolvent_at,
 )
-from conftest import make_closed_hamiltonian
+from pauliexp.hamiltonian import random_closed_hamiltonian
 
 H2_CODES = [27, 39, 60, 75, 80, 108, 119]  # ascending, h1..h7
 
@@ -75,18 +75,18 @@ class TestStructureMatrixGoldens:
 
 class TestStructureMatrixProperties:
     def test_hermitian_bit_for_bit(self, rng):
-        for rank in (1, 2, 3, 4, 5):
-            h = make_closed_hamiltonian(rng, 6, rank)
+        for s, c in ((0, 1), (1, 0), (1, 1), (2, 0), (2, 1)):
+            h = random_closed_hamiltonian(rng, 6, s, c)
             m = build_structure_matrix(h).matrix
             assert np.array_equal(m, m.conj().T)
 
     def test_diagonal_exactly_zero(self, rng):
-        h = make_closed_hamiltonian(rng, 5, 4)
+        h = random_closed_hamiltonian(rng, 5, 2, 0)
         m = build_structure_matrix(h).matrix
         assert np.array_equal(np.diagonal(m), np.zeros(m.shape[0]))
 
     def test_border_is_coefficient_vector(self, rng):
-        h = make_closed_hamiltonian(rng, 5, 3)
+        h = random_closed_hamiltonian(rng, 5, 1, 1)
         sm = build_structure_matrix(h)
         coeffs = [h.coefficient(sm.term_set.code_at(j)) for j in range(len(sm.term_set))]
         assert np.array_equal(sm.matrix[0, 1:], np.array(coeffs, dtype=np.complex128))
@@ -119,7 +119,7 @@ class TestStructureMatrixProperties:
         assert sm.matrix.shape == (1, 1)
 
     def test_code_at_border(self, rng):
-        h = make_closed_hamiltonian(rng, 4, 2)
+        h = random_closed_hamiltonian(rng, 4, 1, 0)
         sm = build_structure_matrix(h)
         assert sm.code_at(0) == 0
         assert sm.code_at(1) == sm.term_set.code_at(0)

@@ -78,6 +78,7 @@ INPUTS = {
 }
 
 
+# its own builder, not pauliexp's, so that the inputs do not depend on the checkout under test
 def closed_n32(rank: int) -> str:
     """Text of a closed set on 32 qubits: all 2**rank - 1 products of `rank`
     independent random codes, the first with its top bit set so that codes
