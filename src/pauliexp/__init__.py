@@ -18,17 +18,8 @@ from .errors import (
 )
 from .pauli import (
     MAX_QUBITS,
-    PauliString,
-    Phase,
-    commutes,
-    compose,
-    format_string,
-    parse_string,
-    phase,
-    structure_constant,
 )
 from .hamiltonian import (
-    ClosedTermSet,
     DEFAULT_CLOSURE_CAP,
     PauliExpansion,
     SparseHamiltonian,
@@ -39,7 +30,6 @@ from .hamiltonian import (
     pauli_decompose,
 )
 from .resolvent import (
-    StructureMatrix,
     build_structure_matrix,
     characteristic_poly_at,
     resolvent_at,
@@ -53,7 +43,6 @@ from .engine import (
     exp_spectral,
     gibbs_state,
     is_pairwise_anticommuting,
-    multiply_expansions,
     partition_function,
 )
 from .dense import (

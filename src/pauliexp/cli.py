@@ -238,9 +238,9 @@ def _bench_pattern(n: int) -> SparseHamiltonian:
     all_z = int("3" * n, 4)
     x_first = 1 << (2 * (n - 1))
     gens = [all_x, all_z, x_first]
-    ts = close_codes(n, gens)
-    values = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(ts))
-    return SparseHamiltonian.from_arrays(n, ts.codes, values)
+    codes = close_codes(n, gens)
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, size=codes.size)
+    return SparseHamiltonian.from_arrays(n, codes, values)
 
 
 def _time_call(fn, repeats: int, warmup: bool = True) -> float:
@@ -284,12 +284,14 @@ def cmd_bench(args) -> int:
         n = args.n
         tau_list = [_integer(t, "--tau-list entry", "closed-set size")
                     for t in args.tau_list.split(",")]
-        for k, tau in enumerate(tau_list):
+        for tau in tau_list:  # every entry checked before any is timed
             rank = (tau + 1).bit_length() - 1
             if 2**rank - 1 != tau:
                 raise FormatError(f"tau must be 2^k - 1 for a closed set, got {tau}")
             if rank > 2 * n:  # s + c = ceil(rank / 2) <= n
                 raise ValueError(f"rank {rank} exceeds 2n = {2 * n}, the most n={n} qubits allow")
+        for k, tau in enumerate(tau_list):
+            rank = tau.bit_length()
             h = random_closed_hamiltonian(np.random.default_rng(100 + k), n, rank // 2, rank % 2)
             dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
             rows.append((n, tau, dt))
@@ -328,12 +330,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_closure(args) -> int:
     h = load_hamiltonian(args.input)
-    ts = close(h, args.closure_cap)
-    labels = format_codes(ts.n, ts.codes, args.alphabet)
+    labels = format_codes(h.n, close(h, args.closure_cap), args.alphabet)
     if args.format == "json":
-        _emit_text(args, json.dumps({"n": ts.n, "tau": ts.tau, "codes": labels}) + "\n")
+        _emit_text(args, json.dumps({"n": h.n, "tau": len(labels), "codes": labels}) + "\n")
     else:
-        _emit_text(args, "\n".join([f"n {ts.n}", f"tau {ts.tau}", *labels]) + "\n")
+        _emit_text(args, "\n".join([f"n {h.n}", f"tau {len(labels)}", *labels]) + "\n")
     return EXIT_OK
 
 

@@ -20,9 +20,9 @@ from .hamiltonian import (
     PauliExpansion,
     SparseHamiltonian,
     _PAULI_1Q,
+    _real,
     qubit_count,
 )
-from .pauli import PauliString
 
 DENSE_CAP_DEFAULT = 10
 DENSE_CAP_MAX = 12
@@ -40,12 +40,15 @@ def _check_cap(n: int, dense_cap: int):
         )
 
 
-def pauli_matrix(p: PauliString, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Kronecker product of the string's single-qubit factors."""
-    _check_cap(p.n, dense_cap)
+def pauli_matrix(n: int, code: int, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+    """Kronecker product of the single-qubit factors of the n-qubit `code`,
+    qubit 1 (the most significant digit) outermost."""
+    _check_cap(n, dense_cap)
+    if not 0 <= code < 4**n:
+        raise ValueError(f"code {code} out of range for n={n}")
     m = np.ones((1, 1), dtype=np.complex128)
-    for d in p.digits:
-        m = np.kron(m, _PAULI_1Q[d])
+    for shift in range(2 * n - 2, -1, -2):
+        m = np.kron(m, _PAULI_1Q[code >> shift & 3])
     return m
 
 
@@ -59,7 +62,7 @@ def reconstruct_dense(obj, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     _check_cap(n, dense_cap)
     out = np.zeros((2**n, 2**n), dtype=np.complex128)
     for code, c in zip(codes, values):
-        out += c * pauli_matrix(PauliString(n, code), dense_cap)
+        out += c * pauli_matrix(n, code, dense_cap)
     return out
 
 
@@ -128,7 +131,7 @@ def dense_from_json(text: str) -> np.ndarray:
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
         raise FormatError('expected an object with "n" and "matrix"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError('"n" must be a positive integer')
     dim = 2**n
     rows = doc["matrix"]
@@ -141,7 +144,10 @@ def dense_from_json(text: str) -> np.ndarray:
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise FormatError(f"entry ({i}, {j}) must be [re, im]")
-            out[i, j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                out[i, j] = complex(_real(pair[0], "re"), _real(pair[1], "im"))
+            except ValueError as exc:
+                raise FormatError(f"entry ({i}, {j}): {exc}") from None
     return out
 
 
@@ -165,8 +171,11 @@ def dense_from_bytes(blob: bytes) -> np.ndarray:
     expected = 8 + dim * dim * 16
     if len(blob) != expected:
         raise FormatError(f"expected {expected} bytes for n={n}, got {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<c16", offset=8)
-    return flat.reshape(dim, dim).astype(np.complex128)
+    m = np.frombuffer(blob, dtype="<c16", offset=8).reshape(dim, dim).astype(np.complex128)
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0].tolist()
+        raise FormatError(f"entry ({i}, {j}): not a finite complex number")
+    return m
 
 
 def write_dense(path, m: np.ndarray, binary: bool = False):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ClosureExplosion, ContourError, SingularSystem
-from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, capped_basis
+from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, capped_basis, close
 from .pauli import I_POWERS_ARR, LANES, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
 
@@ -247,10 +247,10 @@ def exp_spectral(
     the paper's reference path: A = V diag(w) V*, and the expansion over the
     identity and the closure is exp(-beta offset) V (e^{-beta w} . conj(V[0])),
     in the same log scale as Reduced."""
-    sm = build_structure_matrix(h, cap=cap)
-    w, v = np.linalg.eigh(sm.matrix)
+    codes = close(h, cap)
+    w, v = np.linalg.eigh(build_structure_matrix(h, codes))
     _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta)
-    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), sm.term_set.codes),
+    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), codes),
                                       _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
@@ -410,17 +410,3 @@ def gibbs_state(
     normalization makes that coefficient exact by construction.
     """
     return Reduced(h, cap).gibbs(beta)
-
-
-def multiply_expansions(a: PauliExpansion, b: PauliExpansion) -> PauliExpansion:
-    """Product of two expansions, re-expanded in the string basis."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
-    ka, kb, ca, cb = a.codes, b.codes, a.values, b.values
-    prods = (ka[:, None] ^ kb[None, :]).ravel()
-    exps = phase_exponents(ka[:, None], np.broadcast_to(kb[None, :], (ka.size, kb.size)))
-    weights = (ca[:, None] * cb[None, :] * I_POWERS_ARR[exps]).ravel()
-    uniq, inverse = np.unique(prods, return_inverse=True)
-    sums = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(sums, inverse, weights)
-    return PauliExpansion.from_arrays(a.n, uniq, sums)

@@ -1,4 +1,4 @@
-"""Sparse Pauli-basis Hamiltonians, closed term sets, and decomposition.
+"""Sparse Pauli-basis Hamiltonians, closures of their support, and decomposition.
 
 A Hamiltonian here is a real linear combination of non-identity Pauli
 strings plus an optional multiple of the identity, kept separate because the
@@ -178,55 +178,6 @@ class PauliExpansion:
         return PauliExpansion.from_arrays(self.n, self.codes, factor * self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedTermSet:
-    """Strictly increasing array of non-identity codes, closed under XOR.
-
-    Position i in `codes` is row/column i+1 of the structure matrix; index 0
-    is reserved for the identity border.
-    """
-
-    n: int
-    codes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        codes = checked_codes(self.n, self.codes, "closed sets never contain the identity")
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def tau(self) -> int:
-        return int(self.codes.size)
-
-    def __len__(self) -> int:
-        return self.tau
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosedTermSet):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.codes, other.codes)
-
-    def __hash__(self):
-        return hash((self.n, self.codes.tobytes()))
-
-    def index_of(self, code: int) -> int:
-        """Position of `code` in the set; KeyError when absent."""
-        i = int(np.searchsorted(self.codes, np.uint64(code)))
-        if i >= self.tau or int(self.codes[i]) != int(code):
-            raise KeyError(f"code {code} not in closed set")
-        return i
-
-    def code_at(self, i: int) -> int:
-        return int(self.codes[i])
-
-    def is_closed(self) -> bool:
-        """Full pairwise check that every product stays inside the set."""
-        if self.tau == 0:
-            return True
-        prods = np.unique((self.codes[:, None] ^ self.codes[None, :]).ravel())
-        prods = prods[prods != 0]
-        return bool(np.isin(prods, self.codes).all())
-
-
 def _gf2_basis(codes: np.ndarray) -> np.ndarray:
     """Basis of the GF(2) span of uint64 codes, leading bits descending.
 
@@ -249,8 +200,9 @@ def capped_basis(codes: np.ndarray, cap: int) -> np.ndarray:
     return basis
 
 
-def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
-    """Multiplicative closure of the given non-identity codes.
+def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
+    """Multiplicative closure of the given non-identity codes, as a strictly
+    increasing uint64 array without the identity.
 
     The closure is the GF(2) span of the codes minus the zero word. Gaussian
     elimination finds a basis of rank r; when the exact size 2**r - 1 exceeds
@@ -265,10 +217,10 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
     for b in capped_basis(codes, cap):
         span = np.concatenate((span, span ^ b))
     span.sort()
-    return ClosedTermSet(n, span[1:])
+    return span[1:]
 
 
-def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> ClosedTermSet:
+def close(h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
     """Closure of a Hamiltonian's support under string composition."""
     return close_codes(h.n, h.codes, cap)
 
@@ -300,7 +252,7 @@ def random_closed_hamiltonian(rng: np.random.Generator, n: int, s: int,
             z[:, a] ^= x[:, a]
     digits = (2 * z + (x ^ z)).astype(np.uint64)  # X = 1, Y = 2, Z = 3
     gens = (digits << 2 * np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-    codes = close_codes(n, gens, cap=2 ** (2 * s + c) - 1).codes
+    codes = close_codes(n, gens, cap=2 ** (2 * s + c) - 1)
     return SparseHamiltonian.from_arrays(n, codes, rng.uniform(-1.0, 1.0, size=codes.size))
 
 
@@ -410,7 +362,7 @@ def _qubits(doc, key: str) -> int:
     if not isinstance(doc, dict) or "n" not in doc or key not in doc:
         raise FormatError(f'expected an object with "n" and "{key}"')
     n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise FormatError(f'"n" must be an integer in [1, {MAX_QUBITS}]')
     return n
 

@@ -13,12 +13,10 @@ characteristic_poly_at; solve_shifted also serves the contour quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SingularSystem
-from .hamiltonian import DEFAULT_CLOSURE_CAP, ClosedTermSet, SparseHamiltonian, close
+from .hamiltonian import DEFAULT_CLOSURE_CAP, SparseHamiltonian, checked_codes, close
 from .pauli import I_POWERS_ARR, phase_exponents
 
 # residual acceptance: ||(zI - A) r - e0|| <= RESIDUAL_RTOL * (|z| + ||A||_inf)
@@ -49,55 +47,28 @@ def assemble(codes: np.ndarray, coeffs: np.ndarray):
     return a, -1, -1
 
 
-@dataclass(frozen=True, eq=False)
-class StructureMatrix:
-    """Hermitian matrix of the reduced system over a closed term set."""
-
-    term_set: ClosedTermSet
-    matrix: np.ndarray = field(repr=False)
-    norm_inf: float
-
-    @property
-    def size(self) -> int:
-        return self.term_set.tau + 1
-
-    def code_at(self, i: int) -> int:
-        """Code for row/column i >= 1; row 0 is the identity border."""
-        if i == 0:
-            return 0
-        return self.term_set.code_at(i - 1)
-
-
 def build_structure_matrix(
-    h: SparseHamiltonian, term_set: ClosedTermSet | None = None, cap: int = DEFAULT_CLOSURE_CAP
-) -> StructureMatrix:
-    """Assemble the bordered structure matrix for h over its closure.
+    h: SparseHamiltonian, term_set=None, cap: int = DEFAULT_CLOSURE_CAP
+) -> np.ndarray:
+    """The bordered structure matrix of h over a closed set of codes: row
+    and column 0 are the identity, row and column i the code term_set[i - 1].
 
-    A precomputed term_set may be passed to skip re-closing; it must contain
-    the support of h.
+    term_set defaults to close(h, cap); a given one must be a strictly
+    increasing code array on h's qubits, closed and holding h's support.
     """
     if term_set is None:
         term_set = close(h, cap)
-    if term_set.n != h.n:
-        raise ValueError(f"term set is on {term_set.n} qubits, Hamiltonian on {h.n}")
-    coeffs = np.zeros(term_set.tau)
-    _, into, of_h = np.intersect1d(term_set.codes, h.codes, assume_unique=True, return_indices=True)
+    codes = checked_codes(h.n, term_set, "closed sets never contain the identity")
+    coeffs = np.zeros(codes.size)
+    _, into, of_h = np.intersect1d(codes, h.codes, assume_unique=True, return_indices=True)
+    if of_h.size < h.codes.size:
+        raise ValueError("term set does not hold the support of the Hamiltonian")
     coeffs[into] = h.values[of_h]
-    matrix, bad_k, bad_l = assemble(term_set.codes, coeffs)
+    matrix, bad_k, bad_l = assemble(codes, coeffs)
     if bad_k >= 0:
         raise ValueError(
-            "term set is not closed: "
-            f"{term_set.code_at(bad_k)} * {term_set.code_at(bad_l)} escapes it"
-        )
-    norm = float(np.linalg.norm(matrix, np.inf)) if matrix.size else 0.0
-    return StructureMatrix(term_set, matrix, norm)
-
-
-def _matrix_and_norm(a) -> tuple[np.ndarray, float]:
-    if isinstance(a, StructureMatrix):
-        return a.matrix, a.norm_inf
-    m = np.asarray(a, dtype=np.complex128)
-    return m, float(np.linalg.norm(m, np.inf))
+            f"term set is not closed: {int(codes[bad_k])} * {int(codes[bad_l])} escapes it")
+    return matrix
 
 
 def solve_shifted(m: np.ndarray, z: complex, rhs: np.ndarray, norm: float) -> np.ndarray:
@@ -120,18 +91,18 @@ def solve_shifted(m: np.ndarray, z: complex, rhs: np.ndarray, norm: float) -> np
     return x
 
 
-def resolvent_at(a, z: complex) -> np.ndarray:
-    """Solve (zI - A) r = e0 by solve_shifted.
+def resolvent_at(m: np.ndarray, z: complex) -> np.ndarray:
+    """Solve (zI - m) r = e0 by solve_shifted for a structure matrix m.
 
     Returns the coefficient vector of (z - H)^{-1} over (identity, codes).
     """
-    m, norm = _matrix_and_norm(a)
+    m = np.asarray(m, dtype=np.complex128)
     rhs = np.zeros((m.shape[0], 1), dtype=np.complex128)
     rhs[0] = 1.0
-    return solve_shifted(m, z, rhs, norm)[:, 0]
+    return solve_shifted(m, z, rhs, float(np.linalg.norm(m, np.inf)))[:, 0]
 
 
-def characteristic_poly_at(a, z: complex) -> complex:
-    """det(zI - A), the denominator of every resolvent coefficient."""
-    m, _ = _matrix_and_norm(a)
+def characteristic_poly_at(m: np.ndarray, z: complex) -> complex:
+    """det(zI - m), the denominator of every resolvent coefficient."""
+    m = np.asarray(m, dtype=np.complex128)
     return complex(np.linalg.det(z * np.eye(m.shape[0], dtype=np.complex128) - m))

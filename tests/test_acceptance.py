@@ -102,7 +102,7 @@ def test_criterion_02_seven_term_partition_and_spectrum():
             want = (0.5 * math.exp(beta * h1) * math.cosh(beta * lo)
                     + 0.5 * math.exp(-beta * h1) * math.cosh(beta * hi))
             worst_z = max(worst_z, abs(z_norm - want) / abs(want))
-        got_eigs = np.sort(np.linalg.eigvalsh(build_structure_matrix(ham).matrix))
+        got_eigs = np.sort(np.linalg.eigvalsh(build_structure_matrix(ham)))
         want_eigs = np.sort(np.repeat([-h1 - lo, -h1 + lo, h1 - hi, h1 + hi], 2))
         worst_eig = max(worst_eig, float(np.abs(got_eigs - want_eigs).max()))
     assert worst_z <= 1e-10
@@ -180,7 +180,7 @@ def test_criterion_07_contour_convergence():
     assert len(ham.terms) == 7
     beta = 1.0
     ref = exp_spectral(ham, beta)
-    eigs = np.linalg.eigvalsh(build_structure_matrix(ham).matrix)
+    eigs = np.linalg.eigvalsh(build_structure_matrix(ham))
     # circle with convergence factor 0.8, so quadrature error shrinks by
     # orders of magnitude per doubling without bottoming out before M=128
     radius = float(np.abs(eigs).max()) / 0.8

@@ -14,11 +14,10 @@ from pauliexp import (
     dense_exp,
     gibbs_state,
     load_hamiltonian,
-    parse_string,
     reconstruct_dense,
 )
 from pauliexp.cli import main, parse_beta
-from pauliexp.dense import dense_from_bytes, dense_from_json
+from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes
 from pauliexp.engine import Reduced, exp_with_method
 from pauliexp.hamiltonian import (
     expansion_from_dict,
@@ -26,6 +25,7 @@ from pauliexp.hamiltonian import (
     format_hamiltonian_text,
     random_closed_hamiltonian,
 )
+from pauliexp.pauli import parse_codes
 import pauliexp.cli
 
 
@@ -45,7 +45,7 @@ def parse_text_expansion(out: str) -> dict[int, complex]:
         if not line or line.startswith("#"):
             continue
         pauli, re, im = line.split()
-        coeffs[parse_string(pauli).code] = complex(float(re), float(im))
+        coeffs[int(parse_codes([pauli])[0])] = complex(float(re), float(im))
     return coeffs
 
 
@@ -265,6 +265,7 @@ class TestExp:
 
 _FINITE = "coeff must be a finite real number"
 _NOT_PAULI = "not a Pauli string (digits 0-3 or letters IXYZ): "
+_DENSE = '{"n": %s, "matrix": [[[1, 0], %s], [[0, 0], [1, 0]]]}'  # "n", then entry (0, 1)
 
 
 class TestInputErrors:
@@ -320,11 +321,28 @@ class TestInputErrors:
                      + ', "pauli": "Z"}]}', 1, f"input error: terms[1]: {_FINITE}", id="int-1e400"),
         ('{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"}, {"coeff": 1e308, "pauli": "X"}]}', 1,
          "config error: non-finite coefficient for code 1"),
+        ('{"n": true, "terms": [{"coeff": 1, "pauli": "X"}]}', 1,
+         'input error: "n" must be an integer in [1, 32]'),
     ])
     def test_json(self, capsys, tmp_path, doc, code, message):
         p = tmp_path / "h.json"
         p.write_text(doc)
         assert run(capsys, "closure", "-i", str(p)) == (code, "", f"pauliexp: {message}\n")
+
+    @pytest.mark.parametrize("data,message", [
+        (_DENSE % ("1", "[null, 0]"), "entry (0, 1): re must be a real number"),
+        (_DENSE % ("1", "[0, true]"), "entry (0, 1): im must be a real number"),
+        (_DENSE % ("1", '["1e999", 0]'), "entry (0, 1): re must be a real number"),
+        (_DENSE % ("1", "[NaN, 0]"), "entry (0, 1): re must be a finite real number"),
+        (_DENSE % ("1", "[0, Infinity]"), "entry (0, 1): im must be a finite real number"),
+        (_DENSE % ("true", "[0, 0]"), '"n" must be a positive integer'),
+        (dense_to_bytes(np.array([[1, 0], [np.nan, 1]])),
+         "entry (1, 0): not a finite complex number"),
+    ], ids=["null", "true", "string", "NaN", "Infinity", "bool-n", "pexp-NaN"])
+    def test_dense(self, capsys, tmp_path, data, message):
+        p = tmp_path / "m"
+        p.write_bytes(data if isinstance(data, bytes) else data.encode())
+        assert run(capsys, "decompose", "-i", str(p)) == (1, "", f"pauliexp: input error: {message}\n")
 
     @pytest.mark.parametrize("name,text", [
         ("h.txt", "0.5 xyz\n-1 iZy\n"),
@@ -882,6 +900,17 @@ class TestBench:
         )
         assert proc.returncode == 1
         assert "rank 5 exceeds 2n = 4" in proc.stderr
+
+    @pytest.mark.parametrize("tau_list,message", [
+        ("3,7,15,31", "config error: rank 5 exceeds 2n = 4, the most n=2 qubits allow"),
+        ("3,7,6", "input error: tau must be 2^k - 1 for a closed set, got 6"),
+    ])
+    def test_tau_list_checked_before_timing(self, capsys, monkeypatch, tau_list, message):
+        calls = []
+        monkeypatch.setattr(pauliexp.cli, "_time_call", lambda *args, **kw: calls.append(args))
+        assert run(capsys, "bench", "--suite", "spectral-tau", "--n", "2", "--tau-list", tau_list,
+                   "--repeats", "1") == (1, "", f"pauliexp: {message}\n")
+        assert calls == []
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "bench.csv"

@@ -4,13 +4,11 @@ import pytest
 from pauliexp import (
     FormatError,
     PauliExpansion,
-    PauliString,
     SparseHamiltonian,
     compare,
     dense_exp,
     embed,
     load_hamiltonian,
-    parse_string,
     pauli_matrix,
     read_dense,
     reconstruct_dense,
@@ -27,13 +25,13 @@ from pauliexp.dense import (
 
 class TestPauliMatrix:
     def test_one_qubit_exact(self):
-        assert np.array_equal(pauli_matrix(parse_string("I")), np.eye(2))
-        assert np.array_equal(pauli_matrix(parse_string("X")), [[0, 1], [1, 0]])
-        assert np.array_equal(pauli_matrix(parse_string("Y")), [[0, -1j], [1j, 0]])
-        assert np.array_equal(pauli_matrix(parse_string("Z")), [[1, 0], [0, -1]])
+        assert np.array_equal(pauli_matrix(1, 0), np.eye(2))
+        assert np.array_equal(pauli_matrix(1, 1), [[0, 1], [1, 0]])
+        assert np.array_equal(pauli_matrix(1, 2), [[0, -1j], [1j, 0]])
+        assert np.array_equal(pauli_matrix(1, 3), [[1, 0], [0, -1]])
 
     def test_identity_any_width(self):
-        assert np.array_equal(pauli_matrix(PauliString.identity(3)), np.eye(8))
+        assert np.array_equal(pauli_matrix(3, 0), np.eye(8))
 
     def test_kron_order_big_endian(self):
         # "31" = (Z on qubit 1) kron (X on qubit 2): leftmost digit outermost
@@ -41,27 +39,32 @@ class TestPauliMatrix:
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
             dtype=complex,
         )
-        assert np.array_equal(pauli_matrix(parse_string("31")), want)
+        assert np.array_equal(pauli_matrix(2, int("31", 4)), want)
 
     def test_traces(self, rng):
         n = 3
-        assert np.trace(pauli_matrix(PauliString.identity(n))) == 2**n
+        assert np.trace(pauli_matrix(n, 0)) == 2**n
         for code in rng.integers(1, 4**n, size=8):
-            assert np.trace(pauli_matrix(PauliString(n, int(code)))) == 0
+            assert np.trace(pauli_matrix(n, int(code))) == 0
 
     def test_unitary_hermitian_exact(self, rng):
         for code in rng.integers(0, 4**3, size=6):
-            m = pauli_matrix(PauliString(3, int(code)))
+            m = pauli_matrix(3, int(code))
             assert np.array_equal(m, m.conj().T)
             assert np.array_equal(m @ m, np.eye(8))
 
+    @pytest.mark.parametrize("code", [-1, 4, 2**64 - 1])
+    def test_code_out_of_range(self, code):
+        with pytest.raises(ValueError, match=f"code {code} out of range for n=1"):
+            pauli_matrix(1, code)
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            pauli_matrix(PauliString.identity(11))
+            pauli_matrix(11, 0)
         with pytest.raises(ValueError):
-            pauli_matrix(PauliString.identity(11), dense_cap=DENSE_CAP_MAX + 1)
+            pauli_matrix(11, 0, dense_cap=DENSE_CAP_MAX + 1)
         # raising the cap unlocks it
-        m = pauli_matrix(PauliString.identity(11), dense_cap=11)
+        m = pauli_matrix(11, 0, dense_cap=11)
         assert m.shape == (2048, 2048)
 
 
@@ -213,6 +216,8 @@ class TestFormats:
             b"NOPE" + b"\x00" * 20,
             b"PEXP" + b"\x01\x00\x00\x00",  # truncated body
             b"PEXP" + b"\x30\x00\x00\x00" + b"\x00" * 64,  # absurd n
+            b"PEXP" + b"\x01\x00\x00\x00" + np.array([1, 0, 1j * np.inf, 1]).astype("<c16").tobytes(),
+            b"PEXP" + b"\x01\x00\x00\x00" + np.array([1, np.nan, 0, 1]).astype("<c16").tobytes(),
         ],
     )
     def test_bad_bytes(self, blob):
@@ -228,10 +233,20 @@ class TestFormats:
             '{"n": 1, "matrix": [[[0,0],[0,0]],[[0,0],[0]]]}',
             '{"n": 0, "matrix": [[[0,0]]]}',
             '{"n": 1, "matrix": [[[0,0],[0,0]],[[0,0]]]}',
+            '{"n": true, "matrix": [[[0,0],[0,0]],[[0,0],[0,0]]]}',
         ],
     )
     def test_bad_json(self, text):
         with pytest.raises(FormatError):
+            dense_from_json(text)
+
+    @pytest.mark.parametrize("part", ["null", "true", '"0.5"', '"1e999"', "NaN", "Infinity",
+                                      "1e400", "[1]"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_bad_entry_is_named(self, part, at):
+        pair = [part, "0"] if at == 0 else ["0", part]
+        text = ('{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [%s, %s]]]}' % tuple(pair))
+        with pytest.raises(FormatError, match=r"^entry \(1, 1\): (re|im) must be a "):
             dense_from_json(text)
 
     def test_read_dense_rejects_garbage(self, tmp_path):

@@ -2,61 +2,69 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pauliexp.dense import pauli_matrix
+from pauliexp.hamiltonian import checked_codes
 from pauliexp.pauli import (
+    I_POWERS_ARR,
     MAX_QUBITS,
     LabelError,
-    PauliString,
-    Phase,
-    commutes,
-    compose,
     format_codes,
-    format_string,
     parse_codes,
-    parse_string,
-    phase,
     phase_exponent,
-    structure_constant,
+    phase_exponents,
 )
 
 
+def code(label: str) -> int:
+    """The code of one base-4 label, by Python's own int parser."""
+    return int(label, 4)
+
+
+def commutes(x: int, y: int) -> bool:
+    """Strings commute exactly when both orders pick up the same phase."""
+    return phase_exponent(x, y) == phase_exponent(y, x)
+
+
+def commutator_coefficient(x: int, y: int) -> float:
+    """Real C with [P_x, P_y] = i C P_(x xor y): zero when they commute, else +-2."""
+    c = I_POWERS_ARR[(phase_exponent(x, y) + 1) % 4] - I_POWERS_ARR[(phase_exponent(y, x) + 1) % 4]
+    assert c.imag == 0.0  # a commutator of Pauli strings is i times a real multiple
+    return float(c.real)
+
+
 class TestPauliString:
+    """Pauli strings as packed base-4 codes, qubit 1 the most significant digit."""
+
     def test_from_digits_round_trip(self):
-        p = PauliString.from_digits([1, 2, 3])
-        assert p.n == 3
-        assert p.code == 0b011011  # 1*16 + 2*4 + 3
-        assert p.digits == (1, 2, 3)
+        assert parse_codes(["123"]).tolist() == [0b011011]  # 1*16 + 2*4 + 3
+        assert format_codes(3, [0b011011]) == ["123"]
 
     def test_identity(self):
-        p = PauliString.identity(4)
-        assert p.is_identity()
-        assert p.digits == (0, 0, 0, 0)
-        assert p.weight == 0
-
-    def test_weight(self):
-        assert PauliString.from_digits([0, 2, 0, 3]).weight == 2
+        assert format_codes(4, [0]) == ["0000"]
+        assert format_codes(4, [0], "letters") == ["IIII"]
+        assert parse_codes(["IIII"]).tolist() == [0]
 
     def test_str_uses_digits(self):
-        assert str(PauliString.from_digits([3, 1, 2])) == "312"
+        assert format_codes(3, [code("312")]) == ["312"]
 
     @pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1])
     def test_bad_n(self, n):
-        with pytest.raises(ValueError):
-            PauliString(n, 0)
+        with pytest.raises(ValueError, match="qubit count"):
+            checked_codes(n, [0])
 
     def test_code_out_of_range(self):
-        with pytest.raises(ValueError):
-            PauliString(2, 16)
-        with pytest.raises(ValueError):
-            PauliString(2, -1)
+        with pytest.raises(ValueError, match="out of range"):
+            checked_codes(2, [16])
+        with pytest.raises(ValueError, match="out of range"):
+            checked_codes(2, [-1])
 
     def test_bad_digit(self):
-        with pytest.raises(ValueError):
-            PauliString.from_digits([1, 4])
+        with pytest.raises(LabelError):
+            parse_codes(["14"])
 
     def test_max_width(self):
-        p = PauliString.from_digits([3] * MAX_QUBITS)
-        assert p.code == 4**MAX_QUBITS - 1
-        assert p.digits == (3,) * MAX_QUBITS
+        assert parse_codes(["3" * MAX_QUBITS]).tolist() == [4**MAX_QUBITS - 1]
+        assert format_codes(MAX_QUBITS, [4**MAX_QUBITS - 1]) == ["3" * MAX_QUBITS]
 
 
 class TestParseFormat:
@@ -73,33 +81,35 @@ class TestParseFormat:
         ],
     )
     def test_parse(self, text, digits):
-        assert parse_string(text).digits == digits
+        label = "".join(map(str, digits))
+        assert parse_codes([text]).tolist() == [code(label)]
+        assert format_codes(len(digits), parse_codes([text])) == [label]
 
     def test_letters_and_digits_agree(self):
-        assert parse_string("XYZI") == parse_string("1230")
+        assert parse_codes(["XYZI"]).tolist() == parse_codes(["1230"]).tolist()
 
     @pytest.mark.parametrize("bad", ["", "  ", "1X", "4", "W", "12 3"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            parse_string(bad)
+            parse_codes([bad])
 
     def test_format_round_trip(self):
-        p = parse_string("0123")
-        assert format_string(p) == "0123"
-        assert format_string(p, "letters") == "IXYZ"
-        assert parse_string(format_string(p, "letters")) == p
+        codes = parse_codes(["0123"])
+        assert format_codes(4, codes) == ["0123"]
+        assert format_codes(4, codes, "letters") == ["IXYZ"]
+        assert parse_codes(format_codes(4, codes, "letters")).tolist() == codes.tolist()
 
     def test_format_bad_alphabet(self):
         with pytest.raises(ValueError):
-            format_string(PauliString.identity(1), "runes")
+            format_codes(1, [0], "runes")
 
 
 class TestFormatCodes:
-    """format_codes against PauliString.digits mapped through the alphabet."""
+    """format_codes against the base-4 digits mapped through the alphabet one by one."""
 
     @staticmethod
     def reference(n, codes, table):
-        return ["".join(table[d] for d in PauliString(n, int(c)).digits) for c in codes]
+        return ["".join(table[int(c) >> 2 * (n - 1 - q) & 3] for q in range(n)) for c in codes]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 31, 32])
     @pytest.mark.parametrize("alphabet,table", [("digits", "0123"), ("letters", "IXYZ")])
@@ -124,8 +134,9 @@ class TestFormatCodes:
             format_codes(2, [1, 2], "runes")
 
 
-def parse_one(text: str) -> PauliString:
-    """Per-character parse of one label: the reference parse_codes must match."""
+def parse_one(text: str) -> tuple[int, int]:
+    """Per-character parse of one label to (qubits, code): the reference
+    parse_codes must match."""
     s = text.strip()
     if not s:
         raise ValueError("empty Pauli string")
@@ -136,7 +147,9 @@ def parse_one(text: str) -> PauliString:
         digits = ["IXYZ".index(c) for c in up]
     else:
         raise ValueError(f"not a Pauli string (digits 0-3 or letters IXYZ): {text!r}")
-    return PauliString.from_digits(digits)
+    if len(digits) > MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {len(digits)}")
+    return len(digits), sum(d << 2 * (len(digits) - 1 - q) for q, d in enumerate(digits))
 
 
 def parse_list(labels, n=None):
@@ -144,14 +157,14 @@ def parse_list(labels, n=None):
     codes = []
     for i, label in enumerate(labels):
         try:
-            p = parse_one(label)
+            length, c = parse_one(label)
         except ValueError as exc:
             return None, (i, str(exc))
-        width = n if n is not None else (p.n if i == 0 else width)
-        if p.n != width:
+        width = n if n is not None else (length if i == 0 else width)
+        if length != width:
             tail = f"{width} from earlier lines" if n is None else f"n={n}"
-            return None, (i, f"string length {p.n} != {tail}")
-        codes.append(p.code)
+            return None, (i, f"string length {length} != {tail}")
+        codes.append(c)
     return codes, None
 
 
@@ -183,8 +196,7 @@ class TestParseCodes:
                 parse_codes([text])
             assert (info.value.index, str(info.value)) == (0, str(exc))
         else:
-            assert parse_codes([text]).tolist() == [want.code]
-            assert parse_string(text) == want
+            assert parse_codes([text]).tolist() == [want[1]]
 
     @given(st.lists(label_text, max_size=5), st.sampled_from([None, 1, 2, 3]))
     def test_lists_match_reference(self, labels, n):
@@ -210,24 +222,28 @@ class TestParseCodes:
 
 
 class TestPhase:
+    """The phases i**e as I_POWERS_ARR, indexed by phase exponents."""
+
     def test_values_exact(self):
-        assert Phase(0).value == 1
-        assert Phase(1).value == 1j
-        assert Phase(2).value == -1
-        assert Phase(3).value == -1j
+        assert I_POWERS_ARR.tolist() == [1, 1j, -1, -1j]
+        # every zero part is +0.0, so no product with it leaves a -0.0 behind
+        assert np.signbit(I_POWERS_ARR.real).tolist() == [False, False, True, False]
+        assert np.signbit(I_POWERS_ARR.imag).tolist() == [False, False, False, True]
 
     def test_mod_four(self):
-        assert Phase(5) == Phase(1)
-        assert Phase(-1) == Phase(3)
+        # four cyclic qubit pairs give i**4 = 1, three give i**3 = -i
+        assert phase_exponent(code("1111"), code("2222")) == 0
+        assert phase_exponent(code("111"), code("222")) == 3
+        assert phase_exponents(np.uint64(code("1111")), np.uint64(code("2222"))) == 0
 
     def test_product(self):
-        assert (Phase(3) * Phase(2)).value == 1j
+        for a in range(4):
+            for b in range(4):
+                assert I_POWERS_ARR[(a + b) % 4] == I_POWERS_ARR[a] * I_POWERS_ARR[b]
 
     def test_conjugate(self):
-        assert Phase(1).conjugate() == Phase(3)
-
-    def test_str(self):
-        assert [str(Phase(e)) for e in range(4)] == ["1", "i", "-1", "-i"]
+        for e in range(4):
+            assert I_POWERS_ARR[-e % 4] == np.conj(I_POWERS_ARR[e])
 
 
 # single-qubit multiplication table: (left, right) -> (product digit, phase exp)
@@ -247,129 +263,108 @@ ONE_QUBIT_TABLE = {
 
 
 class TestCompose:
+    """P_a P_b = i**phase_exponent(a, b) P_(a xor b)."""
+
     @pytest.mark.parametrize("pair,expected", list(ONE_QUBIT_TABLE.items()))
     def test_one_qubit_table(self, pair, expected):
-        a, b = (PauliString(1, d) for d in pair)
-        m, ph = compose(a, b)
-        assert (m.code, ph.exponent) == expected
+        a, b = pair
+        assert (a ^ b, phase_exponent(a, b)) == expected
+        assert phase_exponents(np.uint64(a), np.uint64(b)) == expected[1]
 
     def test_cyclic_triple(self):
         # ordered products of the weight-3 cycle pick up +i forward, -i back
-        s123, s231, s312 = (parse_string(t) for t in ("123", "231", "312"))
-        assert compose(s123, s312) == (s231, Phase(1))
-        assert compose(s231, s123) == (s312, Phase(1))
-        assert compose(s312, s231) == (s123, Phase(1))
-        assert compose(s312, s123) == (s231, Phase(3))
+        s123, s231, s312 = code("123"), code("231"), code("312")
+        assert (s123 ^ s312, phase_exponent(s123, s312)) == (s231, 1)
+        assert (s231 ^ s123, phase_exponent(s231, s123)) == (s312, 1)
+        assert (s312 ^ s231, phase_exponent(s312, s231)) == (s123, 1)
+        assert (s312 ^ s123, phase_exponent(s312, s123)) == (s231, 3)
 
     def test_mixed_identity_positions(self):
-        m, ph = compose(parse_string("312"), parse_string("210"))
-        assert format_string(m) == "102"
-        assert ph.value == -1j
+        a, b = code("312"), code("210")
+        assert format_codes(3, [a ^ b]) == ["102"]
+        assert I_POWERS_ARR[phase_exponent(a, b)] == -1j
 
     def test_phase_golden(self):
-        assert phase(parse_string("231"), parse_string("312")).value == -1j
+        assert I_POWERS_ARR[phase_exponent(code("231"), code("312"))] == -1j
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(parse_string("12"), parse_string("123"))
-        with pytest.raises(ValueError, match="qubit counts differ: 2 != 3"):
-            phase_exponent(parse_string("12"), parse_string("123"))
+        # codes carry no width: strings of different lengths are caught as labels
+        with pytest.raises(LabelError, match="string length 3 != 2 from earlier lines"):
+            parse_codes(["12", "123"])
+        with pytest.raises(LabelError, match="string length 3 != n=2"):
+            parse_codes(["123"], 2)
 
 
 class TestCommutesAndStructure:
     def test_single_qubit_anticommute(self):
-        assert not commutes(PauliString(1, 1), PauliString(1, 2))
+        assert not commutes(1, 2)
 
     def test_commutes_with_identity(self):
-        assert commutes(parse_string("123"), parse_string("000"))
+        assert commutes(code("123"), 0)
 
     def test_even_overlap_commutes(self):
-        assert commutes(parse_string("12"), parse_string("21"))
+        assert commutes(code("12"), code("21"))
 
     def test_structure_constant_golden(self):
-        assert structure_constant(parse_string("123"), parse_string("312")) == -2.0
+        assert commutator_coefficient(code("123"), code("312")) == -2.0
 
     def test_structure_constant_zero_iff_commuting(self):
-        a, b = parse_string("330"), parse_string("033")
+        a, b = code("330"), code("033")
         assert commutes(a, b)
-        assert structure_constant(a, b) == 0.0
+        assert commutator_coefficient(a, b) == 0.0
 
     def test_antisymmetry(self):
-        a, b = parse_string("123"), parse_string("312")
-        assert structure_constant(a, b) == -structure_constant(b, a)
+        a, b = code("123"), code("312")
+        assert commutator_coefficient(a, b) == -commutator_coefficient(b, a)
 
 
-def strings(max_n=8):
+def strings(max_n=8, count=1):
+    """(n, codes...) with `count` codes on n qubits."""
     return st.integers(1, max_n).flatmap(
-        lambda n: st.builds(
-            PauliString, st.just(n), st.integers(0, 4**n - 1)
-        )
-    )
-
-
-def string_pairs(max_n=8):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(
-            st.builds(PauliString, st.just(n), st.integers(0, 4**n - 1)),
-            st.builds(PauliString, st.just(n), st.integers(0, 4**n - 1)),
-        )
-    )
+        lambda n: st.tuples(st.just(n), *[st.integers(0, 4**n - 1)] * count))
 
 
 class TestAlgebraProperties:
     @given(strings())
-    def test_self_product_is_identity(self, a):
-        m, ph = compose(a, a)
-        assert m.is_identity()
-        assert ph == Phase(0)
+    def test_self_product_is_identity(self, na):
+        _, a = na
+        assert (a ^ a, phase_exponent(a, a)) == (0, 0)
 
     @given(strings())
-    def test_identity_is_neutral(self, a):
-        ident = PauliString.identity(a.n)
-        assert compose(a, ident) == (a, Phase(0))
-        assert compose(ident, a) == (a, Phase(0))
+    def test_identity_is_neutral(self, na):
+        _, a = na
+        assert phase_exponent(a, 0) == phase_exponent(0, a) == 0
 
-    @given(string_pairs())
-    def test_phases_are_reciprocal(self, pair):
+    @given(strings(count=2))
+    def test_phases_are_reciprocal(self, nab):
         # a.b and b.a produce the same string, with conjugate phases
-        a, b = pair
+        _, a, b = nab
         assert (phase_exponent(a, b) + phase_exponent(b, a)) % 4 == 0
 
-    @given(string_pairs())
-    def test_commutes_symmetric(self, pair):
-        a, b = pair
+    @given(strings(count=2))
+    def test_commutes_symmetric(self, nab):
+        _, a, b = nab
         assert commutes(a, b) == commutes(b, a)
 
-    @given(string_pairs())
-    def test_structure_constant_values(self, pair):
-        a, b = pair
-        c = structure_constant(a, b)
+    @given(strings(count=2))
+    def test_structure_constant_values(self, nab):
+        _, a, b = nab
+        c = commutator_coefficient(a, b)
         assert c in (0.0, 2.0, -2.0)
         assert (c == 0.0) == commutes(a, b)
 
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda n: st.tuples(*([st.integers(0, 4**n - 1)] * 3)).map(
-                lambda codes: [PauliString(n, c) for c in codes]
-            )
-        )
-    )
-    def test_associativity(self, triple):
-        a, b, c = triple
-        ab, p1 = compose(a, b)
-        abc_left, p2 = compose(ab, c)
-        bc, p3 = compose(b, c)
-        abc_right, p4 = compose(a, bc)
-        assert abc_left == abc_right
-        assert p1 * p2 == p3 * p4
+    @given(strings(max_n=6, count=3))
+    def test_associativity(self, nabc):
+        # (a.b).c and a.(b.c): the same string, so the same total phase
+        _, a, b, c = nabc
+        left = phase_exponent(a, b) + phase_exponent(a ^ b, c)
+        right = phase_exponent(b, c) + phase_exponent(a, b ^ c)
+        assert left % 4 == right % 4
 
-    @given(string_pairs(max_n=3))
-    def test_matrix_representation(self, pair):
+    @given(strings(max_n=3, count=2))
+    def test_matrix_representation(self, nab):
         # the defining check: matrices multiply exactly like codes + phase
-        from pauliexp.dense import pauli_matrix
-
-        a, b = pair
-        m, ph = compose(a, b)
-        lhs = pauli_matrix(a) @ pauli_matrix(b)
-        rhs = ph.value * pauli_matrix(m)
+        n, a, b = nab
+        lhs = pauli_matrix(n, a) @ pauli_matrix(n, b)
+        rhs = I_POWERS_ARR[phase_exponent(a, b)] * pauli_matrix(n, a ^ b)
         assert np.array_equal(lhs, rhs)

@@ -18,7 +18,9 @@ matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
 JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
 closure exceeds the default cap; non-finite and large betas; `--nodes 0`
 under contour and the contour flags under other methods; `bench` (timings
-dropped); good and bad input files in both the text and the JSON format;
+dropped); good and bad input files in both the text and the JSON format,
+a JSON Hamiltonian with a bool "n" under `exp`, and dense JSON and PEXP
+files with a null, bool, string or NaN entry or a bool "n" under `decompose`;
 and closed sets of rank 4-7 on 32 qubits, with codes of 2**63 and above,
 under `exp --time`, `exp --beta` and `partition --gibbs`.
 """
@@ -26,6 +28,7 @@ under `exp --time`, `exp --beta` and `partition --gibbs`.
 import io
 import json
 import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -77,6 +80,18 @@ INPUTS = {
                      ' {"coeff": 1e308, "pauli": "X"}]}',
 }
 
+# dense inputs for decompose, each with one fault; the last is a PEXP blob
+EYE_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+BAD_DENSE = {
+    "dense_null.json": '{"n": 1, "matrix": [[[1, 0], [null, 0]], [[0, 0], [1, 0]]]}',
+    "dense_true.json": '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, true], [1, 0]]]}',
+    "dense_1e999.json": '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], ["1e999", 0]]]}',
+    "dense_nan.json": '{"n": 1, "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "dense_n_true.json": json.dumps({"n": True, "matrix": EYE_ROWS}),
+    "dense_nan.pexp": b"PEXP" + struct.pack("<I", 1) + np.array(
+        [1, 0, complex(0, np.nan), 1], dtype="<c16").tobytes(),
+}
+
 
 # its own builder, not pauliexp's, so that the inputs do not depend on the checkout under test
 def closed_n32(rank: int) -> str:
@@ -120,6 +135,11 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
         for name, m in [(f"herm{n}", a + a.conj().T), (f"gen{n}", a)]:
             write_dense(tmp / name, m, binary=n == 2)
             out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
+    for name, data in BAD_DENSE.items():
+        (tmp / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+        out.append(["decompose", "-i", str(tmp / name)])
+    (tmp / "n_true.json").write_text('{"n": true, "terms": [{"coeff": 1, "pauli": "X"}]}')
+    out.append(["exp", "-i", str(tmp / "n_true.json"), "--beta", "0.5"])
     out += [["decompose", "-i", fix["qutrit_embedded.json"], "--format", fmt, "--alphabet", a]
             for fmt in ["text", "json"] for a in ["digits", "letters"]]
     out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--symmetry-check",
