@@ -35,7 +35,6 @@ from .resolvent import (
     resolvent_at,
 )
 from .engine import (
-    ContourSpec,
     Reduced,
     exp_anticommuting,
     exp_contour,

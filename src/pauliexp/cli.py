@@ -26,7 +26,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import (DEFAULT_NODES, ContourSpec, Reduced, exp_contour, exp_pauli, exp_spectral,
+from .engine import (DEFAULT_NODES, Reduced, exp_contour, exp_pauli, exp_spectral,
                      exp_with_method)
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
@@ -74,6 +74,11 @@ def _finite(x: float, flag: str) -> float:
     return x
 
 
+def _check_tolerance(x: float, flag: str):
+    if _finite(x, flag) < 0:
+        raise FormatError(f"{flag} must be at least 0, got {x!r}")
+
+
 def _beta_from_args(args) -> complex:
     if args.time is not None:
         return 1j * _finite(args.time, "--time")
@@ -111,12 +116,13 @@ def _expansion_coeffs(e: PauliExpansion, alphabet: str) -> str:
 def _as_expansion(obj) -> PauliExpansion:
     if isinstance(obj, PauliExpansion):
         return obj
-    return PauliExpansion.from_arrays(obj.n, np.append(np.uint64(0), obj.codes),
-                                      np.append(obj.identity_offset, obj.values))
+    return PauliExpansion(obj.n, np.append(np.uint64(0), obj.codes),
+                          np.append(obj.identity_offset, obj.values))
 
 
 def cmd_exp(args) -> int:
     beta = _beta_from_args(args)
+    _check_tolerance(args.zero_tol, "--zero-tol")
     center = parse_beta(args.center) if args.center is not None else None
     h = load_hamiltonian(args.input)
     if (center is None) != (args.radius is None):
@@ -129,8 +135,7 @@ def cmd_exp(args) -> int:
         method = "dense"
     elif args.method == "contour":
         nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-        contour = None if center is None else ContourSpec(center, args.radius, nodes)
-        e, method = exp_contour(h, beta, contour, args.closure_cap, args.nodes), "contour"
+        e, method = exp_contour(h, beta, args.closure_cap, nodes, center, args.radius), "contour"
     else:
         e, method = exp_with_method(h, beta, args.method, args.closure_cap)
     if args.format == "pauli-text":
@@ -163,11 +168,16 @@ def cmd_partition(args) -> int:
     for beta, lz in zip(betas, log_z):
         try:
             z_trace = math.exp(lz)
+            if z_trace == math.inf:  # lz = inf, where -beta E_0 overflows
+                raise OverflowError
         except OverflowError:
             raise OverflowError(
                 f"z_trace at beta {beta!r} does not fit in float64 (log z_trace {lz!r})"
             ) from None
         free_energy = None if beta == 0.0 else -lz / beta
+        if free_energy is not None and not math.isfinite(free_energy):
+            raise OverflowError(f"free energy -log z_trace / beta at beta {beta!r} does not "
+                                f"fit in float64 (log z_trace {lz!r})")
         rows.append({"beta": beta, "z_normalized": z_trace / 2**h.n, "z_trace": z_trace,
                      "free_energy": free_energy})
     if args.gibbs:
@@ -215,6 +225,7 @@ def cmd_gibbs(args) -> int:
 def cmd_verify(args) -> int:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
+    _check_tolerance(args.tolerance, "--tolerance")
     # from the GF(2) rank alone: each method enforces its own cap
     tau = 2 ** capped_basis(h.codes, math.inf).size - 1
     e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
@@ -240,7 +251,7 @@ def _bench_pattern(n: int) -> SparseHamiltonian:
     gens = [all_x, all_z, x_first]
     codes = close_codes(n, gens)
     values = np.random.default_rng(7).uniform(-1.0, 1.0, size=codes.size)
-    return SparseHamiltonian.from_arrays(n, codes, values)
+    return SparseHamiltonian(n, codes, values)
 
 
 def _time_call(fn, repeats: int, warmup: bool = True) -> float:
@@ -314,6 +325,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_tolerance(args.zero_tol, "--zero-tol")
     m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
     if args.format == "json" and isinstance(obj, SparseHamiltonian):

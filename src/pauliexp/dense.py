@@ -20,6 +20,7 @@ from .hamiltonian import (
     PauliExpansion,
     SparseHamiltonian,
     _PAULI_1Q,
+    _qubits,
     _real,
     qubit_count,
 )
@@ -128,12 +129,7 @@ def dense_from_json(text: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
-        raise FormatError('expected an object with "n" and "matrix"')
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError('"n" must be a positive integer')
-    dim = 2**n
+    dim = 2 ** _qubits(doc, "matrix")
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise FormatError(f'"matrix" must have {dim} rows')

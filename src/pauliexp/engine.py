@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,40 +39,32 @@ DEFAULT_NODES = 64
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle center + radius for the quadrature, and node count."""
-
-    center: complex
-    radius: float
-    nodes: int = DEFAULT_NODES
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.nodes < 4:
-            raise ValueError(f"need at least 4 nodes, got {self.nodes}")
-
-
 def _scale(log_scale: complex, beta) -> complex:
-    """exp(log_scale); OverflowError naming beta when it does not fit in float64."""
+    """exp(log_scale); OverflowError naming beta when it does not fit in
+    float64, log_scale = inf included (cmath.exp returns inf for it)."""
     try:
-        return cmath.exp(log_scale)
+        scale = cmath.exp(log_scale)
     except OverflowError:
-        raise OverflowError(
-            f"exp(-beta H) at beta {complex(beta):g} does not fit in float64"
-        ) from None
+        scale = math.inf
+    if cmath.isinf(scale):
+        raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit in float64")
+    return scale
 
 
 def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
     """(betas, log_scale, t), one leading row per beta, for eigenvalues w of
     any shape: t = exp(-beta (w - shift)) and log_scale = -beta (shift +
     offset), with shift lo when Re beta > 0, hi when Re beta < 0 and 0 at
-    Re beta = 0, so that no entry of t exceeds 1 in modulus."""
+    Re beta = 0, so that no entry of t exceeds 1 in modulus. A product past
+    float64 is left infinite: -inf in the exponent of t is the exact limit
+    t = 0, and an infinite log_scale is refused by _scale and the callers."""
     betas = np.asarray(betas, dtype=np.complex128).reshape(-1)
     shift = np.array([lo if b > 0 else hi if b < 0 else 0.0 for b in betas.real.tolist()])
     col = (-1,) + (1,) * w.ndim
-    return betas, -betas * (shift + offset), np.exp(-betas.reshape(col) * (w - shift.reshape(col)))
+    with np.errstate(over="ignore"):
+        log_scale = -betas * (shift + offset)
+        exponent = -betas.reshape(col) * (w - shift.reshape(col))
+    return betas, log_scale, np.exp(exponent)
 
 
 def _real_rows(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -144,9 +135,10 @@ class Reduced:
     Each evaluation shifts the spectrum by its global lambda_min when
     Re beta > 0 and by lambda_max when Re beta < 0, so no exponential of it
     exceeds 1 in modulus, and carries the shift in a log scale. Gibbs
-    coefficients and log partition functions stay finite at every finite
-    beta; exp and exp_many raise OverflowError when the result itself does
-    not fit in float64.
+    coefficients stay finite at every finite beta, and log partition
+    functions while beta E fits in float64, E the lowest eigenvalue (the
+    highest for beta < 0), and +-inf past it; exp and exp_many raise
+    OverflowError when the result itself does not fit in float64.
     """
 
     def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP):
@@ -216,7 +208,7 @@ class Reduced:
 
     def exp(self, beta: complex) -> PauliExpansion:
         """exp(-beta H) as a Pauli expansion."""
-        return PauliExpansion.from_arrays(self.h.n, self.codes, self.exp_many(beta)[0])
+        return PauliExpansion(self.h.n, self.codes, self.exp_many(beta)[0])
 
     def log_partition(self, betas) -> np.ndarray:
         """log tr exp(-beta H) per beta, principal branch (real for real beta)."""
@@ -237,7 +229,7 @@ class Reduced:
 
     def gibbs(self, beta: float) -> PauliExpansion:
         """Gibbs state exp(-beta H) / tr exp(-beta H) as a Pauli expansion."""
-        return PauliExpansion.from_arrays(self.h.n, self.codes, self.gibbs_many(beta)[0])
+        return PauliExpansion(self.h.n, self.codes, self.gibbs_many(beta)[0])
 
 
 def exp_spectral(
@@ -250,63 +242,64 @@ def exp_spectral(
     codes = close(h, cap)
     w, v = np.linalg.eigh(build_structure_matrix(h, codes))
     _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta)
-    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), codes),
-                                      _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
+    return PauliExpansion(h.n, np.append(np.uint64(0), codes),
+                          _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
-def _quadrature(r: Reduced, beta: complex, spec: ContourSpec, norm: float) -> np.ndarray:
+def _quadrature(r: Reduced, beta: complex, center: complex, radius: float, nodes: int,
+                norm: float) -> np.ndarray:
     """Blocks of (1/N) sum_z (z - center) e^{-beta z} (z - H0)^{-1} over the
     N nodes z of the circle, one stacked solve of z I - M_lambda per node."""
-    angles = 2.0 * np.pi * np.arange(spec.nodes) / spec.nodes
-    zs = spec.center + spec.radius * np.exp(1j * angles)
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    zs = center + radius * np.exp(1j * angles)
     if (-beta * zs).real.max() > _LOG_FLOAT_MAX:
         raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
                             f"does not fit in float64; the spectral path has no such limit")
     eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
     acc = np.zeros(r.blocks.shape, dtype=np.complex128)
     for z in zs:
-        acc += (z - spec.center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, norm)
-    return acc / spec.nodes
+        acc += (z - center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, norm)
+    return acc / nodes
 
 
 def exp_contour(
     h: SparseHamiltonian,
     beta: complex,
-    contour: ContourSpec | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
-    nodes: int | None = None,
+    nodes: int = DEFAULT_NODES,
+    center: complex | None = None,
+    radius: float | None = None,
 ) -> PauliExpansion:
-    """exp(-beta H) via trapezoidal resolvent quadrature on a circle, solved
-    on the blocks of Reduced.
+    """exp(-beta H) via trapezoidal resolvent quadrature on a circle of
+    `nodes` points, solved on the blocks of Reduced.
 
     The spectrum lies in [-g, g] with g = sum |h_K|, the Gershgorin interval
     of the structure matrix (zero diagonal, each |h_K| once in every row).
-    The default circle has center 0 and radius 1.25 g + 1; a user contour
-    must also enclose the spectrum or ContourError is raised. If a node
-    lands on (or too near) an eigenvalue, the radius is grown by 1% and the
-    quadrature retried once. `nodes` overrides the node count of the
-    default contour; an explicit `contour` carries its own.
+    The circle's center defaults to 0 and its radius to 1.25 g + 1; it must
+    enclose the spectrum or ContourError is raised. If a node lands on (or
+    too near) an eigenvalue, the radius is grown by 1% and the quadrature
+    retried once.
     """
-    r = Reduced(h, cap)
     g = float(np.abs(h.values).sum())
-    spec = (
-        contour
-        if contour is not None
-        else ContourSpec(0j, 1.25 * g + 1.0, DEFAULT_NODES if nodes is None else nodes)
-    )
-    reach = float(np.abs(r.w - spec.center).max())
-    if reach >= spec.radius:
+    center = 0j if center is None else center
+    radius = 1.25 * g + 1.0 if radius is None else radius
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if nodes < 4:
+        raise ValueError(f"need at least 4 nodes, got {nodes}")
+    r = Reduced(h, cap)
+    reach = float(np.abs(r.w - center).max())
+    if reach >= radius:
         raise ContourError(
-            f"circle (center {spec.center}, radius {spec.radius}) does not "
+            f"circle (center {center}, radius {radius}) does not "
             f"enclose the spectrum (furthest eigenvalue at distance {reach})"
         )
     try:
-        f = _quadrature(r, beta, spec, g)
+        f = _quadrature(r, beta, center, radius, nodes, g)
     except SingularSystem:
-        spec = replace(spec, radius=spec.radius * 1.01)
-        f = _quadrature(r, beta, spec, g)
+        f = _quadrature(r, beta, center, radius * 1.01, nodes, g)
     scale = _scale(-beta * h.identity_offset, beta)
-    return PauliExpansion.from_arrays(h.n, r.codes, scale * r.coefficients(f[None])[0])
+    return PauliExpansion(h.n, r.codes, scale * r.coefficients(f[None])[0])
 
 
 def _anticommute_pairwise(codes: np.ndarray, rank: int) -> bool:
@@ -340,7 +333,7 @@ def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
         values = np.append(identity, -scale * ratio * h.values)
     if beta.imag == 0:  # exactly real (see _real_rows); the products above leave -0.0
         values.imag = 0.0
-    return PauliExpansion.from_arrays(h.n, np.append(np.uint64(0), h.codes), values)
+    return PauliExpansion(h.n, np.append(np.uint64(0), h.codes), values)
 
 
 def exp_anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
@@ -364,7 +357,7 @@ def exp_with_method(
     precondition holds, else the sector path (Reduced). Explicit methods
     never fall back: asking for anticommute on a non-anticommuting support
     is an error. method=contour runs the default circle; exp_contour takes
-    a circle or a node count.
+    a center, a radius or a node count.
     """
     if method in ("auto", "sector"):  # one GF(2) basis for the check and the reduction
         basis = capped_basis(h.codes, math.inf)

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
 
 import numpy as np
 
@@ -67,20 +65,13 @@ def _equal_fields(a, b) -> bool:
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
-def _sorted_items(mapping) -> tuple[list[int], list]:
-    """Codes and values of a {code: value} mapping, ascending by code."""
-    keys = sorted(mapping, key=int)
-    return [int(k) for k in keys], [mapping[k] for k in keys]
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
     """Real combination of non-identity Pauli strings, identity kept aside.
 
     `codes` is a strictly increasing uint64 array of non-identity codes and
-    `values` their nonzero real coefficients; the identity component lives
-    in identity_offset. The constructor takes a {code: coefficient} mapping,
-    from_arrays the two arrays; both drop zero coefficients.
+    `values` their real coefficients; the identity component lives in
+    identity_offset. Zero coefficients are dropped.
     """
 
     n: int
@@ -89,47 +80,24 @@ class SparseHamiltonian:
     identity_offset: float = 0.0
     __eq__ = _equal_fields
 
-    def __init__(self, n: int, terms, identity_offset: float = 0.0):
-        self._set(n, *_sorted_items(terms), identity_offset)
-
-    @classmethod
-    def from_arrays(cls, n: int, codes, values, identity_offset: float = 0.0) -> SparseHamiltonian:
-        """From strictly increasing codes and their real coefficients."""
-        return cls.__new__(cls)._set(n, codes, values, identity_offset)
-
-    def _set(self, n, codes, values, identity_offset) -> SparseHamiltonian:
-        codes = checked_codes(n, codes, "identity term belongs in identity_offset, not terms")
-        values = _finite_values(codes, values, np.float64)
-        if not np.isfinite(identity_offset):
+    def __post_init__(self):
+        codes = checked_codes(self.n, self.codes,
+                              "identity term belongs in identity_offset, not terms")
+        values = _finite_values(codes, self.values, np.float64)
+        if not np.isfinite(self.identity_offset):
             raise ValueError("non-finite identity offset")
         kept = values != 0.0
-        for name, value in (("n", n), ("codes", codes[kept]), ("values", values[kept]),
-                            ("identity_offset", float(identity_offset))):
-            object.__setattr__(self, name, value)
-        return self
-
-    @property
-    def terms(self) -> Mapping[int, float]:
-        """Read-only {code: coefficient} view, built on each access."""
-        return MappingProxyType(dict(zip(self.codes.tolist(), self.values.tolist())))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Non-identity codes with nonzero coefficient, ascending."""
-        return tuple(self.codes.tolist())
-
-    def coefficient(self, code: int) -> float:
-        """Coefficient of `code`, 0.0 off the support."""
-        return float(self.values[self.codes == code].sum())
+        object.__setattr__(self, "codes", codes[kept])
+        object.__setattr__(self, "values", values[kept])
+        object.__setattr__(self, "identity_offset", float(self.identity_offset))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PauliExpansion:
     """Complex expansion sum_K c_K P_K, identity included as code 0.
 
     `codes` is a strictly increasing uint64 array and `values` the complex
-    coefficients. The constructor takes a {code: coefficient} mapping,
-    from_arrays the two arrays.
+    coefficients.
     """
 
     n: int
@@ -137,45 +105,10 @@ class PauliExpansion:
     values: np.ndarray = field(repr=False)
     __eq__ = _equal_fields
 
-    def __init__(self, n: int, coeffs):
-        self._set(n, *_sorted_items(coeffs))
-
-    @classmethod
-    def from_arrays(cls, n: int, codes, values) -> PauliExpansion:
-        """From strictly increasing codes and their complex coefficients."""
-        return cls.__new__(cls)._set(n, codes, values)
-
-    def _set(self, n, codes, values) -> PauliExpansion:
-        codes = checked_codes(n, codes)
-        for name, value in (("n", n), ("codes", codes),
-                            ("values", _finite_values(codes, values, np.complex128))):
-            object.__setattr__(self, name, value)
-        return self
-
-    @property
-    def coeffs(self) -> Mapping[int, complex]:
-        """Read-only {code: coefficient} view, built on each access."""
-        return MappingProxyType(dict(zip(self.codes.tolist(), self.values.tolist())))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.codes.tolist())
-
-    def coefficient(self, code: int) -> complex:
-        """Coefficient of `code`, 0j when absent."""
-        return complex(self.values[self.codes == code].sum())
-
-    def prune(self, tol: float = 0.0) -> PauliExpansion:
-        """Drop coefficients with |c| <= tol (identity kept even at zero)."""
-        kept = (np.abs(self.values) > tol) | (self.codes == 0)
-        return PauliExpansion.from_arrays(self.n, self.codes[kept], self.values[kept])
-
-    def dagger(self) -> PauliExpansion:
-        """Hermitian adjoint; Pauli strings are self-adjoint so just conjugate."""
-        return PauliExpansion.from_arrays(self.n, self.codes, self.values.conj())
-
-    def scaled(self, factor: complex) -> PauliExpansion:
-        return PauliExpansion.from_arrays(self.n, self.codes, factor * self.values)
+    def __post_init__(self):
+        codes = checked_codes(self.n, self.codes)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "values", _finite_values(codes, self.values, np.complex128))
 
 
 def _gf2_basis(codes: np.ndarray) -> np.ndarray:
@@ -253,7 +186,7 @@ def random_closed_hamiltonian(rng: np.random.Generator, n: int, s: int,
     digits = (2 * z + (x ^ z)).astype(np.uint64)  # X = 1, Y = 2, Z = 3
     gens = (digits << 2 * np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
     codes = close_codes(n, gens, cap=2 ** (2 * s + c) - 1)
-    return SparseHamiltonian.from_arrays(n, codes, rng.uniform(-1.0, 1.0, size=codes.size))
+    return SparseHamiltonian(n, codes, rng.uniform(-1.0, 1.0, size=codes.size))
 
 
 _PAULI_1Q = (
@@ -310,8 +243,8 @@ def pauli_decompose(
     kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
     if np.abs(m - m.conj().T).max() <= hermitian_tol:
         kept = kept[kept != 0]
-        return SparseHamiltonian.from_arrays(n, kept, coeffs[kept].real, coeffs[0].real)
-    return PauliExpansion.from_arrays(n, kept, coeffs[kept])
+        return SparseHamiltonian(n, kept, coeffs[kept].real, coeffs[0].real)
+    return PauliExpansion(n, kept, coeffs[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +261,7 @@ def _summed(n: int, codes: np.ndarray, values) -> SparseHamiltonian:
     with np.errstate(over="ignore", invalid="ignore"):  # left to the non-finite check
         np.add.at(sums, inverse, values)
     skip = int(unique.size > 0 and unique[0] == 0)
-    return SparseHamiltonian.from_arrays(n, unique[skip:], sums[skip:], sums[0] if skip else 0.0)
+    return SparseHamiltonian(n, unique[skip:], sums[skip:], sums[0] if skip else 0.0)
 
 
 def _read_terms(rows, value_of, label_of, where, n: int | None = None):
@@ -566,4 +499,4 @@ def expansion_from_dict(doc: dict) -> tuple[PauliExpansion, complex | None]:
     if fault:
         raise fault
     unique, last = np.unique(codes[::-1], return_index=True)
-    return PauliExpansion.from_arrays(n, unique, values[::-1][last]), beta
+    return PauliExpansion(n, unique, values[::-1][last]), beta

@@ -17,6 +17,11 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
 
 
+def coeff_dict(obj) -> dict:
+    """{code: coefficient} of the arrays of a SparseHamiltonian or PauliExpansion."""
+    return dict(zip(obj.codes.tolist(), obj.values.tolist()))
+
+
 def anticommuting_family(rng, n: int, target: int) -> list[int]:
     """Greedy brute-force search for pairwise anticommuting codes."""
     fam: list[int] = []

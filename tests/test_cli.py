@@ -28,6 +28,8 @@ from pauliexp.hamiltonian import (
 from pauliexp.pauli import parse_codes
 import pauliexp.cli
 
+from conftest import coeff_dict
+
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SUBCOMMANDS = "{exp,partition,gibbs,verify,bench,decompose,closure}"
@@ -111,12 +113,13 @@ class TestExp:
                 assert code == 0
                 doc = json.loads(out)
                 assert doc["method"] == method
-                outs[method], _ = expansion_from_dict(doc)
-            keys = set().union(*(e.support for e in outs.values()))
-            tol = 1e-10 * (np.abs(outs["spectral"].values).max() if relative else 1.0)
+                e, _ = expansion_from_dict(doc)
+                outs[method] = coeff_dict(e)
+            keys = set().union(*outs.values())
+            tol = 1e-10 * (max(map(abs, outs["spectral"].values())) if relative else 1.0)
             for method in ("sector", "contour", "dense"):
                 worst = max(
-                    abs(outs[method].coefficient(k) - outs["spectral"].coefficient(k))
+                    abs(outs[method].get(k, 0) - outs["spectral"].get(k, 0))
                     for k in keys
                 )
                 assert worst < tol, (name, method)
@@ -128,10 +131,8 @@ class TestExp:
         assert code == 0
         _, out2, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
                          "--beta", "1", "--format", "pauli-json")
-        e1, _ = expansion_from_dict(json.loads(out))
-        e2, _ = expansion_from_dict(json.loads(out2))
-        keys = set(e1.support) | set(e2.support)
-        assert max(abs(e1.coefficient(k) - e2.coefficient(k)) for k in keys) < 1e-8
+        e1, e2 = (coeff_dict(expansion_from_dict(json.loads(o))[0]) for o in (out, out2))
+        assert max(abs(e1.get(k, 0) - e2.get(k, 0)) for k in e1.keys() | e2.keys()) < 1e-8
 
     @pytest.mark.parametrize("nodes", ["0", "2", "-3"])
     @pytest.mark.parametrize("circle", [[], ["--center", "0", "--radius", "4"]])
@@ -222,10 +223,11 @@ class TestExp:
             code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--time", "0.7",
                                "--method", method, "--format", "pauli-json")
             assert code == 0
-            outs[method], beta = expansion_from_dict(json.loads(out))
+            e, beta = expansion_from_dict(json.loads(out))
+            outs[method] = coeff_dict(e)
             assert beta == 0.7j
-        keys = set(outs["dense"].support) | set(outs["sector"].support)
-        assert max(abs(outs["dense"].coefficient(k) - outs["sector"].coefficient(k))
+        keys = outs["dense"].keys() | outs["sector"].keys()
+        assert max(abs(outs["dense"].get(k, 0) - outs["sector"].get(k, 0))
                    for k in keys) < 1e-10
 
     def test_center_without_radius(self, capsys, fixtures_dir):
@@ -335,14 +337,38 @@ class TestInputErrors:
         (_DENSE % ("1", '["1e999", 0]'), "entry (0, 1): re must be a real number"),
         (_DENSE % ("1", "[NaN, 0]"), "entry (0, 1): re must be a finite real number"),
         (_DENSE % ("1", "[0, Infinity]"), "entry (0, 1): im must be a finite real number"),
-        (_DENSE % ("true", "[0, 0]"), '"n" must be a positive integer'),
+        (_DENSE % ("true", "[0, 0]"), '"n" must be an integer in [1, 32]'),
         (dense_to_bytes(np.array([[1, 0], [np.nan, 1]])),
          "entry (1, 0): not a finite complex number"),
-    ], ids=["null", "true", "string", "NaN", "Infinity", "bool-n", "pexp-NaN"])
+        ('{"n": 20000, "matrix": []}', '"n" must be an integer in [1, 32]'),
+        ('{"n": 0, "matrix": []}', '"n" must be an integer in [1, 32]'),
+    ], ids=["null", "true", "string", "NaN", "Infinity", "bool-n", "pexp-NaN", "n-20000", "n-0"])
     def test_dense(self, capsys, tmp_path, data, message):
         p = tmp_path / "m"
         p.write_bytes(data if isinstance(data, bytes) else data.encode())
         assert run(capsys, "decompose", "-i", str(p)) == (1, "", f"pauliexp: input error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["exp", "-i", "h2.txt", "--beta", "1", "--method", "dense", "--zero-tol", "nan"],
+         "--zero-tol must be finite, got nan"),
+        (["exp", "-i", "h2.txt", "--beta", "1", "--zero-tol=-1e-9"],
+         "--zero-tol must be at least 0, got -1e-09"),
+        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol", "nan"],
+         "--zero-tol must be finite, got nan"),
+        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol=-inf"],
+         "--zero-tol must be finite, got -inf"),
+        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol=-1"],
+         "--zero-tol must be at least 0, got -1.0"),
+        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance", "nan"],
+         "--tolerance must be finite, got nan"),
+        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance", "inf"],
+         "--tolerance must be finite, got inf"),
+        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance=-1e-10"],
+         "--tolerance must be at least 0, got -1e-10"),
+    ])
+    def test_tolerance_flags(self, capsys, fixtures_dir, argv, message):
+        argv[2] = str(fixtures_dir / argv[2])
+        assert run(capsys, *argv) == (1, "", f"pauliexp: input error: {message}\n")
 
     @pytest.mark.parametrize("name,text", [
         ("h.txt", "0.5 xyz\n-1 iZy\n"),
@@ -397,7 +423,7 @@ class TestPartition:
         assert row["beta"] == 0.5
         assert "gibbs" in row
         e, _ = expansion_from_dict(row["gibbs"])
-        assert e.coefficient(0) == 1.0 / 16.0
+        assert (e.codes[0], e.values[0]) == (0, 1.0 / 16.0)
 
     def test_gibbs_lines_in_text(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
@@ -498,10 +524,11 @@ class TestLargeBeta:
         assert err.count("\n") == 1
         assert err.startswith("pauliexp: numerical error:")
 
-    @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000"])
+    @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000", "1e308", "-1e308",
+                                      "1.7976931348623157e308"])
     def test_gibbs_large_beta(self, capsys, fixtures_dir, beta):
         code, out, err = run(capsys, "gibbs", "-i", str(fixtures_dir / "h1.txt"),
-                             "--beta", beta)
+                             f"--beta={beta}")
         assert code == 0, err
         coeffs = parse_text_expansion(out)
         assert coeffs[0] == 0.125
@@ -530,6 +557,44 @@ class TestLargeBeta:
             assert row["gibbs"]["coeffs"][0]["re"] == 0.125
         assert rows[-1]["z_trace"] == pytest.approx(4.0 * math.exp(400 * math.sqrt(3.0)),
                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("text,beta,message", [
+        (None, "1e308", "z_trace at beta 1e+308 does not fit in float64 "
+                        "(log z_trace 1.7320508075688772e+308)"),
+        ("-5 0\n1 1\n", "1e308", "z_trace at beta 1e+308 does not fit in float64 "
+                                   "(log z_trace inf)"),
+        ("5 0\n1 1\n", "1e308", "free energy -log z_trace / beta at beta 1e+308 does not "
+                                  "fit in float64 (log z_trace -inf)"),
+        (None, "1e-320", "free energy -log z_trace / beta at beta 1e-320 does not fit in "
+                         "float64 (log z_trace 2.0794415416798357)"),
+    ])
+    def test_partition_at_extreme_beta_names_beta(self, capsys, fixtures_dir, tmp_path, text,
+                                                  beta, message):
+        path = fixtures_dir / "h1.txt"
+        if text is not None:
+            path = tmp_path / "h.txt"
+            path.write_text(text)
+        for fmt in ("text", "json"):
+            assert run(capsys, "partition", "-i", str(path), "--betas", beta, "--gibbs",
+                       "--format", fmt) == (3, "", f"pauliexp: numerical error: {message}\n")
+
+    @pytest.mark.parametrize("name,method,beta", [
+        ("h2.txt", "spectral", "1e308"),
+        ("h2.txt", "sector", "1e308"),
+        ("h1.txt", "anticommute", "1.7976931348623157e308"),
+    ])
+    def test_exp_at_largest_beta(self, capsys, fixtures_dir, tmp_path, name, method, beta):
+        assert run(capsys, "exp", "-i", str(fixtures_dir / name), "--beta", beta,
+                   "--method", method) == (3, "", "pauliexp: numerical error: exp(-beta H) at "
+                                                  f"beta {complex(float(beta)):g} does not fit "
+                                                  "in float64\n")
+        # H = 5 + X >= 4: every coefficient underflows to 0
+        path = tmp_path / "h.txt"
+        path.write_text("5 0\n1 1\n")
+        code, out, err = run(capsys, "exp", "-i", str(path), "--beta", beta,
+                             "--method", method)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["0 0 0", "1 0 0"]
 
     def test_underflowing_trace_keeps_free_energy(self, capsys, tmp_path):
         # H = 1000 + Z: tr exp(-beta H) underflows to 0, the free energy does not
@@ -639,8 +704,7 @@ class TestJsonWriters:
         red = Reduced(load_hamiltonian(fixtures_dir / "h2.txt"))
         for beta, row, gibbs in zip(betas, doc["rows"], red.gibbs_many(betas)):
             assert list(row) == ["beta", "z_normalized", "z_trace", "free_energy", "gibbs"]
-            want = expansion_to_dict(PauliExpansion.from_arrays(4, red.codes, gibbs),
-                                     alphabet=alphabet)
+            want = expansion_to_dict(PauliExpansion(4, red.codes, gibbs), alphabet=alphabet)
             assert json.dumps(row["gibbs"]) == json.dumps(want)
 
     def test_partition_without_gibbs(self, capsys, fixtures_dir):
@@ -714,10 +778,9 @@ class TestVerify:
 
         def corrupted(h, beta, **kwargs):
             e = real_exp(h, beta, **kwargs)
-            code = e.support[-1]
-            flipped = dict(e.coeffs)
-            flipped[code] = -flipped[code]
-            return type(e)(e.n, flipped)
+            flipped = e.values.copy()
+            flipped[-1] = -flipped[-1]
+            return type(e)(e.n, e.codes, flipped)
 
         monkeypatch.setattr(pauliexp.cli, "exp_pauli", corrupted)
         code, out, _ = run(capsys, "verify", "-i", str(fixtures_dir / "h1.txt"),
@@ -767,7 +830,8 @@ class TestDecompose:
         assert code == 0
         h = load_hamiltonian(dest)
         want = load_hamiltonian(fixtures_dir / "qutrit_pauli.txt")
-        assert h.terms == pytest.approx(want.terms)
+        assert np.array_equal(h.codes, want.codes)
+        assert h.values == pytest.approx(want.values)
 
     def test_json_format(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "decompose", "-i",

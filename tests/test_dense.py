@@ -75,27 +75,23 @@ class TestReconstruct:
         assert int(np.count_nonzero(m)) == 24
 
     def test_empty_expansion_is_zero(self):
-        assert not reconstruct_dense(PauliExpansion(2, {})).any()
+        assert not reconstruct_dense(PauliExpansion(2, [], [])).any()
 
     def test_uniform_superposition_projector(self, fixtures_dir):
         rho = reconstruct_dense(load_hamiltonian(fixtures_dir / "rho_s_n3.txt"))
         assert np.abs(rho - 1.0 / 8.0).max() < 1e-15
 
     def test_linearity(self, rng):
-        e1 = PauliExpansion(2, {1: 0.5j, 6: 1.0})
-        e2 = PauliExpansion(2, {6: -2.0, 9: 0.25})
+        e1 = PauliExpansion(2, [1, 6], [0.5j, 1.0])
+        e2 = PauliExpansion(2, [6, 9], [-2.0, 0.25])
         alpha = 1.5 - 0.5j
-        combined = PauliExpansion(
-            2,
-            {k: alpha * e1.coefficient(k) + e2.coefficient(k)
-             for k in set(e1.support) | set(e2.support)},
-        )
+        combined = PauliExpansion(2, [1, 6, 9], [alpha * 0.5j, alpha - 2.0, 0.25])
         lhs = reconstruct_dense(combined)
         rhs = alpha * reconstruct_dense(e1) + reconstruct_dense(e2)
         assert np.abs(lhs - rhs).max() < 1e-14
 
     def test_includes_identity_offset(self):
-        h = SparseHamiltonian(1, {3: 1.0}, identity_offset=2.0)
+        h = SparseHamiltonian(1, [3], [1.0], identity_offset=2.0)
         assert np.array_equal(reconstruct_dense(h), np.diag([3.0, 1.0]))
 
     def test_rejects_other_types(self):
@@ -104,7 +100,7 @@ class TestReconstruct:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            reconstruct_dense(PauliExpansion(11, {0: 1.0}))
+            reconstruct_dense(PauliExpansion(11, [0], [1.0]))
 
 
 class TestDenseExp:

@@ -6,7 +6,6 @@ import pytest
 from pauliexp import (
     ClosureExplosion,
     ContourError,
-    ContourSpec,
     PauliExpansion,
     Reduced,
     SingularSystem,
@@ -28,7 +27,7 @@ from pauliexp.dense import dense_exp
 from pauliexp.engine import _quadrature, _scale, exp_with_method, symplectic_split
 from pauliexp.hamiltonian import capped_basis, load_hamiltonian, random_closed_hamiltonian
 from pauliexp.pauli import I_POWERS_ARR, phase_exponent, phase_exponents
-from conftest import FIXTURES, anticommuting_family
+from conftest import FIXTURES, anticommuting_family, coeff_dict
 
 HAMILTONIAN_FIXTURES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt",
                         "rho_s_n3.txt", "xy_n6.txt")
@@ -37,8 +36,8 @@ GRID = (-0.7, 0.0, 0.45, 1.6, 0.3 + 0.4j, -0.5 - 0.25j, 1.1j)
 
 
 def coeff_distance(a: PauliExpansion, b: PauliExpansion) -> float:
-    keys = set(a.support) | set(b.support)
-    return max(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
+    da, db = coeff_dict(a), coeff_dict(b)
+    return max(abs(da.get(k, 0) - db.get(k, 0)) for k in da.keys() | db.keys())
 
 
 @pytest.fixture
@@ -51,44 +50,44 @@ class TestSpectral:
         a, b, c, t = 0.8, -1.2, 0.4, 0.65
         h = parse_hamiltonian(f"{a} 123\n{b} 231\n{c} 312\n")
         p = np.sqrt(a * a + b * b + c * c)
-        e = exp_spectral(h, 1j * t)
-        assert abs(e.coefficient(0) - np.cos(p * t)) < 1e-13
-        for code, coef in h.terms.items():
+        e = coeff_dict(exp_spectral(h, 1j * t))
+        assert abs(e[0] - np.cos(p * t)) < 1e-13
+        for code, coef in coeff_dict(h).items():
             want = -1j * np.sin(p * t) / p * coef
-            assert abs(e.coefficient(code) - want) < 1e-13
+            assert abs(e[code] - want) < 1e-13
 
     def test_beta_zero_is_identity(self, rng):
         h = random_closed_hamiltonian(rng, 4, 1, 1)
         e = exp_spectral(h, 0.0)
-        assert abs(e.coefficient(0) - 1.0) < 1e-14
-        for code in h.support:
-            assert abs(e.coefficient(code)) < 1e-14
+        assert np.array_equal(e.codes, np.append(np.uint64(0), h.codes))
+        assert abs(e.values[0] - 1.0) < 1e-14
+        assert np.abs(e.values[1:]).max() < 1e-14
 
     def test_identity_offset_scales(self, rng):
         h0 = random_closed_hamiltonian(rng, 3, 1, 0)
         delta = 0.9
-        h = SparseHamiltonian(h0.n, dict(h0.terms), identity_offset=delta)
+        h = SparseHamiltonian(h0.n, h0.codes, h0.values, identity_offset=delta)
         beta = 0.4 + 0.2j
         plain = exp_spectral(h0, beta)
         shifted = exp_spectral(h, beta)
         scale = np.exp(-beta * delta)
-        assert coeff_distance(shifted, plain.scaled(scale)) < 1e-13
+        assert np.array_equal(shifted.codes, plain.codes)
+        assert np.abs(shifted.values - scale * plain.values).max() < 1e-13
 
     def test_support_is_closure_plus_identity(self, h_cycle):
         e = exp_spectral(h_cycle, 0.3)
-        assert e.support == (0, 27, 45, 54)
+        assert e.codes.tolist() == [0, 27, 45, 54]
 
     def test_real_beta_gives_real_coefficients(self, rng):
         h = random_closed_hamiltonian(rng, 4, 1, 1)
         e = exp_spectral(h, 1.3)
-        for c in e.coeffs.values():
-            assert abs(c.imag) < 1e-12
+        assert np.abs(e.values.imag).max() < 1e-12
 
     def test_empty_hamiltonian(self):
-        h = SparseHamiltonian(2, {}, identity_offset=0.7)
+        h = SparseHamiltonian(2, [], [], identity_offset=0.7)
         e = exp_spectral(h, 2.0)
-        assert e.support == (0,)
-        assert e.coefficient(0) == pytest.approx(np.exp(-1.4))
+        assert e.codes.tolist() == [0]
+        assert e.values[0] == pytest.approx(np.exp(-1.4))
 
 
 class TestContour:
@@ -105,8 +104,7 @@ class TestContour:
         assert coeff_distance(e, exp_spectral(h_cycle, 0.5)) < 1e-12
 
     def test_explicit_contour(self, h_cycle):
-        spec = ContourSpec(center=0.0, radius=6.0, nodes=96)
-        e = exp_contour(h_cycle, 1j * 0.4, contour=spec)
+        e = exp_contour(h_cycle, 1j * 0.4, nodes=96, center=0.0, radius=6.0)
         assert coeff_distance(e, exp_spectral(h_cycle, 1j * 0.4)) < 1e-10
 
     def test_error_drops_until_floor(self, h_cycle):
@@ -123,34 +121,32 @@ class TestContour:
         assert errs[-1] <= 1e-8
 
     def test_non_enclosing_contour_rejected(self, h_cycle):
-        spec = ContourSpec(center=10.0, radius=1.0, nodes=32)
         with pytest.raises(ContourError):
-            exp_contour(h_cycle, 1.0, contour=spec)
+            exp_contour(h_cycle, 1.0, nodes=32, center=10.0, radius=1.0)
 
     def test_radius_retry_after_singular_node(self, h_cycle):
         # the angle-0 node lands within 1e-13 of the top eigenvalue: the
         # first quadrature fails the residual check, the 1% retry succeeds
         red = Reduced(h_cycle)
         radius = 4.0
-        spec = ContourSpec(center=red.lambda_max + 1e-13 - radius, radius=radius, nodes=16)
+        center = red.lambda_max + 1e-13 - radius
         with pytest.raises(SingularSystem):
-            _quadrature(red, 0.5, spec, float(np.abs(h_cycle.values).sum()))
-        e = exp_contour(h_cycle, 0.5, contour=spec)
-        assert np.isfinite([abs(c) for c in e.coeffs.values()]).all()
+            _quadrature(red, 0.5, center, radius, 16, float(np.abs(h_cycle.values).sum()))
+        e = exp_contour(h_cycle, 0.5, nodes=16, center=center, radius=radius)
+        assert np.isfinite(e.values).all()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_integrand_names_beta(self, h_cycle):
         # exp(-300 H) fits (about e^520), but exp(-beta z) on the circle does not
-        assert np.isfinite(abs(exp_spectral(h_cycle, 300.0).coefficient(0)))
+        assert np.isfinite(exp_spectral(h_cycle, 300.0).values[0])
         for beta in (300.0, -300.0, 300.0 + 5j):
             with pytest.raises(OverflowError, match=r"beta -?300.*spectral path"):
                 exp_contour(h_cycle, beta)
 
     def test_contour_spec_validation(self, h_cycle):
-        with pytest.raises(ValueError):
-            ContourSpec(0.0, -1.0)
-        with pytest.raises(ValueError):
-            ContourSpec(0.0, 1.0, nodes=2)
+        for radius in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                exp_contour(h_cycle, 1.0, center=0.0, radius=radius)
         for nodes in (0, 2, -3):
             with pytest.raises(ValueError, match=f"need at least 4 nodes, got {nodes}"):
                 exp_contour(h_cycle, 1.0, nodes=nodes)
@@ -171,14 +167,14 @@ class TestAnticommuting:
             n = int(rng.integers(2, 5))
             fam = anticommuting_family(rng, n, int(rng.integers(2, 2 * n + 1)))
             vals = rng.uniform(-1, 1, size=len(fam))
-            h = SparseHamiltonian(n, dict(zip(fam, map(float, vals))))
+            h = SparseHamiltonian(n, *zip(*sorted(zip(fam, vals))))
             for beta in (0.8, 0.6j, 0.3 + 0.4j):
                 d = coeff_distance(exp_anticommuting(h, beta), exp_spectral(h, beta))
                 assert d < 1e-12
 
     def test_detects_precondition(self, h_cycle):
         assert is_pairwise_anticommuting(h_cycle)
-        commuting = SparseHamiltonian(2, {int("30", 4): 1.0, int("03", 4): 1.0})
+        commuting = SparseHamiltonian(2, [int("03", 4), int("30", 4)], [1.0, 1.0])
         assert not is_pairwise_anticommuting(commuting)
         with pytest.raises(ValueError):
             exp_anticommuting(commuting, 1.0)
@@ -195,7 +191,7 @@ class TestAnticommuting:
         verdicts = set()
         for codes in supports:
             want = all(phase_exponent(a, b) % 2 for i, a in enumerate(codes) for b in codes[:i])
-            h = SparseHamiltonian(n, dict.fromkeys(map(int, codes), 1.0))
+            h = SparseHamiltonian(n, sorted(codes), np.ones(len(codes)))
             assert is_pairwise_anticommuting(h) == want, codes
             verdicts.add((want, len(codes) > 2 * n + 1))
         assert (True, True) not in verdicts
@@ -203,47 +199,47 @@ class TestAnticommuting:
             assert {(True, False), (False, False), (False, True)} <= verdicts
 
     def test_single_term(self):
-        h = SparseHamiltonian(1, {2: 0.6})
+        h = SparseHamiltonian(1, [2], [0.6])
         e = exp_anticommuting(h, 1.5)
-        assert e.coefficient(0) == pytest.approx(np.cosh(0.9))
-        assert e.coefficient(2) == pytest.approx(-np.sinh(0.9))
+        assert e.codes.tolist() == [0, 2]
+        assert e.values == pytest.approx([np.cosh(0.9), -np.sinh(0.9)])
 
     def test_no_terms(self):
-        h = SparseHamiltonian(1, {}, identity_offset=0.25)
+        h = SparseHamiltonian(1, [], [], identity_offset=0.25)
         e = exp_anticommuting(h, 2.0)
-        assert e.support == (0,)
-        assert e.coefficient(0) == pytest.approx(np.exp(-0.5))
+        assert e.codes.tolist() == [0]
+        assert e.values[0] == pytest.approx(np.exp(-0.5))
 
     def test_large_beta_with_offset_stays_finite(self):
         # cosh(g beta) alone overflows; the offset brings the result back
-        h = SparseHamiltonian(1, {3: 2.0}, identity_offset=2.0)
+        h = SparseHamiltonian(1, [3], [2.0], identity_offset=2.0)
         for beta in (400.0, 1e6):
             e = exp_anticommuting(h, beta)
-            assert e.coefficient(0) == pytest.approx(0.5 * np.exp(-4.0 * beta) + 0.5)
-            assert e.coefficient(3) == pytest.approx(0.5 * np.exp(-4.0 * beta) - 0.5)
+            assert e.values[0] == pytest.approx(0.5 * np.exp(-4.0 * beta) + 0.5)
+            assert e.values[1] == pytest.approx(0.5 * np.exp(-4.0 * beta) - 0.5)
 
     def test_small_beta_keeps_relative_precision(self):
-        h = SparseHamiltonian(1, {2: 0.6})
+        h = SparseHamiltonian(1, [2], [0.6])
         for beta in (1e-9, 1e-9j, -1e-12):
             e = exp_anticommuting(h, beta)
-            assert e.coefficient(2) == pytest.approx(-np.sinh(0.6 * beta), rel=1e-14, abs=0)
+            assert e.values[1] == pytest.approx(-np.sinh(0.6 * beta), rel=1e-14, abs=0)
 
 
 class TestDispatch:
     def test_auto_picks_anticommute(self, h_cycle):
-        assert exp_pauli(h_cycle, 0.4).coeffs == exp_anticommuting(h_cycle, 0.4).coeffs
+        assert exp_pauli(h_cycle, 0.4) == exp_anticommuting(h_cycle, 0.4)
 
     def test_auto_falls_back_to_sector(self, rng):
         h = random_closed_hamiltonian(rng, 4, 1, 1)  # no closed set of rank 3 anticommutes
         auto, method = exp_with_method(h, 0.4)
         assert method == "sector"
-        assert auto.coeffs == exp_pauli(h, 0.4, method="sector").coeffs
-        assert auto.coeffs == Reduced(h).exp(0.4).coeffs
-        assert coeff_distance(auto, exp_spectral(h, 0.4)) <= 1e-12 * abs(auto.coefficient(0))
+        assert auto == exp_pauli(h, 0.4, method="sector")
+        assert auto == Reduced(h).exp(0.4)
+        assert coeff_distance(auto, exp_spectral(h, 0.4)) <= 1e-12 * abs(auto.values[0])
 
     def test_explicit_methods(self, h_cycle):
         ref = exp_spectral(h_cycle, 0.2)
-        assert exp_pauli(h_cycle, 0.2, method="spectral").coeffs == ref.coeffs
+        assert exp_pauli(h_cycle, 0.2, method="spectral") == ref
         assert coeff_distance(exp_pauli(h_cycle, 0.2, method="contour"), ref) < 1e-12
 
     def test_unknown_method(self, h_cycle):
@@ -264,7 +260,7 @@ class TestDispatch:
         verdicts = set()
         for n, codes in supports:
             want = all(phase_exponent(a, b) % 2 for i, a in enumerate(codes) for b in codes[:i])
-            h = SparseHamiltonian(n, dict.fromkeys(map(int, codes), 0.5))
+            h = SparseHamiltonian(n, sorted(codes), np.full(len(codes), 0.5))
             try:
                 method = exp_with_method(h, 0.3)[1]
             except ClosureExplosion:  # past the cap, the sector path refuses
@@ -292,7 +288,7 @@ class TestPartitionAndGibbs:
     def test_gibbs_normalization(self, rng):
         h = random_closed_hamiltonian(rng, 3, 1, 1)
         g = gibbs_state(h, 1.2)
-        assert g.coefficient(0) == 1.0 / 8.0  # exact by construction
+        assert g.values[0] == 1.0 / 8.0  # exact by construction
         rho = reconstruct_dense(g)
         assert np.trace(rho).real == pytest.approx(1.0)
         w = np.linalg.eigvalsh(rho)
@@ -310,7 +306,8 @@ class TestPartitionAndGibbs:
 
 
 def _row(e: PauliExpansion, codes) -> np.ndarray:
-    return np.array([e.coefficient(int(c)) for c in codes])
+    coeffs = coeff_dict(e)
+    return np.array([coeffs.get(c, 0j) for c in codes.tolist()])
 
 
 def _dense_reference(h, beta):
@@ -318,7 +315,8 @@ def _dense_reference(h, beta):
     m = reconstruct_dense(h)
     e = pauli_decompose(dense_exp(m, beta), zero_tol=0.0)
     if not isinstance(e, PauliExpansion):  # Hermitian results come back as Hamiltonians
-        e = PauliExpansion(h.n, {0: e.identity_offset, **e.terms})
+        e = PauliExpansion(h.n, np.append(np.uint64(0), e.codes),
+                           np.append(e.identity_offset, e.values))
     boltzmann = np.exp(-beta * np.linalg.eigvalsh(m))
     return e, boltzmann.sum(), np.abs(boltzmann).sum()
 
@@ -334,7 +332,7 @@ class TestReduced:
             ref, z, scale = _dense_reference(h, beta)
             want = _row(ref, red.codes)
             tol = 1e-12 * np.abs(want).max()
-            assert set(ref.prune(tol).support) <= set(red.codes.tolist())
+            assert set(ref.codes[np.abs(ref.values) > tol].tolist()) <= set(red.codes.tolist())
             assert np.abs(row - want).max() <= tol, beta
             assert abs(np.exp(lz) - z) <= 1e-12 * scale, beta
 
@@ -342,7 +340,7 @@ class TestReduced:
         cases = [load_hamiltonian(FIXTURES / name) for name in HAMILTONIAN_FIXTURES[:5]]
         cases += [random_closed_hamiltonian(rng, n, s, c) for n, s, c in
                   ((3, 1, 0), (5, 2, 0), (8, 2, 1), (32, 2, 0))]
-        offset = SparseHamiltonian(4, dict(cases[1].terms), identity_offset=-0.8)
+        offset = SparseHamiltonian(4, cases[1].codes, cases[1].values, identity_offset=-0.8)
         for h in cases + [offset]:
             red = Reduced(h)
             assert red.codes.dtype == np.uint64
@@ -363,12 +361,12 @@ class TestReduced:
         red = Reduced(h)
         for beta in GRID:
             want = v @ (np.exp(-beta * w) * np.conj(v[0]))
-            assert np.abs(red.exp(beta).coefficient(0) - want[0]) <= 1e-12 * abs(want[0])
+            assert np.abs(red.exp(beta).values[0] - want[0]) <= 1e-12 * abs(want[0])
             assert np.abs(red.exp_many(beta)[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_spectral_range_and_ground_energy(self, rng):
         h0 = random_closed_hamiltonian(rng, 4, 1, 1)
-        h = SparseHamiltonian(4, dict(h0.terms), identity_offset=0.3)
+        h = SparseHamiltonian(4, h0.codes, h0.values, identity_offset=0.3)
         red = Reduced(h)
         e = np.linalg.eigvalsh(reconstruct_dense(h))
         assert red.ground_energy == pytest.approx(e[0], abs=1e-12)
@@ -381,7 +379,7 @@ class TestReduced:
         for h in (random_closed_hamiltonian(rng, 5, 2, 0), load_hamiltonian(FIXTURES / "h2.txt"),
                   random_closed_hamiltonian(rng, 32, 1, 1)):
             red = Reduced(h)
-            assert red.gibbs(beta).coefficient(0) == 1.0 / 2**h.n
+            assert red.gibbs(beta).values[0] == 1.0 / 2**h.n
             assert (red.gibbs_many([beta, 2 * beta])[:, 0] == 1.0 / 2**h.n).all()
 
     def test_gibbs_matches_dense_on_grid(self, rng):
@@ -393,23 +391,22 @@ class TestReduced:
         for beta, row in zip(betas, red.gibbs_many(betas)):
             rho = (v * np.exp(-beta * (w - w[0] if beta > 0 else w - w[-1]))) @ v.conj().T
             rho /= np.trace(rho)
-            got = reconstruct_dense(PauliExpansion(h.n, dict(zip(red.codes.tolist(), row))))
+            got = reconstruct_dense(PauliExpansion(h.n, red.codes, row))
             assert np.abs(got - rho).max() < 1e-12
 
-    @pytest.mark.parametrize("beta", [1e3, 1e6])
+    @pytest.mark.parametrize("beta", [1e3, 1e6, 1e308, np.finfo(np.float64).max])
     def test_gibbs_large_beta_is_ground_projector(self, beta):
         # XYZ + YZX + ZXY: H^2 = 3 I, ground space projector (I - H/sqrt 3)/2
         h = load_hamiltonian(FIXTURES / "h1.txt")
         for sign in (1.0, -1.0):  # negative beta picks the top of the spectrum
             g = gibbs_state(h, sign * beta)
-            assert g.coefficient(0) == 1.0 / 8.0
-            for code, hk in h.terms.items():
-                assert g.coefficient(code) == pytest.approx(-sign * hk / (8 * np.sqrt(3)),
-                                                            rel=1e-8)
+            assert np.array_equal(g.codes, np.append(np.uint64(0), h.codes))
+            assert g.values[0] == 1.0 / 8.0
+            assert g.values[1:] == pytest.approx(-sign * h.values / (8 * np.sqrt(3)), rel=1e-8)
 
     def test_free_energy_tends_to_ground_energy(self, rng):
         h0 = random_closed_hamiltonian(rng, 6, 2, 0)
-        h = SparseHamiltonian(6, dict(h0.terms), identity_offset=1.25)
+        h = SparseHamiltonian(6, h0.codes, h0.values, identity_offset=1.25)
         red = Reduced(h)
         e0 = np.linalg.eigvalsh(reconstruct_dense(h))[0]
         for beta in (1e2, 1e4, 1e6, 1e9):
@@ -509,7 +506,7 @@ class TestSector:
 
     def test_shapes_reach_the_top_bit(self):
         tops = [max(random_closed_hamiltonian(np.random.default_rng(1000 * n + 10 * s + c),
-                                              n, s, c).support)
+                                              n, s, c).codes.tolist())
                 for n, s, c in SHAPES if n == 32]
         assert max(tops) >= 2**63
 
@@ -530,14 +527,14 @@ class TestSector:
             assert np.isfinite(rows).all()
 
     def test_identity_only(self):
-        h = SparseHamiltonian(3, {}, identity_offset=0.7)
+        h = SparseHamiltonian(3, [], [], identity_offset=0.7)
         red = Reduced(h)
         assert (red.s, red.c, red.tau, red.codes.tolist()) == (0, 0, 0, [0])
         assert red.lambda_min == red.lambda_max == 0.0
         for beta in (2.0, -1.5, 0.4j, 0.0):
-            assert red.exp(beta).coeffs == {0: pytest.approx(np.exp(-0.7 * beta))}
+            assert coeff_dict(red.exp(beta)) == {0: pytest.approx(np.exp(-0.7 * beta))}
             assert red.log_partition(beta)[0] == pytest.approx(-0.7 * beta + 3 * np.log(2))
-        assert red.gibbs(5.0).coeffs == {0: 1 / 8}
+        assert coeff_dict(red.gibbs(5.0)) == {0: 1 / 8}
 
     def test_explosion_names_exact_size(self):
         h = load_hamiltonian(FIXTURES / "xy_n6.txt")
@@ -596,7 +593,7 @@ class TestExactlyReal:
 
     def test_offset_and_closed_set(self, rng):
         h = random_closed_hamiltonian(rng, 16, 3, 0)
-        self._check(SparseHamiltonian(16, dict(h.terms), identity_offset=-0.8))
+        self._check(SparseHamiltonian(16, h.codes, h.values, identity_offset=-0.8))
 
     def _check(self, h):
         red = Reduced(h)
@@ -612,8 +609,8 @@ class TestExactlyReal:
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_anticommuting_closed_form(self, rng, n):
         fam = anticommuting_family(rng, n, 2 * n)
-        terms = dict(zip(fam, rng.uniform(-1, 1, len(fam))))
-        for h in (SparseHamiltonian(n, terms, 0.3), SparseHamiltonian(n, {}, 0.3)):
+        codes, values = zip(*sorted(zip(fam, rng.uniform(-1, 1, len(fam)))))
+        for h in (SparseHamiltonian(n, codes, values, 0.3), SparseHamiltonian(n, [], [], 0.3)):
             for beta in REAL_BETAS:
                 e = exp_anticommuting(h, beta)
                 assert _exactly_real(e.values), beta
@@ -629,7 +626,7 @@ class TestExactlyReal:
     def test_gibbs_drops_noise_before_dividing(self):
         # 0 in exact math; dividing first left 8.4e-39 in the real part
         g = Reduced(load_hamiltonian(FIXTURES / "xy_n6.txt")).gibbs(0.5)
-        assert g.coefficient(int("011021", 4)) == 0.0
+        assert coeff_dict(g)[int("011021", 4)] == 0.0
 
     def test_complex_beta_unchanged(self, rng):
         mixed = [0.3 + 0.2j, 1.0, 0.7j, -0.5 - 0.25j, 2.0]
@@ -651,7 +648,7 @@ class TestMultiplyExpansions:
 
     def test_unitary_times_adjoint(self, h_cycle):
         u = exp_spectral(h_cycle, 1j * 0.8)
-        prod = reconstruct_dense(u) @ reconstruct_dense(u.dagger())
+        prod = reconstruct_dense(u) @ reconstruct_dense(u).conj().T
         assert np.abs(prod - np.eye(8)).max() < 1e-13
 
     def test_semigroup(self, rng):
@@ -660,6 +657,6 @@ class TestMultiplyExpansions:
         assert np.abs(prod - reconstruct_dense(exp_spectral(h, 0.8))).max() < 1e-12
 
     def test_empty_factor(self):
-        e = PauliExpansion(2, {0: 1.0})
-        empty = PauliExpansion(2, {})
-        assert pauli_decompose(reconstruct_dense(e) @ reconstruct_dense(empty)).support == ()
+        e = PauliExpansion(2, [0], [1.0])
+        empty = PauliExpansion(2, [], [])
+        assert pauli_decompose(reconstruct_dense(e) @ reconstruct_dense(empty)).codes.size == 0

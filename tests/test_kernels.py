@@ -55,8 +55,7 @@ class TestAssemble:
     def test_against_naive(self, rng):
         for s, c in ((0, 1), (1, 0), (1, 1), (2, 0)):
             h = random_closed_hamiltonian(rng, 5, s, c)
-            codes = np.array(h.support, dtype=np.uint64)
-            coeffs = np.array([h.terms[c] for c in h.support])
+            codes, coeffs = h.codes, h.values.copy()
             got, bad_k, bad_l = assemble(codes, coeffs)
             assert bad_k == -1
             assert np.array_equal(got, naive_assemble(codes, coeffs))
@@ -65,8 +64,7 @@ class TestAssemble:
         # zero coefficients skip their string; codes >= 2**63 at n = 32
         for n, s, c in ((5, 2, 1), (32, 2, 0)):
             h = random_closed_hamiltonian(rng, n, s, c)
-            codes = np.array(h.support, dtype=np.uint64)
-            coeffs = np.array([h.terms[c] for c in h.support])
+            codes, coeffs = h.codes, h.values.copy()
             coeffs[::3] = 0.0
             got, bad_k, bad_l = assemble(codes, coeffs)
             assert (bad_k, bad_l) == (-1, -1)
@@ -76,8 +74,7 @@ class TestAssemble:
     def test_reports_first_escaping_pair(self, seed):
         # two independent random Hamiltonians, each with one code removed
         h = random_closed_hamiltonian(np.random.default_rng(seed), 6, 2, 1)
-        codes = np.delete(np.array(h.support, dtype=np.uint64), 11)
-        coeffs = np.array([h.terms[int(c)] for c in codes])
+        codes, coeffs = np.delete(h.codes, 11), np.delete(h.values, 11)
         coeffs[:2] = 0.0
         members = set(codes.tolist())
         want = next((k, l) for l in range(codes.size) if coeffs[l]
@@ -88,8 +85,7 @@ class TestAssemble:
 
     def test_hermitian_exactly(self, rng):
         h = random_closed_hamiltonian(rng, 6, 2, 0)
-        codes = np.array(h.support, dtype=np.uint64)
-        coeffs = np.array([h.terms[c] for c in h.support])
+        codes, coeffs = h.codes, h.values
         a, _, _ = assemble(codes, coeffs)
         assert np.array_equal(a, a.conj().T)
 

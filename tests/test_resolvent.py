@@ -13,6 +13,8 @@ from pauliexp import (
 )
 from pauliexp.hamiltonian import random_closed_hamiltonian
 
+from conftest import coeff_dict
+
 H2_CODES = [27, 39, 60, 75, 80, 108, 119]  # ascending, h1..h7
 
 
@@ -21,7 +23,7 @@ def h1_hamiltonian(a, b, c):
 
 
 def h2_hamiltonian(h):
-    return SparseHamiltonian(4, dict(zip(H2_CODES, h)))
+    return SparseHamiltonian(4, H2_CODES, h)
 
 
 def h2_expected_matrix(h):
@@ -88,14 +90,15 @@ class TestStructureMatrixProperties:
     def test_border_is_coefficient_vector(self, rng):
         h = random_closed_hamiltonian(rng, 5, 1, 1)
         m = build_structure_matrix(h)
-        coeffs = np.array([h.coefficient(c) for c in close(h).tolist()], dtype=np.complex128)
+        coeffs = np.array([coeff_dict(h).get(c, 0.0) for c in close(h).tolist()],
+                          dtype=np.complex128)
         assert np.array_equal(m[0, 1:], coeffs)
         assert np.array_equal(m[1:, 0], coeffs)
 
     def test_zero_coefficients_allowed(self):
         # support smaller than the closed set it sits in
         ts = close_codes(3, [27, 45])
-        h = SparseHamiltonian(3, {27: 1.0})
+        h = SparseHamiltonian(3, [27], [1.0])
         m = build_structure_matrix(h, term_set=ts)
         assert m.shape == (4, 4)
         assert m[0, 1] == 1.0
@@ -105,15 +108,15 @@ class TestStructureMatrixProperties:
         # a 3-qubit code does not fit the 2-qubit Hamiltonian's code range
         ts = close_codes(3, [27])
         with pytest.raises(ValueError, match="code 27 out of range for n=2"):
-            build_structure_matrix(SparseHamiltonian(2, {9: 1.0}), term_set=ts)
+            build_structure_matrix(SparseHamiltonian(2, [9], [1.0]), term_set=ts)
 
     def test_unclosed_term_set_flagged(self):
         ts = np.array([1, 2], dtype=np.uint64)
         with pytest.raises(ValueError, match="not closed: 2 \\* 1 escapes it"):
-            build_structure_matrix(SparseHamiltonian(1, {1: 1.0, 2: 0.5}), term_set=ts)
+            build_structure_matrix(SparseHamiltonian(1, [1, 2], [1.0, 0.5]), term_set=ts)
 
     def test_empty_hamiltonian(self):
-        m = build_structure_matrix(SparseHamiltonian(2, {}))
+        m = build_structure_matrix(SparseHamiltonian(2, [], []))
         assert m.shape == (1, 1)
         assert m[0, 0] == 0
 
@@ -121,7 +124,7 @@ class TestStructureMatrixProperties:
         # row 0 is the identity, row i the code term_set[i - 1]: one term fills
         # the border at its own position and nothing else
         ts = close_codes(3, [27, 45])
-        m = build_structure_matrix(SparseHamiltonian(3, {45: 2.0}), term_set=ts)
+        m = build_structure_matrix(SparseHamiltonian(3, [45], [2.0]), term_set=ts)
         assert ts.tolist() == [27, 45, 54]
         assert np.flatnonzero(m[0]).tolist() == np.flatnonzero(m[:, 0]).tolist() == [2]
 

@@ -16,11 +16,13 @@ how many differ in more than numbers. The cases: every text fixture x
 formats and alphabets; dense output formats; `decompose` of random
 matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
 JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
-closure exceeds the default cap; non-finite and large betas; `--nodes 0`
-under contour and the contour flags under other methods; `bench` (timings
-dropped); good and bad input files in both the text and the JSON format,
-a JSON Hamiltonian with a bool "n" under `exp`, and dense JSON and PEXP
-files with a null, bool, string or NaN entry or a bool "n" under `decompose`;
+closure exceeds the default cap; non-finite and large betas, up to 1e308
+under `gibbs`, `partition --gibbs` and `exp --method spectral`; `--nodes 0`
+under contour and the contour flags under other methods; a NaN
+`--zero-tol` or `--tolerance`; `bench` (timings dropped); good and bad
+input files in both the text and the JSON format, a JSON Hamiltonian with
+a bool "n" under `exp`, and dense JSON and PEXP files with a null, bool,
+string or NaN entry or a bool or too large "n" under `decompose`;
 and closed sets of rank 4-7 on 32 qubits, with codes of 2**63 and above,
 under `exp --time`, `exp --beta` and `partition --gibbs`.
 """
@@ -88,6 +90,7 @@ BAD_DENSE = {
     "dense_1e999.json": '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], ["1e999", 0]]]}',
     "dense_nan.json": '{"n": 1, "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "dense_n_true.json": json.dumps({"n": True, "matrix": EYE_ROWS}),
+    "dense_n_20000.json": '{"n": 20000, "matrix": []}',
     "dense_nan.pexp": b"PEXP" + struct.pack("<I", 1) + np.array(
         [1, 0, complex(0, np.nan), 1], dtype="<c16").tobytes(),
 }
@@ -159,8 +162,13 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
                  ["exp", "--beta", "1", "--method", "sector", "--center", "40", "--radius", "0.5"],
                  ["exp", "--beta", "1", "--method", "dense", "--center", "0", "--radius", "1"],
                  ["gibbs", "--beta", "1000"], ["partition", "--betas", "1,10,100,1000"],
-                 ["gibbs", "--beta", "inf"]):
+                 ["gibbs", "--beta", "inf"], ["gibbs", "--beta", "1e308"],
+                 ["partition", "--betas", "1e308", "--gibbs"],
+                 ["verify", "--beta", "1", "--tolerance", "nan"]):
         out.append([argv[0], "-i", fix["h1.txt"], *argv[1:]])
+    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--method", "dense", "--zero-tol", "nan"],
+            ["exp", "-i", fix["h2.txt"], "--beta", "1e308", "--method", "spectral"],
+            ["decompose", "-i", fix["qutrit_embedded.json"], "--zero-tol", "nan"]]
     out += [["bench", "--n-list", "40"],
             ["bench", "--suite", "spectral-tau", "--n", "6", "--tau-list", "3,7", "--repeats", "1"],
             ["bench", "--n-list", "3,5", "--repeats", "1"],
