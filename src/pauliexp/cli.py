@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: exp, partition, gibbs, verify, bench, decompose, closure.
+Subcommands: exp, partition, gibbs, verify, decompose, closure.
 Exit codes: 0 success, 1 parse/config error, 2 closure explosion,
 3 numerical failure (including a failed verify and a result that does not
 fit in float64). Error messages name the failing stage on stderr.
@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import (DEFAULT_NODES, Reduced, exp_contour, exp_pauli, exp_spectral,
-                     exp_with_method)
+from .engine import DEFAULT_NODES, Reduced, exp_contour, exp_pauli, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -35,7 +33,6 @@ from .hamiltonian import (
     SparseHamiltonian,
     capped_basis,
     close,
-    close_codes,
     coeff_lines,
     coeffs_json,
     format_complex,
@@ -44,9 +41,8 @@ from .hamiltonian import (
     hamiltonian_to_dict,
     load_hamiltonian,
     pauli_decompose,
-    random_closed_hamiltonian,
 )
-from .pauli import MAX_QUBITS, format_codes
+from .pauli import format_codes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +70,7 @@ def _finite(x: float, flag: str) -> float:
     return x
 
 
-def _check_tolerance(x: float, flag: str):
+def _check_nonnegative(x: float, flag: str):
     if _finite(x, flag) < 0:
         raise FormatError(f"{flag} must be at least 0, got {x!r}")
 
@@ -122,7 +118,7 @@ def _as_expansion(obj) -> PauliExpansion:
 
 def cmd_exp(args) -> int:
     beta = _beta_from_args(args)
-    _check_tolerance(args.zero_tol, "--zero-tol")
+    _check_nonnegative(args.zero_tol, "--zero-tol")
     center = parse_beta(args.center) if args.center is not None else None
     h = load_hamiltonian(args.input)
     if (center is None) != (args.radius is None):
@@ -225,7 +221,7 @@ def cmd_gibbs(args) -> int:
 def cmd_verify(args) -> int:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
-    _check_tolerance(args.tolerance, "--tolerance")
+    _check_nonnegative(args.tolerance, "--tolerance")
     # from the GF(2) rank alone: each method enforces its own cap
     tau = 2 ** capped_basis(h.codes, math.inf).size - 1
     e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
@@ -243,89 +239,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _bench_pattern(n: int) -> SparseHamiltonian:
-    """Three generators spanning all n qubits; closure size 7, or 3 at n = 1 (X, Z, X)."""
-    all_x = int("1" * n, 4)
-    all_z = int("3" * n, 4)
-    x_first = 1 << (2 * (n - 1))
-    gens = [all_x, all_z, x_first]
-    codes = close_codes(n, gens)
-    values = np.random.default_rng(7).uniform(-1.0, 1.0, size=codes.size)
-    return SparseHamiltonian(n, codes, values)
-
-
-def _time_call(fn, repeats: int, warmup: bool = True) -> float:
-    if warmup:
-        fn()
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _integer(text, flag: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"{flag} {text!r} is not an integer {what}") from None
-
-
-def _qubit_count(text, flag: str) -> int:
-    n = _integer(text, flag, "qubit count")
-    if not 1 <= n <= MAX_QUBITS:
-        raise FormatError(f"{flag} {n}: qubit count must be in [1, {MAX_QUBITS}]")
-    return n
-
-
-def cmd_bench(args) -> int:
-    beta = _finite(args.beta, "--beta")
-    if args.repeats < 1:
-        raise FormatError(f"--repeats must be at least 1, got {args.repeats}")
-    n_list = [_qubit_count(t, "--n-list entry") for t in args.n_list.split(",")]
-    _qubit_count(args.n, "--n")
-    rows: list[tuple[int, int, float]] = []
-    if args.suite == "spectral-n":
-        for n in n_list:
-            h = _bench_pattern(n)
-            dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
-            rows.append((n, h.codes.size, dt))
-    elif args.suite == "spectral-tau":
-        n = args.n
-        tau_list = [_integer(t, "--tau-list entry", "closed-set size")
-                    for t in args.tau_list.split(",")]
-        for tau in tau_list:  # every entry checked before any is timed
-            rank = (tau + 1).bit_length() - 1
-            if 2**rank - 1 != tau:
-                raise FormatError(f"tau must be 2^k - 1 for a closed set, got {tau}")
-            if rank > 2 * n:  # s + c = ceil(rank / 2) <= n
-                raise ValueError(f"rank {rank} exceeds 2n = {2 * n}, the most n={n} qubits allow")
-        for k, tau in enumerate(tau_list):
-            rank = tau.bit_length()
-            h = random_closed_hamiltonian(np.random.default_rng(100 + k), n, rank // 2, rank % 2)
-            dt = _time_call(lambda: exp_spectral(h, beta, args.closure_cap), args.repeats)
-            rows.append((n, tau, dt))
-    elif args.suite == "dense-n":
-        for n in n_list:
-            h = _bench_pattern(n)
-            # repeated 2**n eigh calls are slow, so no warmup call
-            dt = _time_call(
-                lambda: dense_exp(reconstruct_dense(h, args.dense_cap), beta),
-                args.repeats,
-                warmup=False,
-            )
-            rows.append((n, h.codes.size, dt))
-    else:
-        raise FormatError(f"unknown suite {args.suite!r}")
-    lines = ["n,tau,wall_time_s"]
-    lines += [f"{n},{tau},{dt:.9f}" for n, tau, dt in rows]
-    _emit_text(args, "\n".join(lines) + "\n")
-    return EXIT_OK
-
-
 def cmd_decompose(args) -> int:
-    _check_tolerance(args.zero_tol, "--zero-tol")
+    _check_nonnegative(args.zero_tol, "--zero-tol")
     m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
     if args.format == "json" and isinstance(obj, SparseHamiltonian):
@@ -412,19 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="wall-time sweeps, CSV output")
-    p.add_argument("--suite", choices=("spectral-n", "spectral-tau", "dense-n"),
-                   default="spectral-n")
-    p.add_argument("--n-list", default="4,6,8,10,12", help="qubit counts (spectral-n, dense-n)")
-    p.add_argument("--n", type=int, default=10, help="fixed qubit count (spectral-tau)")
-    p.add_argument("--tau-list", default="3,7,15,31,63", help="closed-set sizes (spectral-tau)")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
-    p.add_argument("-o", "--output", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("decompose", help="dense matrix file -> Pauli terms")
     p.add_argument("-i", "--input", required=True, help="dense matrix (.json or PEXP binary)")
     p.add_argument("-o", "--output")
@@ -454,6 +356,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _check_nonnegative(getattr(args, "closure_cap", 0), "--closure-cap")  # decompose has none
             return args.func(args)
     except FormatError as exc:
         print(f"pauliexp: input error: {exc}", file=sys.stderr)

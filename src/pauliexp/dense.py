@@ -75,8 +75,9 @@ def dense_exp(m: np.ndarray, beta: complex, hermitian_tol: float = 1e-10) -> np.
     if defect > hermitian_tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(m)
-    exponents = -beta * w
-    if exponents.real.max() > _LOG_FLOAT_MAX:
+    with np.errstate(over="ignore"):
+        exponents = -beta * w
+    if exponents.real.max() > _LOG_FLOAT_MAX or np.isinf(exponents.imag).any():
         raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit "
                             f"in float64 on the dense path")
     return (v * np.exp(exponents)) @ v.conj().T

@@ -40,11 +40,11 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 def _scale(log_scale: complex, beta) -> complex:
-    """exp(log_scale); OverflowError naming beta when it does not fit in
-    float64, log_scale = inf included (cmath.exp returns inf for it)."""
+    """exp(log_scale); OverflowError naming beta when its modulus or its phase
+    does not fit in float64 (cmath.exp returns inf, or raises, for these)."""
     try:
         scale = cmath.exp(log_scale)
-    except OverflowError:
+    except (OverflowError, ValueError):
         scale = math.inf
     if cmath.isinf(scale):
         raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit in float64")
@@ -55,15 +55,19 @@ def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
     """(betas, log_scale, t), one leading row per beta, for eigenvalues w of
     any shape: t = exp(-beta (w - shift)) and log_scale = -beta (shift +
     offset), with shift lo when Re beta > 0, hi when Re beta < 0 and 0 at
-    Re beta = 0, so that no entry of t exceeds 1 in modulus. A product past
-    float64 is left infinite: -inf in the exponent of t is the exact limit
-    t = 0, and an infinite log_scale is refused by _scale and the callers."""
+    Re beta = 0, so that no entry of t exceeds 1 in modulus. -inf in the
+    exponent of t is the exact limit t = 0, an infinite log_scale is refused
+    by _scale and the callers, and a phase |Im beta| |w - shift| past float64
+    raises OverflowError."""
     betas = np.asarray(betas, dtype=np.complex128).reshape(-1)
     shift = np.array([lo if b > 0 else hi if b < 0 else 0.0 for b in betas.real.tolist()])
     col = (-1,) + (1,) * w.ndim
     with np.errstate(over="ignore"):
         log_scale = -betas * (shift + offset)
         exponent = -betas.reshape(col) * (w - shift.reshape(col))
+        lost = np.abs(betas.imag) * np.maximum(hi - shift, shift - lo) == math.inf
+    if lost.any():
+        raise OverflowError(f"exp(-beta H) at beta {betas[lost][0]:g} does not fit in float64")
     return betas, log_scale, np.exp(exponent)
 
 
@@ -252,7 +256,7 @@ def _quadrature(r: Reduced, beta: complex, center: complex, radius: float, nodes
     N nodes z of the circle, one stacked solve of z I - M_lambda per node."""
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     zs = center + radius * np.exp(1j * angles)
-    if (-beta * zs).real.max() > _LOG_FLOAT_MAX:
+    if not all((-complex(beta) * z).real <= _LOG_FLOAT_MAX for z in zs.tolist()):  # NaN fails
         raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
                             f"does not fit in float64; the spectral path has no such limit")
     eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
@@ -325,6 +329,8 @@ def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
         y = g * beta
         sign = 1.0 if y.real >= 0 else -1.0
         a, b = sign * y.real, sign * y.imag
+        if math.isinf(b):  # math.cos and math.sin refuse an infinite phase
+            raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit in float64")
         s = -math.expm1(-2.0 * a) / 2.0
         c = 1.0 - s
         scale = _scale(-beta * h.identity_offset + a, beta)

@@ -25,7 +25,7 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.cli import main
-from pauliexp.hamiltonian import random_closed_hamiltonian
+from pauliexp.hamiltonian import close_codes, random_closed_hamiltonian
 
 from conftest import FIXTURES, anticommuting_family, coeff_dict
 
@@ -207,24 +207,40 @@ def test_criterion_08_qutrit_embedding_golden():
     report(8, f"qutrit terms match XY:-2 YX:2 ZI:1 ZZ:1, err {worst:.1e}")
 
 
-def test_criterion_09_scaling(tmp_path, capsys):
-    small = tmp_path / "spectral.csv"
-    code = main(["bench", "--suite", "spectral-n", "--n-list", "4,12",
-                 "--repeats", "9", "-o", str(small)])
-    assert code == 0
-    rows = [line.split(",") for line in small.read_text().splitlines()[1:]]
-    times = {int(r[0]): float(r[2]) for r in rows}
-    assert all(int(r[1]) == 7 for r in rows)
-    spectral_ratio = max(times.values()) / min(times.values())
+def tau7_pattern(n: int) -> SparseHamiltonian:
+    """The closure of three generators spanning all n qubits, all-X, all-Z and
+    X on the first qubit: tau 7 at every n >= 2."""
+    codes = close_codes(n, [int("1" * n, 4), int("3" * n, 4), 1 << (2 * (n - 1))])
+    return SparseHamiltonian(n, codes, np.random.default_rng(7).uniform(-1.0, 1.0, codes.size))
+
+
+def best_time(fn, repeats: int, warmup: bool) -> float:
+    """The shortest wall time of `repeats` calls of fn, after one untimed call if `warmup`."""
+    if warmup:
+        fn()
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_criterion_09_scaling():
+    spectral = {}
+    for n in (4, 12):
+        h = tau7_pattern(n)
+        assert h.codes.size == 7
+        spectral[n] = best_time(lambda: exp_spectral(h, 1.0), 9, warmup=True)
+    spectral_ratio = max(spectral.values()) / min(spectral.values())
     assert spectral_ratio < 2.0
 
-    big = tmp_path / "dense.csv"
-    code = main(["bench", "--suite", "dense-n", "--n-list", "6,12",
-                 "--dense-cap", "12", "--repeats", "1", "-o", str(big)])
-    assert code == 0
-    rows = [line.split(",") for line in big.read_text().splitlines()[1:]]
-    dense_times = {int(r[0]): float(r[2]) for r in rows}
-    dense_ratio = dense_times[12] / dense_times[6]
+    dense = {}
+    for n in (6, 12):
+        h = tau7_pattern(n)
+        # a 4096 x 4096 eigh is slow, so one call and no warm-up
+        dense[n] = best_time(lambda: dense_exp(reconstruct_dense(h, 12), 1.0), 1, warmup=False)
+    dense_ratio = dense[12] / dense[6]
     assert dense_ratio >= 100.0
     report(9, f"tau=7 spectral n=4 vs n=12 ratio {spectral_ratio:.2f}x; "
               f"dense n=12/n=6 ratio {dense_ratio:.0f}x")

@@ -32,7 +32,7 @@ from conftest import coeff_dict
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-SUBCOMMANDS = "{exp,partition,gibbs,verify,bench,decompose,closure}"
+SUBCOMMANDS = "{exp,partition,gibbs,verify,decompose,closure}"
 
 
 def run(capsys, *argv):
@@ -365,6 +365,12 @@ class TestInputErrors:
          "--tolerance must be finite, got inf"),
         (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance=-1e-10"],
          "--tolerance must be at least 0, got -1e-10"),
+        (["exp", "-i", "h1.txt", "--beta", "1", "--closure-cap", "-1"],
+         "--closure-cap must be at least 0, got -1"),
+        (["partition", "-i", "h2.txt", "--betas", "1", "--closure-cap", "-1"],
+         "--closure-cap must be at least 0, got -1"),
+        (["closure", "-i", "h2.txt", "--closure-cap", "-1"],
+         "--closure-cap must be at least 0, got -1"),
     ])
     def test_tolerance_flags(self, capsys, fixtures_dir, argv, message):
         argv[2] = str(fixtures_dir / argv[2])
@@ -515,14 +521,29 @@ class TestLargeBeta:
 
     GIBBS_OFF_IDENTITY = -1.0 / (8.0 * math.sqrt(3.0))  # ground projector / 4
 
-    @pytest.mark.parametrize("method", ["auto", "spectral", "dense"])
-    def test_exp_that_does_not_fit_exits_3(self, capsys, fixtures_dir, method):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                             "--beta", "1000", "--method", method)
+    @pytest.mark.parametrize("name,beta,method", [
+        pytest.param("h1.txt", "--beta=1000", "auto", id="auto"),
+        pytest.param("h1.txt", "--beta=1000", "spectral", id="spectral"),
+        pytest.param("h1.txt", "--beta=1000", "dense", id="dense"),
+        # a phase -Im(beta) E past float64, on every path
+        ("h2.txt", "--time=1e308", "auto"),
+        ("h2.txt", "--time=1e308", "spectral"),
+        ("h2.txt", "--time=1e308", "dense"),
+        ("h2.txt", "--time=1e308", "contour"),
+        ("h2.txt", "--beta=1e308+1e308i", "auto"),
+        ("h2.txt", "--beta=1e308+1e308i", "spectral"),
+        ("h1.txt", "--time=1.7e308", "anticommute"),
+    ])
+    def test_exp_that_does_not_fit_exits_3(self, capsys, fixtures_dir, name, beta, method):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / name), beta,
+                             "--method", method)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("pauliexp: numerical error:")
+        flag, value = beta.split("=")
+        named = parse_beta(value) if flag == "--beta" else 1j * float(value)
+        assert f" at beta {named:g} " in err
 
     @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000", "1e308", "-1e308",
                                       "1.7976931348623157e308"])
@@ -886,102 +907,6 @@ class TestClosure:
                            "--closure-cap", "512")
         assert code == 2
         assert "2047" in err
-
-
-class TestBench:
-    def test_spectral_tau_csv(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "spectral-tau", "--n", "6",
-                           "--tau-list", "3,7", "--repeats", "1")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,tau,wall_time_s"
-        assert len(lines) == 3
-        n, tau, dt = lines[1].split(",")
-        assert (int(n), int(tau)) == (6, 3)
-        assert float(dt) > 0
-
-    def test_spectral_n_csv(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "spectral-n",
-                           "--n-list", "4,6", "--repeats", "1")
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == [4, 6]
-        assert all(int(r[1]) == 7 for r in rows)
-
-    def test_dense_suite(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "dense-n",
-                           "--n-list", "2,3", "--repeats", "1")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 3
-
-    def test_bad_tau_rejected(self, capsys):
-        code, _, err = run(capsys, "bench", "--suite", "spectral-tau",
-                           "--tau-list", "6", "--repeats", "1")
-        assert code == 1
-
-    def test_spectral_tau_at_32_qubits(self, capsys):
-        code, out, err = run(capsys, "bench", "--suite", "spectral-tau", "--n", "32",
-                             "--tau-list", "7", "--repeats", "1")
-        assert code == 0, err
-        assert out.splitlines()[1].startswith("32,7,")
-
-    @pytest.mark.parametrize("argv,needle", [
-        (["--n-list", "40"], "qubit count"),
-        (["--n-list", "4", "--repeats", "0"], "--repeats"),
-        (["--n-list", "4", "--beta", "nan"], "--beta"),
-    ])
-    def test_bad_settings_exit_1(self, capsys, argv, needle):
-        code, out, err = run(capsys, "bench", *argv)
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1 and needle in err, err
-
-    @pytest.mark.parametrize("argv,needle", [
-        (["--n-list", "0"], "--n-list entry 0: qubit count must be in [1, 32]"),
-        (["--n-list", "4,x"], "--n-list entry 'x' is not an integer qubit count"),
-        (["--suite", "spectral-tau", "--n", "40"], "--n 40: qubit count must be in [1, 32]"),
-        (["--suite", "spectral-tau", "--n", "0"], "--n 0: qubit count must be in [1, 32]"),
-        (["--suite", "spectral-tau", "--tau-list", "x"],
-         "--tau-list entry 'x' is not an integer closed-set size"),
-        (["--suite", "spectral-tau", "--tau-list", "2.5"],
-         "--tau-list entry '2.5' is not an integer closed-set size"),
-        (["--suite", "spectral-tau", "--tau-list", "1,,"],
-         "--tau-list entry '' is not an integer closed-set size"),
-    ])
-    def test_bad_qubit_count_names_flag(self, argv, needle):
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", "bench", *argv],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == f"pauliexp: input error: {needle}\n"
-
-    def test_rank_above_2n_returns(self):
-        # no 2-qubit span has rank 5; this once redrew generators forever
-        proc = subprocess.run(
-            [sys.executable, "-m", "pauliexp", "bench", "--suite", "spectral-tau",
-             "--n", "2", "--tau-list", "31", "--repeats", "1"],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert "rank 5 exceeds 2n = 4" in proc.stderr
-
-    @pytest.mark.parametrize("tau_list,message", [
-        ("3,7,15,31", "config error: rank 5 exceeds 2n = 4, the most n=2 qubits allow"),
-        ("3,7,6", "input error: tau must be 2^k - 1 for a closed set, got 6"),
-    ])
-    def test_tau_list_checked_before_timing(self, capsys, monkeypatch, tau_list, message):
-        calls = []
-        monkeypatch.setattr(pauliexp.cli, "_time_call", lambda *args, **kw: calls.append(args))
-        assert run(capsys, "bench", "--suite", "spectral-tau", "--n", "2", "--tau-list", tau_list,
-                   "--repeats", "1") == (1, "", f"pauliexp: {message}\n")
-        assert calls == []
-
-    def test_output_file(self, capsys, tmp_path):
-        dest = tmp_path / "bench.csv"
-        code, out, _ = run(capsys, "bench", "--suite", "spectral-tau", "--n", "4",
-                           "--tau-list", "3", "--repeats", "1", "-o", str(dest))
-        assert code == 0
-        assert dest.read_text().startswith("n,tau,wall_time_s")
 
 
 class TestGoldenBytes:

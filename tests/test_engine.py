@@ -425,6 +425,11 @@ class TestReduced:
             assert np.isfinite(red.log_partition(beta)).all()
         # four of the eight eigenvalues are -sqrt(3)
         assert red.log_partition(1000.0)[0].real == pytest.approx(1000 * np.sqrt(3) + np.log(4))
+        # only the phase of exp(-beta offset) leaves float64, where cmath.exp raises ValueError
+        shifted = SparseHamiltonian(h.n, h.codes, h.values, identity_offset=1e10)
+        for method in ("sector", "spectral", "contour", "anticommute"):
+            with pytest.raises(OverflowError, match=r"at beta 0\+1e\+300j does not fit"):
+                exp_with_method(shifted, 1e300j, method)
 
 
 SHAPES = [(n, s, r - 2 * s) for r in (1, 2, 5, 8) for s in range(r // 2 + 1)

@@ -17,14 +17,16 @@ formats and alphabets; dense output formats; `decompose` of random
 matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
 JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
 closure exceeds the default cap; non-finite and large betas, up to 1e308
-under `gibbs`, `partition --gibbs` and `exp --method spectral`; `--nodes 0`
-under contour and the contour flags under other methods; a NaN
-`--zero-tol` or `--tolerance`; `bench` (timings dropped); good and bad
-input files in both the text and the JSON format, a JSON Hamiltonian with
-a bool "n" under `exp`, and dense JSON and PEXP files with a null, bool,
-string or NaN entry or a bool or too large "n" under `decompose`;
-and closed sets of rank 4-7 on 32 qubits, with codes of 2**63 and above,
-under `exp --time`, `exp --beta` and `partition --gibbs`.
+under `gibbs`, `partition --gibbs` and `exp --method spectral`, and betas
+whose phase does not fit in float64 under `exp` on every path and under
+`verify`; `--nodes 0` under contour and the contour flags under other
+methods; a NaN `--zero-tol` or `--tolerance`; a negative `--closure-cap`
+under `exp`, `partition` and `closure`; good and bad input files in both
+the text and the JSON format, a JSON Hamiltonian with a bool "n" under
+`exp`, and dense JSON and PEXP files with a null, bool, string or NaN
+entry or a bool or too large "n" under `decompose`; and closed sets of
+rank 4-7 on 32 qubits, with codes of 2**63 and above, under `exp --time`,
+`exp --beta` and `partition --gibbs`.
 """
 
 import io
@@ -169,10 +171,15 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--method", "dense", "--zero-tol", "nan"],
             ["exp", "-i", fix["h2.txt"], "--beta", "1e308", "--method", "spectral"],
             ["decompose", "-i", fix["qutrit_embedded.json"], "--zero-tol", "nan"]]
-    out += [["bench", "--n-list", "40"],
-            ["bench", "--suite", "spectral-tau", "--n", "6", "--tau-list", "3,7", "--repeats", "1"],
-            ["bench", "--n-list", "3,5", "--repeats", "1"],
-            ["bench", "--suite", "dense-n", "--n-list", "3", "--repeats", "1"]]
+    out += [["exp", "-i", fix["h2.txt"], "--time", "1e308", "--method", m]
+            for m in ["auto", "spectral", "dense", "contour"]]
+    out += [["exp", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", m]
+            for m in ["auto", "spectral"]]
+    out += [["verify", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", "sector"],
+            ["exp", "-i", fix["h1.txt"], "--time", "1.7e308", "--method", "anticommute"],
+            ["exp", "-i", fix["h1.txt"], "--beta", "1", "--closure-cap", "-1"],
+            ["partition", "-i", fix["h2.txt"], "--betas", "1", "--closure-cap", "-1"],
+            ["closure", "-i", fix["h2.txt"], "--closure-cap", "-1"]]
     for name, text in INPUTS.items():
         (tmp / name).write_text(text)
         out += [["exp", "-i", str(tmp / name), "--beta", "0.5"],
@@ -202,10 +209,7 @@ def call(cli, argv: list[str]) -> list:
         wrapper.flush()
         wrapper.detach()
         sys.stdout, sys.stderr = saved
-    text = stdout.getvalue().decode("latin-1")
-    if argv[0] == "bench":  # the last column is a wall time
-        text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
-    return [code, text, stderr.getvalue()]
+    return [code, stdout.getvalue().decode("latin-1"), stderr.getvalue()]
 
 
 def run(src: str, out_path: str) -> None:
