@@ -53,7 +53,6 @@ from .dense import (
     pauli_matrix,
     read_dense,
     reconstruct_dense,
-    write_dense,
 )
 
 __version__ = "0.1.0"

@@ -31,13 +31,13 @@ from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
     PauliExpansion,
     SparseHamiltonian,
-    capped_basis,
     close,
     coeff_lines,
     coeffs_json,
     format_complex,
     format_expansion_text,
     format_hamiltonian_text,
+    gf2_basis,
     hamiltonian_to_dict,
     load_hamiltonian,
     pauli_decompose,
@@ -118,16 +118,22 @@ def _as_expansion(obj) -> PauliExpansion:
 
 def cmd_exp(args) -> int:
     beta = _beta_from_args(args)
-    _check_nonnegative(args.zero_tol, "--zero-tol")
+    if args.zero_tol is not None:
+        _check_nonnegative(args.zero_tol, "--zero-tol")
     center = parse_beta(args.center) if args.center is not None else None
     h = load_hamiltonian(args.input)
     if (center is None) != (args.radius is None):
         raise FormatError("--center and --radius must be given together")
     if args.method != "contour" and (center is not None or args.nodes is not None):
         raise FormatError("--nodes, --center and --radius apply only to --method contour")
+    if args.method != "dense" and args.zero_tol is not None:
+        raise FormatError("--zero-tol applies only to --method dense")
+    if args.method != "dense" and args.dense_cap is not None and "dense" not in args.format:
+        raise FormatError("--dense-cap applies only to --method dense and the dense formats")
+    dense_cap = DENSE_CAP_DEFAULT if args.dense_cap is None else args.dense_cap
     if args.method == "dense":
-        m = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
-        e = _as_expansion(pauli_decompose(m, zero_tol=args.zero_tol))
+        m = dense_exp(reconstruct_dense(h, dense_cap), beta)
+        e = _as_expansion(pauli_decompose(m, 1e-12 if args.zero_tol is None else args.zero_tol))
         method = "dense"
     elif args.method == "contour":
         nodes = DEFAULT_NODES if args.nodes is None else args.nodes
@@ -141,9 +147,9 @@ def cmd_exp(args) -> int:
                "method": method}
         _emit_text(args, _json_text(doc, [_expansion_coeffs(e, args.alphabet)]))
     elif args.format == "dense-json":
-        _emit_text(args, dense_to_json(reconstruct_dense(e, args.dense_cap)) + "\n")
+        _emit_text(args, dense_to_json(reconstruct_dense(e, dense_cap)) + "\n")
     elif args.format == "dense-bin":
-        _emit_bytes(args, dense_to_bytes(reconstruct_dense(e, args.dense_cap)))
+        _emit_bytes(args, dense_to_bytes(reconstruct_dense(e, dense_cap)))
     else:
         raise FormatError(f"unknown format {args.format!r}")
     return EXIT_OK
@@ -223,7 +229,7 @@ def cmd_verify(args) -> int:
     beta = _beta_from_args(args)
     _check_nonnegative(args.tolerance, "--tolerance")
     # from the GF(2) rank alone: each method enforces its own cap
-    tau = 2 ** capped_basis(h.codes, math.inf).size - 1
+    tau = 2 ** gf2_basis(h.codes).size - 1
     e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
     approx = reconstruct_dense(e, args.dense_cap)
     exact = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
@@ -297,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None, help="contour quadrature nodes")
     p.add_argument("--center", default=None, help="contour center (complex)")
     p.add_argument("--radius", type=float, default=None, help="contour radius")
-    p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
-    p.add_argument("--zero-tol", type=float, default=1e-12)
+    p.add_argument("--dense-cap", type=int, default=None)
+    p.add_argument("--zero-tol", type=float, default=None)
     p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser("partition", help="partition function over a real beta grid")

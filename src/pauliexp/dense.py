@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import FormatError
 from .hamiltonian import (
+    HERMITIAN_TOL,
     PauliExpansion,
     SparseHamiltonian,
     _PAULI_1Q,
@@ -67,12 +68,12 @@ def reconstruct_dense(obj, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     return out
 
 
-def dense_exp(m: np.ndarray, beta: complex, hermitian_tol: float = 1e-10) -> np.ndarray:
+def dense_exp(m: np.ndarray, beta: complex) -> np.ndarray:
     """exp(-beta m) for Hermitian m, via full eigendecomposition."""
     m = np.asarray(m, dtype=np.complex128)
     qubit_count(m)
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > hermitian_tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(m)
     with np.errstate(over="ignore"):
@@ -173,15 +174,6 @@ def dense_from_bytes(blob: bytes) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(m))[0].tolist()
         raise FormatError(f"entry ({i}, {j}): not a finite complex number")
     return m
-
-
-def write_dense(path, m: np.ndarray, binary: bool = False):
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(dense_to_bytes(m))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dense_to_json(m))
 
 
 def read_dense(path) -> np.ndarray:

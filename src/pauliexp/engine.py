@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import ClosureExplosion, ContourError, SingularSystem
-from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, capped_basis, close
+from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, close, gf2_basis
 from .pauli import I_POWERS_ARR, LANES, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
 
@@ -145,10 +145,13 @@ class Reduced:
     OverflowError when the result itself does not fit in float64.
     """
 
-    def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP):
-        self._reduce(h, capped_basis(h.codes, cap))
-
-    def _reduce(self, h: SparseHamiltonian, basis: np.ndarray) -> Reduced:
+    def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP,
+                 basis: np.ndarray | None = None):
+        """Reduce h; `basis`, when given, is gf2_basis(h.codes). ClosureExplosion
+        with the exact size 2**r - 1 when the span has more than `cap` strings."""
+        basis = gf2_basis(h.codes) if basis is None else basis
+        if 2**basis.size - 1 > cap:
+            raise ClosureExplosion(2**basis.size - 1, cap)
         self.h = h
         e, f, z = symplectic_split(basis)
         self.s, self.c = len(e), len(z)
@@ -177,7 +180,6 @@ class Reduced:
         self.blocks = d.reshape(2**self.c, 2**self.s, -1)[:, self._cols.T, self._rows]
         self.w, self.v = np.linalg.eigh(self.blocks)
         self.lambda_min, self.lambda_max = float(self.w.min()), float(self.w.max())
-        return self
 
     @property
     def tau(self) -> int:
@@ -258,7 +260,7 @@ def _quadrature(r: Reduced, beta: complex, center: complex, radius: float, nodes
     zs = center + radius * np.exp(1j * angles)
     if not all((-complex(beta) * z).real <= _LOG_FLOAT_MAX for z in zs.tolist()):  # NaN fails
         raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
-                            f"does not fit in float64; the spectral path has no such limit")
+                            "does not fit in float64")
     eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
     acc = np.zeros(r.blocks.shape, dtype=np.complex128)
     for z in zs:
@@ -315,7 +317,7 @@ def _anticommute_pairwise(codes: np.ndarray, rank: int) -> bool:
 
 def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
     """Whether every pair of distinct support strings anticommutes."""
-    return _anticommute_pairwise(h.codes, capped_basis(h.codes, math.inf).size)
+    return _anticommute_pairwise(h.codes, gf2_basis(h.codes).size)
 
 
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
@@ -366,12 +368,10 @@ def exp_with_method(
     a center, a radius or a node count.
     """
     if method in ("auto", "sector"):  # one GF(2) basis for the check and the reduction
-        basis = capped_basis(h.codes, math.inf)
+        basis = gf2_basis(h.codes)
         if method == "auto" and _anticommute_pairwise(h.codes, basis.size):
             return _anticommuting(h, beta), "anticommute"
-        if 2**basis.size - 1 > cap:
-            raise ClosureExplosion(2**basis.size - 1, cap)
-        return Reduced.__new__(Reduced)._reduce(h, basis).exp(beta), "sector"
+        return Reduced(h, cap, basis).exp(beta), "sector"
     if method == "spectral":
         return exp_spectral(h, beta, cap), method
     if method == "contour":

@@ -23,6 +23,7 @@ from .errors import ClosureExplosion, FormatError
 from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
+HERMITIAN_TOL = 1e-10  # max entrywise |m - m^dagger| of a matrix taken as Hermitian
 
 
 def checked_codes(n: int, codes, identity_error: str | None = None) -> np.ndarray:
@@ -111,7 +112,7 @@ class PauliExpansion:
         object.__setattr__(self, "values", _finite_values(codes, self.values, np.complex128))
 
 
-def _gf2_basis(codes: np.ndarray) -> np.ndarray:
+def gf2_basis(codes: np.ndarray) -> np.ndarray:
     """Basis of the GF(2) span of uint64 codes, leading bits descending.
 
     The largest code left holds the highest leading bit left, so min(c, c ^
@@ -121,16 +122,6 @@ def _gf2_basis(codes: np.ndarray) -> np.ndarray:
         basis.append(pivot)
         rest = np.minimum(rest, rest ^ pivot)
     return np.array(basis, dtype=np.uint64)
-
-
-def capped_basis(codes: np.ndarray, cap: int) -> np.ndarray:
-    """GF(2) basis of uint64 codes; ClosureExplosion with the exact size
-    2**r - 1 when their span has more than `cap` non-identity strings."""
-    basis = _gf2_basis(codes)
-    size = 2 ** basis.size - 1
-    if size > cap:
-        raise ClosureExplosion(size, cap)
-    return basis
 
 
 def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
@@ -146,8 +137,11 @@ def close_codes(n: int, codes, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
     codes = np.fromiter(codes, dtype=np.uint64)
     if codes.size and int(codes.max()) >= 4**n:
         raise ValueError(f"code {int(codes.max())} out of range for n={n}")
+    basis = gf2_basis(codes)
+    if 2**basis.size - 1 > cap:
+        raise ClosureExplosion(2**basis.size - 1, cap)
     span = np.zeros(1, dtype=np.uint64)
-    for b in capped_basis(codes, cap):
+    for b in basis:
         span = np.concatenate((span, span ^ b))
     span.sort()
     return span[1:]
@@ -225,14 +219,10 @@ def qubit_count(m: np.ndarray) -> int:
     return n
 
 
-def pauli_decompose(
-    m: np.ndarray,
-    zero_tol: float = 1e-12,
-    hermitian_tol: float = 1e-10,
-):
+def pauli_decompose(m: np.ndarray, zero_tol: float = 1e-12):
     """Expand a 2**n square matrix in the Pauli string basis.
 
-    Hermitian input (max entrywise defect <= hermitian_tol) comes back as a
+    Hermitian input (max entrywise defect <= HERMITIAN_TOL) comes back as a
     SparseHamiltonian with real coefficients and the identity component in
     identity_offset; anything else comes back as a complex PauliExpansion.
     Coefficients with |c| <= zero_tol are dropped either way.
@@ -241,7 +231,7 @@ def pauli_decompose(
     n = qubit_count(m)
     coeffs = _coefficient_tensor(m, n)
     kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
-    if np.abs(m - m.conj().T).max() <= hermitian_tol:
+    if np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
         kept = kept[kept != 0]
         return SparseHamiltonian(n, kept, coeffs[kept].real, coeffs[0].real)
     return PauliExpansion(n, kept, coeffs[kept])
@@ -334,14 +324,6 @@ def _entry_value(entry) -> float:
     if not isinstance(entry, dict) or "coeff" not in entry or "pauli" not in entry:
         raise ValueError('expected {"coeff", "pauli"}')
     return _real(entry["coeff"], "coeff")
-
-
-def _complex_field(doc: dict, where: str) -> complex:
-    """The {"re", "im"} number `doc`; FormatError at `where` for a bad part."""
-    try:
-        return complex(_real(doc["re"], "re"), _real(doc["im"], "im"))
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from None
 
 
 def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
@@ -469,34 +451,3 @@ def expansion_to_dict(
     doc["coeffs"] = coeff_entries(format_codes(e.n, e.codes, alphabet), e.values.tolist())
     return doc
 
-
-def expansion_from_dict(doc: dict) -> tuple[PauliExpansion, complex | None]:
-    """Inverse of expansion_to_dict; returns (expansion, beta or None).
-
-    A string listed twice keeps its last coefficient. Every "re" and "im"
-    must be a finite JSON number. The first bad entry is reported, an
-    entry's Pauli string before its numbers."""
-    n = _qubits(doc, "coeffs")
-    beta = None
-    if "beta" in doc:
-        b = doc["beta"]
-        if not isinstance(b, dict) or "re" not in b or "im" not in b:
-            raise FormatError('"beta" must be {"re", "im"}')
-        beta = _complex_field(b, '"beta"')
-    entries, fault = [], None
-    for i, entry in enumerate(doc["coeffs"]):
-        if not isinstance(entry, dict) or not {"pauli", "re", "im"} <= entry.keys():
-            fault = FormatError(f'coeffs[{i}]: expected {{"pauli", "re", "im"}}')
-            break
-        entries.append(entry)
-    try:
-        codes = parse_codes([str(entry["pauli"]) for entry in entries], n)
-    except LabelError as exc:
-        fault, entries = FormatError(f"coeffs[{exc.index}]: {exc}"), entries[:exc.index]
-    # entries stop short of every fault found so far, so a bad number here is the first
-    values = np.array([_complex_field(e, f"coeffs[{i}]") for i, e in enumerate(entries)],
-                      dtype=np.complex128)
-    if fault:
-        raise fault
-    unique, last = np.unique(codes[::-1], return_index=True)
-    return PauliExpansion(n, unique, values[::-1][last]), beta

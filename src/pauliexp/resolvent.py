@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystem
-from .hamiltonian import DEFAULT_CLOSURE_CAP, SparseHamiltonian, checked_codes, close
+from .hamiltonian import SparseHamiltonian, checked_codes, close
 from .pauli import I_POWERS_ARR, phase_exponents
 
 # residual acceptance: ||(zI - A) r - e0|| <= RESIDUAL_RTOL * (|z| + ||A||_inf)
@@ -47,17 +47,15 @@ def assemble(codes: np.ndarray, coeffs: np.ndarray):
     return a, -1, -1
 
 
-def build_structure_matrix(
-    h: SparseHamiltonian, term_set=None, cap: int = DEFAULT_CLOSURE_CAP
-) -> np.ndarray:
+def build_structure_matrix(h: SparseHamiltonian, term_set=None) -> np.ndarray:
     """The bordered structure matrix of h over a closed set of codes: row
     and column 0 are the identity, row and column i the code term_set[i - 1].
 
-    term_set defaults to close(h, cap); a given one must be a strictly
+    term_set defaults to close(h); a given one must be a strictly
     increasing code array on h's qubits, closed and holding h's support.
     """
     if term_set is None:
-        term_set = close(h, cap)
+        term_set = close(h)
     codes = checked_codes(h.n, term_set, "closed sets never contain the identity")
     coeffs = np.zeros(codes.size)
     _, into, of_h = np.intersect1d(codes, h.codes, assume_unique=True, return_indices=True)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from pauliexp.pauli import phase_exponents
+from pauliexp import PauliExpansion
+from pauliexp.pauli import parse_codes, phase_exponents
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,6 +21,15 @@ def rng() -> np.random.Generator:
 def coeff_dict(obj) -> dict:
     """{code: coefficient} of the arrays of a SparseHamiltonian or PauliExpansion."""
     return dict(zip(obj.codes.tolist(), obj.values.tolist()))
+
+
+def read_expansion(doc: dict) -> tuple[PauliExpansion, complex | None]:
+    """(expansion, beta or None) of a dict in expansion_to_dict's form, such
+    as a parsed pauli-json document."""
+    codes = parse_codes([entry["pauli"] for entry in doc["coeffs"]], doc["n"])
+    values = [complex(entry["re"], entry["im"]) for entry in doc["coeffs"]]
+    beta = complex(doc["beta"]["re"], doc["beta"]["im"]) if "beta" in doc else None
+    return PauliExpansion(doc["n"], codes, values), beta
 
 
 def anticommuting_family(rng, n: int, target: int) -> list[int]:

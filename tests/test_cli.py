@@ -17,10 +17,9 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.cli import main, parse_beta
-from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes
+from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes, dense_to_json
 from pauliexp.engine import Reduced, exp_with_method
 from pauliexp.hamiltonian import (
-    expansion_from_dict,
     expansion_to_dict,
     format_hamiltonian_text,
     random_closed_hamiltonian,
@@ -28,7 +27,7 @@ from pauliexp.hamiltonian import (
 from pauliexp.pauli import parse_codes
 import pauliexp.cli
 
-from conftest import coeff_dict
+from conftest import coeff_dict, read_expansion
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -97,7 +96,7 @@ class TestExp:
         assert code == 0
         doc = json.loads(out)
         assert doc["method"] == "sector"
-        e, beta = expansion_from_dict(doc)
+        e, beta = read_expansion(doc)
         assert beta == 0.5 + 0.25j
         assert e.n == 4
 
@@ -113,7 +112,7 @@ class TestExp:
                 assert code == 0
                 doc = json.loads(out)
                 assert doc["method"] == method
-                e, _ = expansion_from_dict(doc)
+                e, _ = read_expansion(doc)
                 outs[method] = coeff_dict(e)
             keys = set().union(*outs.values())
             tol = 1e-10 * (max(map(abs, outs["spectral"].values())) if relative else 1.0)
@@ -131,7 +130,7 @@ class TestExp:
         assert code == 0
         _, out2, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
                          "--beta", "1", "--format", "pauli-json")
-        e1, e2 = (coeff_dict(expansion_from_dict(json.loads(o))[0]) for o in (out, out2))
+        e1, e2 = (coeff_dict(read_expansion(json.loads(o))[0]) for o in (out, out2))
         assert max(abs(e1.get(k, 0) - e2.get(k, 0)) for k in e1.keys() | e2.keys()) < 1e-8
 
     @pytest.mark.parametrize("nodes", ["0", "2", "-3"])
@@ -215,6 +214,29 @@ class TestExp:
         assert err == ("pauliexp: input error: --nodes, --center and --radius apply only "
                        "to --method contour\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        *(pytest.param(["--zero-tol", "0.5", "--method", method],
+                       "--zero-tol applies only to --method dense", id=f"zero-tol-{method}")
+          for method in ("auto", "sector", "spectral", "anticommute", "contour")),
+        pytest.param(["--dense-cap", "1", "--format", "pauli-text"],
+                     "--dense-cap applies only to --method dense and the dense formats",
+                     id="dense-cap-auto"),
+    ])
+    def test_dense_flags_need_dense(self, capsys, fixtures_dir, argv, message):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
+                             *argv)
+        assert (code, out, err) == (1, "", f"pauliexp: input error: {message}\n")
+
+    def test_dense_flags_where_read(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
+                           "--method", "dense", "--zero-tol", "0.5")
+        assert code == 0
+        assert len(parse_text_expansion(out)) == 7  # of the 8 kept at the default 1e-12
+        code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
+                           "--dense-cap", "4", "--format", "dense-json")
+        assert code == 0
+        assert dense_from_json(out).shape == (16, 16)
+
     def test_dense_at_imaginary_beta(self, capsys, fixtures_dir):
         # the complex branch of _as_expansion; a coefficient that --zero-tol
         # drops from either output reads as 0
@@ -223,7 +245,7 @@ class TestExp:
             code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--time", "0.7",
                                "--method", method, "--format", "pauli-json")
             assert code == 0
-            e, beta = expansion_from_dict(json.loads(out))
+            e, beta = read_expansion(json.loads(out))
             outs[method] = coeff_dict(e)
             assert beta == 0.7j
         keys = outs["dense"].keys() | outs["sector"].keys()
@@ -428,7 +450,7 @@ class TestPartition:
         row = doc["rows"][0]
         assert row["beta"] == 0.5
         assert "gibbs" in row
-        e, _ = expansion_from_dict(row["gibbs"])
+        e, _ = read_expansion(row["gibbs"])
         assert (e.codes[0], e.values[0]) == (0, 1.0 / 16.0)
 
     def test_gibbs_lines_in_text(self, capsys, fixtures_dir):
@@ -544,6 +566,8 @@ class TestLargeBeta:
         flag, value = beta.split("=")
         named = parse_beta(value) if flag == "--beta" else 1j * float(value)
         assert f" at beta {named:g} " in err
+        if method == "contour":  # the spectral path exits 3 here too
+            assert "spectral" not in err
 
     @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000", "1e308", "-1e308",
                                       "1.7976931348623157e308"])
@@ -864,21 +888,19 @@ class TestDecompose:
         assert {t["pauli"] for t in doc["terms"]} == {"XY", "YX", "ZI", "ZZ"}
 
     def test_binary_input(self, capsys, fixtures_dir, tmp_path):
-        from pauliexp import read_dense, write_dense
+        from pauliexp import read_dense
 
         m = read_dense(fixtures_dir / "qutrit_embedded.json")
         bpath = tmp_path / "m.pexp"
-        write_dense(bpath, m, binary=True)
+        bpath.write_bytes(dense_to_bytes(m))
         code, out, _ = run(capsys, "decompose", "-i", str(bpath))
         assert code == 0
         assert "30" in out
 
     def test_non_hermitian_input(self, capsys, tmp_path):
-        from pauliexp import write_dense
-
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         p = tmp_path / "nh.json"
-        write_dense(p, m)
+        p.write_text(dense_to_json(m))
         code, out, _ = run(capsys, "decompose", "-i", str(p))
         assert code == 0
         assert "# method decompose" in out
@@ -969,10 +991,8 @@ class TestGoldenBytes:
                             '{"pauli": "Y", "re": 0.0, "im": 0.5}]}\n'),
     ])
     def test_decompose_non_hermitian(self, capsys, tmp_path, alphabet, fmt, want):
-        from pauliexp import write_dense
-
         p = tmp_path / "nh.json"
-        write_dense(p, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        p.write_text(dense_to_json(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
         code, out, err = run(capsys, "decompose", "-i", str(p),
                              "--format", fmt, "--alphabet", alphabet)
         assert (code, out, err) == (0, want, "")
@@ -1019,7 +1039,7 @@ class TestSubprocess:
             (["exp", "--beta", "1000", "--method", "dense"], 3, ["beta 1000", "dense"]),
             (["exp", "--beta", "1000", "--method", "contour"], 3, ["beta 1000", "contour"]),
             # exp(-300 H) fits (about e^520); the contour integrand does not
-            (["exp", "--beta", "300", "--method", "contour"], 3, ["beta 300", "spectral"]),
+            (["exp", "--beta", "300", "--method", "contour"], 3, ["beta 300", "contour"]),
             (["gibbs", "--beta", "1000"], 0, []),
         ):
             proc = subprocess.run(

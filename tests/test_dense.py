@@ -12,7 +12,6 @@ from pauliexp import (
     pauli_matrix,
     read_dense,
     reconstruct_dense,
-    write_dense,
 )
 from pauliexp.dense import (
     DENSE_CAP_MAX,
@@ -200,8 +199,8 @@ class TestFormats:
     def test_files_round_trip_both_ways(self, rng, tmp_path):
         m = self.random_matrix(rng, 2)
         jpath, bpath = tmp_path / "m.json", tmp_path / "m.pexp"
-        write_dense(jpath, m)
-        write_dense(bpath, m, binary=True)
+        jpath.write_text(dense_to_json(m))
+        bpath.write_bytes(dense_to_bytes(m))
         assert np.array_equal(read_dense(jpath), m)
         assert np.array_equal(read_dense(bpath), m)
 

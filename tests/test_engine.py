@@ -25,7 +25,7 @@ from pauliexp import (
 )
 from pauliexp.dense import dense_exp
 from pauliexp.engine import _quadrature, _scale, exp_with_method, symplectic_split
-from pauliexp.hamiltonian import capped_basis, load_hamiltonian, random_closed_hamiltonian
+from pauliexp.hamiltonian import gf2_basis, load_hamiltonian, random_closed_hamiltonian
 from pauliexp.pauli import I_POWERS_ARR, phase_exponent, phase_exponents
 from conftest import FIXTURES, anticommuting_family, coeff_dict
 
@@ -140,7 +140,7 @@ class TestContour:
         # exp(-300 H) fits (about e^520), but exp(-beta z) on the circle does not
         assert np.isfinite(exp_spectral(h_cycle, 300.0).values[0])
         for beta in (300.0, -300.0, 300.0 + 5j):
-            with pytest.raises(OverflowError, match=r"beta -?300.*spectral path"):
+            with pytest.raises(OverflowError, match=r"^contour integrand .* at beta -?300"):
                 exp_contour(h_cycle, beta)
 
     def test_contour_spec_validation(self, h_cycle):
@@ -451,7 +451,7 @@ def _assert_matches_spectral(h, red, betas=BETAS):
 def _reference_reduction(h: SparseHamiltonian):
     """(codes, phase, blocks) of Reduced built the old way: span and phases
     by doubling with phase_exponents, and each Walsh-Hadamard pass stacked."""
-    basis = capped_basis(h.codes, 2**64)
+    basis = gf2_basis(h.codes)
     e, f, z = (np.array(g, dtype=np.uint64) for g in symplectic_split(basis))
     span, phase = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
     for g in np.concatenate((e, f, z)):
@@ -548,12 +548,20 @@ class TestSector:
         assert (info.value.size, info.value.cap) == (2047, 512)
         assert Reduced(h, cap=2047).tau == 2047
 
+    def test_given_basis_checked_against_cap(self):
+        h = load_hamiltonian(FIXTURES / "xy_n6.txt")
+        basis = gf2_basis(h.codes)
+        with pytest.raises(ClosureExplosion) as info:
+            Reduced(h, 512, basis)
+        assert (info.value.size, info.value.cap) == (2047, 512)
+        assert Reduced(h, 2047, basis).tau == 2047
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
     def test_split_invariants(self, n):
         rng = np.random.default_rng(n)
         for size in range(1, 2 * n + 3):
             codes = rng.integers(1, 4**n, size=size, dtype=np.uint64)
-            basis = capped_basis(codes, cap=2**64)
+            basis = gf2_basis(codes)
             e, f, z = (np.array(g, dtype=np.uint64) for g in symplectic_split(basis))
             gens = np.concatenate((e, f, z)).tolist()
             assert len(gens) == basis.size and 2 * e.size + z.size == basis.size
@@ -562,7 +570,7 @@ class TestSector:
                     paired = j - i in (e.size, -e.size) and min(i, j) < e.size
                     assert (phase_exponent(a, b) % 2 == 0) != paired, (i, j)
             # same span: each original code reduces to zero against the new basis
-            assert capped_basis(np.concatenate((basis, e, f, z)), cap=2**64).size == basis.size
+            assert gf2_basis(np.concatenate((basis, e, f, z))).size == basis.size
 
 
 def _exactly_real(rows: np.ndarray) -> bool:

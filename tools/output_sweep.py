@@ -20,8 +20,9 @@ closure exceeds the default cap; non-finite and large betas, up to 1e308
 under `gibbs`, `partition --gibbs` and `exp --method spectral`, and betas
 whose phase does not fit in float64 under `exp` on every path and under
 `verify`; `--nodes 0` under contour and the contour flags under other
-methods; a NaN `--zero-tol` or `--tolerance`; a negative `--closure-cap`
-under `exp`, `partition` and `closure`; good and bad input files in both
+methods; a NaN `--zero-tol` or `--tolerance`; `--zero-tol` under every
+method and `--dense-cap` with a Pauli and a dense format; a negative
+`--closure-cap` under `exp`, `partition` and `closure`; good and bad input files in both
 the text and the JSON format, a JSON Hamiltonian with a bool "n" under
 `exp`, and dense JSON and PEXP files with a null, bool, string or NaN
 entry or a bool or too large "n" under `decompose`; and closed sets of
@@ -113,7 +114,7 @@ def closed_n32(rank: int) -> str:
                    for c, v in zip(span, rng.uniform(-1.0, 1.0, len(span)).tolist()))
 
 
-def cases(tmp: Path, write_dense) -> list[list[str]]:
+def cases(tmp: Path, dense) -> list[list[str]]:
     fix = {name: str(FIXTURES / name) for name in TEXT + ["qutrit_embedded.json"]}
     out = []
     for f in TEXT:
@@ -138,7 +139,8 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
     for n in [1, 2, 3]:
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         for name, m in [(f"herm{n}", a + a.conj().T), (f"gen{n}", a)]:
-            write_dense(tmp / name, m, binary=n == 2)
+            (tmp / name).write_bytes(dense.dense_to_bytes(m) if n == 2
+                                     else dense.dense_to_json(m).encode())
             out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
     for name, data in BAD_DENSE.items():
         (tmp / name).write_bytes(data if isinstance(data, bytes) else data.encode())
@@ -159,6 +161,7 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
                  ["exp", "--beta", "500", "--method", "spectral"],
                  ["exp", "--beta", "1000", "--method", "dense"],
                  ["exp", "--beta", "1000", "--method", "contour"],
+                 ["exp", "--beta", "300", "--method", "contour"],
                  ["exp", "--beta", "1", "--method", "contour", "--nodes", "0"],
                  ["exp", "--beta", "1", "--nodes", "8"],
                  ["exp", "--beta", "1", "--method", "sector", "--center", "40", "--radius", "0.5"],
@@ -173,6 +176,10 @@ def cases(tmp: Path, write_dense) -> list[list[str]]:
             ["decompose", "-i", fix["qutrit_embedded.json"], "--zero-tol", "nan"]]
     out += [["exp", "-i", fix["h2.txt"], "--time", "1e308", "--method", m]
             for m in ["auto", "spectral", "dense", "contour"]]
+    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--zero-tol", "0.5", "--method", m]
+            for m in ["auto", "sector", "spectral", "anticommute", "contour", "dense"]]
+    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--dense-cap", cap, "--format", fmt]
+            for cap, fmt in [("1", "pauli-text"), ("4", "dense-json")]]
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", m]
             for m in ["auto", "spectral"]]
     out += [["verify", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", "sector"],
@@ -214,13 +221,12 @@ def call(cli, argv: list[str]) -> list:
 
 def run(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
-    from pauliexp import cli
-    from pauliexp.dense import write_dense
+    from pauliexp import cli, dense
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="pauliexp-sweep-") as name:
         tmp = Path(name)
-        for argv in cases(tmp, write_dense):
+        for argv in cases(tmp, dense):
             results[" ".join(argv).replace(str(tmp), "TMP").replace(str(FIXTURES), "FIXTURES")] = [
                 field.replace(str(tmp), "TMP") if isinstance(field, str) else field
                 for field in call(cli, argv)]
