@@ -25,7 +25,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import DEFAULT_NODES, Reduced, exp_contour, exp_pauli, exp_with_method
+from .engine import Reduced, exp_contour, exp_pauli, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -131,13 +131,12 @@ def cmd_exp(args) -> int:
     if args.method != "dense" and args.dense_cap is not None and "dense" not in args.format:
         raise FormatError("--dense-cap applies only to --method dense and the dense formats")
     dense_cap = DENSE_CAP_DEFAULT if args.dense_cap is None else args.dense_cap
-    if args.method == "dense":
+    method = args.method
+    if method == "dense":
         m = dense_exp(reconstruct_dense(h, dense_cap), beta)
         e = _as_expansion(pauli_decompose(m, 1e-12 if args.zero_tol is None else args.zero_tol))
-        method = "dense"
-    elif args.method == "contour":
-        nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-        e, method = exp_contour(h, beta, args.closure_cap, nodes, center, args.radius), "contour"
+    elif method == "contour":
+        e = exp_contour(h, beta, args.closure_cap, args.nodes, center, args.radius)
     else:
         e, method = exp_with_method(h, beta, args.method, args.closure_cap)
     if args.format == "pauli-text":

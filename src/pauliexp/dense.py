@@ -9,7 +9,6 @@ entrywise. A cap on n keeps the oracle desk-scale.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from typing import NamedTuple
 
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import FormatError
 from .hamiltonian import (
     HERMITIAN_TOL,
+    LOG_FLOAT_MAX,
     PauliExpansion,
     SparseHamiltonian,
     _PAULI_1Q,
@@ -30,7 +30,6 @@ DENSE_CAP_DEFAULT = 10
 DENSE_CAP_MAX = 12
 
 _MAGIC = b"PEXP"
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
 
 
 def _check_cap(n: int, dense_cap: int):
@@ -78,7 +77,7 @@ def dense_exp(m: np.ndarray, beta: complex) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     with np.errstate(over="ignore"):
         exponents = -beta * w
-    if exponents.real.max() > _LOG_FLOAT_MAX or np.isinf(exponents.imag).any():
+    if exponents.real.max() > LOG_FLOAT_MAX or np.isinf(exponents.imag).any():
         raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit "
                             f"in float64 on the dense path")
     return (v * np.exp(exponents)) @ v.conj().T

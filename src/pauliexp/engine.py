@@ -10,9 +10,9 @@ Four routes produce the same expansion:
                      structure matrix and read off the first column of
                      exp(-beta A): the paper's reference path
   exp_contour        trapezoidal quadrature of the resolvent around a circle
-                     enclosing the spectrum, one stacked solve of the
-                     Reduced blocks per node; the circle and node count
-                     are its own arguments, not exp_with_method's
+                     enclosing the spectrum, used as given, one stacked
+                     solve of the Reduced blocks per node; the circle and
+                     node count are its own arguments, not exp_with_method's
   exp_anticommuting  closed form cosh/sinh when the support pairwise
                      anticommutes
 
@@ -30,13 +30,11 @@ import math
 
 import numpy as np
 
-from .errors import ClosureExplosion, ContourError, SingularSystem
-from .hamiltonian import DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian, close, gf2_basis
+from .errors import ClosureExplosion, ContourError
+from .hamiltonian import (DEFAULT_CLOSURE_CAP, LOG_FLOAT_MAX, PauliExpansion, SparseHamiltonian,
+                          close, gf2_basis)
 from .pauli import I_POWERS_ARR, LANES, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
-
-DEFAULT_NODES = 64
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 def _scale(log_scale: complex, beta) -> complex:
@@ -252,41 +250,27 @@ def exp_spectral(
                           _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
-def _quadrature(r: Reduced, beta: complex, center: complex, radius: float, nodes: int,
-                norm: float) -> np.ndarray:
-    """Blocks of (1/N) sum_z (z - center) e^{-beta z} (z - H0)^{-1} over the
-    N nodes z of the circle, one stacked solve of z I - M_lambda per node."""
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    zs = center + radius * np.exp(1j * angles)
-    if not all((-complex(beta) * z).real <= _LOG_FLOAT_MAX for z in zs.tolist()):  # NaN fails
-        raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
-                            "does not fit in float64")
-    eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
-    acc = np.zeros(r.blocks.shape, dtype=np.complex128)
-    for z in zs:
-        acc += (z - center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, norm)
-    return acc / nodes
-
-
 def exp_contour(
     h: SparseHamiltonian,
     beta: complex,
     cap: int = DEFAULT_CLOSURE_CAP,
-    nodes: int = DEFAULT_NODES,
+    nodes: int | None = None,
     center: complex | None = None,
     radius: float | None = None,
 ) -> PauliExpansion:
     """exp(-beta H) via trapezoidal resolvent quadrature on a circle of
-    `nodes` points, solved on the blocks of Reduced.
+    `nodes` points: (1/N) sum_z (z - center) e^{-beta z} (z - H0)^{-1} over
+    the N nodes z, one stacked solve of the blocks of Reduced per node.
 
     The spectrum lies in [-g, g] with g = sum |h_K|, the Gershgorin interval
     of the structure matrix (zero diagonal, each |h_K| once in every row).
-    The circle's center defaults to 0 and its radius to 1.25 g + 1; it must
-    enclose the spectrum or ContourError is raised. If a node lands on (or
-    too near) an eigenvalue, the radius is grown by 1% and the quadrature
-    retried once.
+    None means the default: 64 nodes, center 0, radius 1.25 g + 1, whose
+    nodes are all at least 0.25 g + 1 from the spectrum. A circle must
+    enclose the spectrum (else ContourError) and is used as given: a node
+    on (or too near) an eigenvalue raises SingularSystem.
     """
     g = float(np.abs(h.values).sum())
+    nodes = 64 if nodes is None else nodes
     center = 0j if center is None else center
     radius = 1.25 * g + 1.0 if radius is None else radius
     if not (math.isfinite(radius) and radius > 0):
@@ -300,12 +284,15 @@ def exp_contour(
             f"circle (center {center}, radius {radius}) does not "
             f"enclose the spectrum (furthest eigenvalue at distance {reach})"
         )
-    try:
-        f = _quadrature(r, beta, center, radius, nodes, g)
-    except SingularSystem:
-        f = _quadrature(r, beta, center, radius * 1.01, nodes, g)
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    zs = center + radius * np.exp(1j * angles)
+    if not all((-complex(beta) * z).real <= LOG_FLOAT_MAX for z in zs.tolist()):  # NaN fails
+        raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
+                            "does not fit in float64")
+    eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
+    f = sum((z - center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, g) for z in zs)
     scale = _scale(-beta * h.identity_offset, beta)
-    return PauliExpansion(h.n, r.codes, scale * r.coefficients(f[None])[0])
+    return PauliExpansion(h.n, r.codes, scale * r.coefficients(f[None] / nodes)[0])
 
 
 def _anticommute_pairwise(codes: np.ndarray, rank: int) -> bool:

@@ -24,6 +24,7 @@ from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
 HERMITIAN_TOL = 1e-10  # max entrywise |m - m^dagger| of a matrix taken as Hermitian
+LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
 
 
 def checked_codes(n: int, codes, identity_error: str | None = None) -> np.ndarray:
@@ -198,11 +199,12 @@ def _coefficient_tensor(m: np.ndarray, n: int) -> np.ndarray:
     cur = m.reshape((2,) * (2 * n))
     # axes: (j_1..j_n, i_1..i_n); each step eats one (j, i) pair and
     # prepends the qubit's k axis, so after step t the j axis of qubit t+1
-    # sits at position t and its i axis at position n
+    # sits at position t and its i axis at position n. Each step halves
+    # (exactly), so no partial sum exceeds the largest entry of m.
     for t in range(n):
-        cur = np.tensordot(_PAULI_TENSOR, cur, axes=([2, 1], [t, n]))
+        cur = np.tensordot(_PAULI_TENSOR / 2, cur, axes=([2, 1], [t, n]))
     order = tuple(reversed(range(n)))
-    return cur.transpose(order).reshape(4**n) / (2**n)
+    return cur.transpose(order).reshape(4**n)
 
 
 def qubit_count(m: np.ndarray) -> int:

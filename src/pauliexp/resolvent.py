@@ -7,7 +7,8 @@ border: entries A[0, i] = A[i, 0] = h_{K_i}; the block entry A[m, k] is
 h_L S(K_k, L) for the unique L with K_k xor L = K_m. Diagonal entries are
 exactly zero because K xor K is the identity, which lives on the border.
 
-This is the paper's reference path, under exp_spectral, resolvent_at and
+This is the paper's reference path: build_structure_matrix, which refuses
+a set that is not closed, under exp_spectral, resolvent_at and
 characteristic_poly_at; solve_shifted also serves the contour quadrature.
 """
 
@@ -23,36 +24,16 @@ from .pauli import I_POWERS_ARR, phase_exponents
 RESIDUAL_RTOL = 1e-10
 
 
-def assemble(codes: np.ndarray, coeffs: np.ndarray):
-    """Structure matrix over a sorted, composition-closed code array.
-
-    Returns (a, bad_k, bad_l); bad_k == -1 means success, otherwise
-    codes[bad_k] ^ codes[bad_l] escaped the set (the first such pair in
-    (l, k) order). With the identity in front, the border follows the block
-    rule too, and K -> K xor L permutes the codes, so each L with h_L != 0
-    fills one entry of every column by one searchsorted and one phase call,
-    added onto +0.0 so that no entry is a negative zero.
-    """
-    full = np.append(np.uint64(0), np.asarray(codes, dtype=np.uint64))
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    cols = np.arange(full.size)
-    a = np.zeros((full.size, full.size), dtype=np.complex128)
-    for l in np.flatnonzero(coeffs):
-        prod = full ^ full[l + 1]
-        rows = np.searchsorted(full, prod)
-        bad = full[np.minimum(rows, full.size - 1)] != prod
-        if bad.any():
-            return a, int(np.argmax(bad)) - 1, int(l)
-        a[rows, cols] += coeffs[l] * I_POWERS_ARR[phase_exponents(full, full[l + 1])]
-    return a, -1, -1
-
-
 def build_structure_matrix(h: SparseHamiltonian, term_set=None) -> np.ndarray:
     """The bordered structure matrix of h over a closed set of codes: row
     and column 0 are the identity, row and column i the code term_set[i - 1].
 
     term_set defaults to close(h); a given one must be a strictly
-    increasing code array on h's qubits, closed and holding h's support.
+    increasing code array on h's qubits, closed (else ValueError naming the
+    first escaping product, in (l, k) order) and holding h's support. With
+    the identity in front, K -> K xor L permutes the codes, so each L with
+    h_L != 0 fills one entry of every column by one searchsorted and one
+    phase call, added onto +0.0 so that no entry is a negative zero.
     """
     if term_set is None:
         term_set = close(h)
@@ -62,11 +43,17 @@ def build_structure_matrix(h: SparseHamiltonian, term_set=None) -> np.ndarray:
     if of_h.size < h.codes.size:
         raise ValueError("term set does not hold the support of the Hamiltonian")
     coeffs[into] = h.values[of_h]
-    matrix, bad_k, bad_l = assemble(codes, coeffs)
-    if bad_k >= 0:
-        raise ValueError(
-            f"term set is not closed: {int(codes[bad_k])} * {int(codes[bad_l])} escapes it")
-    return matrix
+    full = np.append(np.uint64(0), codes)
+    cols = np.arange(full.size)
+    a = np.zeros((full.size, full.size), dtype=np.complex128)
+    for l in np.flatnonzero(coeffs):
+        prod = full ^ full[l + 1]
+        rows = np.searchsorted(full, prod)
+        bad = full[np.minimum(rows, full.size - 1)] != prod
+        if bad.any():
+            raise ValueError(f"term set is not closed: {full[bad][0]} * {full[l + 1]} escapes it")
+        a[rows, cols] += coeffs[l] * I_POWERS_ARR[phase_exponents(full, full[l + 1])]
+    return a
 
 
 def solve_shifted(m: np.ndarray, z: complex, rhs: np.ndarray, norm: float) -> np.ndarray:

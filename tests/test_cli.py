@@ -132,6 +132,11 @@ class TestExp:
                          "--beta", "1", "--format", "pauli-json")
         e1, e2 = (coeff_dict(read_expansion(json.loads(o))[0]) for o in (out, out2))
         assert max(abs(e1.get(k, 0) - e2.get(k, 0)) for k in e1.keys() | e2.keys()) < 1e-8
+        # without --nodes the library's default, 64, is used
+        default, at_64 = (run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
+                              "--method", "contour", *nodes) for nodes in ([], ["--nodes", "64"]))
+        assert default[0] == 0
+        assert default == at_64
 
     @pytest.mark.parametrize("nodes", ["0", "2", "-3"])
     @pytest.mark.parametrize("circle", [[], ["--center", "0", "--radius", "4"]])
@@ -186,11 +191,16 @@ class TestExp:
                            "strings, more than the cap 512\n"), argv
 
     def test_bad_contour_exit_3(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                           "--beta", "1", "--method", "contour",
-                           "--center", "40", "--radius", "0.5")
-        assert code == 3
-        assert "numerical error" in err
+        # a circle that misses the spectrum, and one used as given whose angle-0
+        # node sits on the eigenvalue sqrt(3) of h1 (center sqrt(3) - 4, radius 4)
+        for argv in (["--beta", "1", "--center", "40", "--radius", "0.5"],
+                     ["--beta", "0.5", "--nodes", "16", "--center", "-2.267949192431023",
+                      "--radius", "4"]):
+            code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
+                                 "--method", "contour", *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("pauliexp: numerical error:")
+            assert err.count("\n") == 1
 
     def test_failed_factorization_exit_3(self, capsys, fixtures_dir, monkeypatch):
         def failing_eigh(*args, **kwargs):
@@ -569,6 +579,23 @@ class TestLargeBeta:
         if method == "contour":  # the spectral path exits 3 here too
             assert "spectral" not in err
 
+    @pytest.mark.parametrize("fmt", ["pauli-text", "dense-json"])
+    def test_dense_exp_near_float64_limit(self, capsys, fixtures_dir, fmt):
+        # exp(409.6 sqrt 3) / 2 is about 6.4e307 and fits; the decomposition
+        # halves at every qubit, so no partial sum of it leaves float64
+        h = load_hamiltonian(fixtures_dir / "h1.txt")
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta=-409.6",
+                             "--method", "dense", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "dense-json":
+            want = dense_exp(reconstruct_dense(h), -409.6)
+            assert np.abs(dense_from_json(out) - want).max() <= 1e-12 * np.abs(want).max()
+            return
+        got = parse_text_expansion(out)
+        want = coeff_dict(exp_with_method(h, -409.6, "spectral")[0])
+        assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in got.keys() | want.keys()) \
+            <= 1e-12 * abs(want[0])
+
     @pytest.mark.parametrize("beta", ["1000", "1e6", "-1000", "1e308", "-1e308",
                                       "1.7976931348623157e308"])
     def test_gibbs_large_beta(self, capsys, fixtures_dir, beta):
@@ -907,6 +934,16 @@ class TestDecompose:
         coeffs = parse_text_expansion(out)
         assert coeffs[1] == 0.5
         assert coeffs[2] == 0.5j
+
+    def test_near_float64_limit(self, capsys, tmp_path):
+        # two diagonal entries of 1.5e308: each coefficient is 3e308 / 8, which
+        # fits, as does every partial sum when each qubit's step halves
+        m = np.zeros((8, 8))
+        m[0, 0] = m[1, 1] = 1.5e308
+        path = tmp_path / "near_limit.json"
+        path.write_text(dense_to_json(m))
+        assert run(capsys, "decompose", "-i", str(path)) == (
+            0, "3.75e+307 000\n3.75e+307 030\n3.75e+307 300\n3.75e+307 330\n", "")
 
 
 class TestClosure:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pauliexp.pauli import I_POWERS_ARR, phase_exponent, phase_exponents
-from pauliexp.resolvent import assemble
-from pauliexp.hamiltonian import random_closed_hamiltonian
+from pauliexp.resolvent import build_structure_matrix
+from pauliexp.hamiltonian import SparseHamiltonian, random_closed_hamiltonian
 
 
 def random_codes(rng, n, size):
@@ -51,13 +51,19 @@ def naive_assemble(codes, coeffs):
     return a
 
 
+def structure_matrix(codes, coeffs):
+    """build_structure_matrix over `codes`, the Hamiltonian holding the
+    nonzero coeffs."""
+    nz = coeffs != 0
+    return build_structure_matrix(SparseHamiltonian(32, codes[nz], coeffs[nz]), term_set=codes)
+
+
 class TestAssemble:
     def test_against_naive(self, rng):
         for s, c in ((0, 1), (1, 0), (1, 1), (2, 0)):
             h = random_closed_hamiltonian(rng, 5, s, c)
             codes, coeffs = h.codes, h.values.copy()
-            got, bad_k, bad_l = assemble(codes, coeffs)
-            assert bad_k == -1
+            got = structure_matrix(codes, coeffs)
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
     def test_zero_coefficients_and_high_codes(self, rng):
@@ -66,8 +72,7 @@ class TestAssemble:
             h = random_closed_hamiltonian(rng, n, s, c)
             codes, coeffs = h.codes, h.values.copy()
             coeffs[::3] = 0.0
-            got, bad_k, bad_l = assemble(codes, coeffs)
-            assert (bad_k, bad_l) == (-1, -1)
+            got = structure_matrix(codes, coeffs)
             assert np.array_equal(got, naive_assemble(codes, coeffs))
 
     @pytest.mark.parametrize("seed", [0, 8192])
@@ -77,30 +82,27 @@ class TestAssemble:
         codes, coeffs = np.delete(h.codes, 11), np.delete(h.values, 11)
         coeffs[:2] = 0.0
         members = set(codes.tolist())
-        want = next((k, l) for l in range(codes.size) if coeffs[l]
+        k, l = next((k, l) for l in range(codes.size) if coeffs[l]
                     for k in range(codes.size)
                     if k != l and int(codes[k]) ^ int(codes[l]) not in members)
-        _, bad_k, bad_l = assemble(codes, coeffs)
-        assert (bad_k, bad_l) == want
+        with pytest.raises(ValueError) as info:
+            structure_matrix(codes, coeffs)
+        assert str(info.value) == (f"term set is not closed: {int(codes[k])} * {int(codes[l])} "
+                                   "escapes it")
 
     def test_hermitian_exactly(self, rng):
         h = random_closed_hamiltonian(rng, 6, 2, 0)
-        codes, coeffs = h.codes, h.values
-        a, _, _ = assemble(codes, coeffs)
+        a = structure_matrix(h.codes, h.values)
         assert np.array_equal(a, a.conj().T)
 
     def test_flags_unclosed_set(self):
         # {X, Y} without their product Z
         codes = np.array([1, 2], dtype=np.uint64)
         coeffs = np.array([0.5, 0.25])
-        _, bad_k, bad_l = assemble(codes, coeffs)
-        assert bad_k >= 0
+        with pytest.raises(ValueError, match="term set is not closed"):
+            structure_matrix(codes, coeffs)
 
     def test_empty_set(self):
-        a, bad_k, _ = assemble(
-            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
-        )
-        assert bad_k == -1
+        a = structure_matrix(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
         assert a.shape == (1, 1)
         assert a[0, 0] == 0
-

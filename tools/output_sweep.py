@@ -20,7 +20,9 @@ closure exceeds the default cap; non-finite and large betas, up to 1e308
 under `gibbs`, `partition --gibbs` and `exp --method spectral`, and betas
 whose phase does not fit in float64 under `exp` on every path and under
 `verify`; `--nodes 0` under contour and the contour flags under other
-methods; a NaN `--zero-tol` or `--tolerance`; `--zero-tol` under every
+methods; an explicit contour circle with a node on an eigenvalue, and
+`exp --method dense` and `decompose` with results near the float64 limit;
+a NaN `--zero-tol` or `--tolerance`; `--zero-tol` under every
 method and `--dense-cap` with a Pauli and a dense format; a negative
 `--closure-cap` under `exp`, `partition` and `closure`; good and bad input files in both
 the text and the JSON format, a JSON Hamiltonian with a bool "n" under
@@ -180,6 +182,14 @@ def cases(tmp: Path, dense) -> list[list[str]]:
             for m in ["auto", "sector", "spectral", "anticommute", "contour", "dense"]]
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--dense-cap", cap, "--format", fmt]
             for cap, fmt in [("1", "pauli-text"), ("4", "dense-json")]]
+    out.append(["exp", "-i", fix["h1.txt"], "--beta", "0.5", "--method", "contour", "--nodes",
+                "16", "--center", "-2.267949192431023", "--radius", "4"])
+    out += [["exp", "-i", fix["h1.txt"], "--beta=-409.6", "--method", "dense", "--format", fmt]
+            for fmt in ["pauli-text", "dense-json"]]
+    near_limit = np.zeros((8, 8))
+    near_limit[0, 0] = near_limit[1, 1] = 1.5e308
+    (tmp / "near_limit.json").write_text(dense.dense_to_json(near_limit))
+    out.append(["decompose", "-i", str(tmp / "near_limit.json")])
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", m]
             for m in ["auto", "spectral"]]
     out += [["verify", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", "sector"],
