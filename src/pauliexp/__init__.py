@@ -27,7 +27,6 @@ from .hamiltonian import (
     close_codes,
     load_hamiltonian,
     parse_hamiltonian,
-    pauli_decompose,
 )
 from .resolvent import (
     build_structure_matrix,
@@ -50,6 +49,7 @@ from .dense import (
     compare,
     dense_exp,
     embed,
+    pauli_decompose,
     pauli_matrix,
     read_dense,
     reconstruct_dense,

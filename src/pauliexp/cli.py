@@ -22,6 +22,7 @@ from .dense import (
     dense_exp,
     dense_to_bytes,
     dense_to_json,
+    pauli_decompose,
     read_dense,
     reconstruct_dense,
 )
@@ -40,7 +41,6 @@ from .hamiltonian import (
     gf2_basis,
     hamiltonian_to_dict,
     load_hamiltonian,
-    pauli_decompose,
 )
 from .pauli import format_codes
 
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"pauliexp: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"pauliexp: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -1,9 +1,10 @@
-"""Dense brute-force oracle: explicit 2**n matrices and file formats.
+"""Dense brute-force oracle: 2**n matrices, Pauli decomposition, file formats.
 
 Everything here is deliberately naive. Strings become matrices by a plain
 Kronecker chain (leftmost digit outermost, matching the big-endian code),
-exponentials go through full eigendecomposition, and comparisons are
-entrywise. A cap on n keeps the oracle desk-scale.
+matrices become Pauli sums by per-qubit contraction, exponentials go through
+full eigendecomposition, and comparisons are entrywise. One Hermiticity test
+serves the decomposition and the oracle; a cap on n keeps the oracle desk-scale.
 """
 
 from __future__ import annotations
@@ -15,21 +16,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .hamiltonian import (
-    HERMITIAN_TOL,
-    LOG_FLOAT_MAX,
-    PauliExpansion,
-    SparseHamiltonian,
-    _PAULI_1Q,
-    _qubits,
-    _real,
-    qubit_count,
-)
+from .hamiltonian import LOG_FLOAT_MAX, PauliExpansion, SparseHamiltonian, _qubits, _real
+from .pauli import MAX_QUBITS
 
 DENSE_CAP_DEFAULT = 10
 DENSE_CAP_MAX = 12
+HERMITIAN_TOL = 1e-10  # max entrywise |m - m^dagger| of a matrix taken as Hermitian
 
 _MAGIC = b"PEXP"
+
+_PAULI_1Q = (
+    np.array([[1, 0], [0, 1]], dtype=np.complex128),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+_PAULI_TENSOR = np.stack(_PAULI_1Q)  # (k, i, j)
 
 
 def _check_cap(n: int, dense_cap: int):
@@ -67,11 +70,62 @@ def reconstruct_dense(obj, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     return out
 
 
+def qubit_count(m: np.ndarray) -> int:
+    """n with m of shape (2**n, 2**n); rejects anything else."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    d = m.shape[0]
+    n = int(d).bit_length() - 1
+    if d < 2 or 2**n != d:
+        raise ValueError(f"dimension {d} is not a power of two >= 2")
+    if n > MAX_QUBITS:
+        raise ValueError(f"dimension {d} exceeds {MAX_QUBITS} qubits")
+    return n
+
+
+def _hermitian_defect(m: np.ndarray) -> float:
+    """Largest entrywise |m - m^dagger|, inf on overflow (never for Hermitian m)."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(m - m.conj().T).max())
+
+
+def _coefficient_tensor(m: np.ndarray, n: int) -> np.ndarray:
+    """All 4**n coefficients tr(P_K m) / 2**n by per-qubit contraction."""
+    cur = m.reshape((2,) * (2 * n))
+    # axes: (j_1..j_n, i_1..i_n); each step eats one (j, i) pair and
+    # prepends the qubit's k axis, so after step t the j axis of qubit t+1
+    # sits at position t and its i axis at position n. Each step halves
+    # (exactly), so no partial sum exceeds the largest entry of m.
+    for t in range(n):
+        cur = np.tensordot(_PAULI_TENSOR / 2, cur, axes=([2, 1], [t, n]))
+    order = tuple(reversed(range(n)))
+    return cur.transpose(order).reshape(4**n)
+
+
+def pauli_decompose(m: np.ndarray, zero_tol: float = 1e-12):
+    """Expand a 2**n square matrix in the Pauli string basis.
+
+    Hermitian input (max entrywise defect <= HERMITIAN_TOL) comes back as a
+    SparseHamiltonian with real coefficients and the identity component in
+    identity_offset; anything else comes back as a complex PauliExpansion.
+    Coefficients with |c| <= zero_tol are dropped either way.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    n = qubit_count(m)
+    coeffs = _coefficient_tensor(m, n)
+    kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
+    if _hermitian_defect(m) <= HERMITIAN_TOL:
+        kept = kept[kept != 0]
+        return SparseHamiltonian(n, kept, coeffs[kept].real, coeffs[0].real)
+    return PauliExpansion(n, kept, coeffs[kept])
+
+
 def dense_exp(m: np.ndarray, beta: complex) -> np.ndarray:
     """exp(-beta m) for Hermitian m, via full eigendecomposition."""
     m = np.asarray(m, dtype=np.complex128)
     qubit_count(m)
-    defect = float(np.abs(m - m.conj().T).max())
+    defect = _hermitian_defect(m)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(m)

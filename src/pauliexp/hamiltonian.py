@@ -1,4 +1,4 @@
-"""Sparse Pauli-basis Hamiltonians, closures of their support, and decomposition.
+"""Sparse Pauli sums: types, closures, random closed sets, text and JSON formats.
 
 A Hamiltonian here is a real linear combination of non-identity Pauli
 strings plus an optional multiple of the identity, kept separate because the
@@ -23,7 +23,6 @@ from .errors import ClosureExplosion, FormatError
 from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
-HERMITIAN_TOL = 1e-10  # max entrywise |m - m^dagger| of a matrix taken as Hermitian
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
 
 
@@ -182,61 +181,6 @@ def random_closed_hamiltonian(rng: np.random.Generator, n: int, s: int,
     gens = (digits << 2 * np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
     codes = close_codes(n, gens, cap=2 ** (2 * s + c) - 1)
     return SparseHamiltonian(n, codes, rng.uniform(-1.0, 1.0, size=codes.size))
-
-
-_PAULI_1Q = (
-    np.array([[1, 0], [0, 1]], dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
-
-_PAULI_TENSOR = np.stack(_PAULI_1Q)  # (k, i, j)
-
-
-def _coefficient_tensor(m: np.ndarray, n: int) -> np.ndarray:
-    """All 4**n coefficients tr(P_K m) / 2**n by per-qubit contraction."""
-    cur = m.reshape((2,) * (2 * n))
-    # axes: (j_1..j_n, i_1..i_n); each step eats one (j, i) pair and
-    # prepends the qubit's k axis, so after step t the j axis of qubit t+1
-    # sits at position t and its i axis at position n. Each step halves
-    # (exactly), so no partial sum exceeds the largest entry of m.
-    for t in range(n):
-        cur = np.tensordot(_PAULI_TENSOR / 2, cur, axes=([2, 1], [t, n]))
-    order = tuple(reversed(range(n)))
-    return cur.transpose(order).reshape(4**n)
-
-
-def qubit_count(m: np.ndarray) -> int:
-    """n with m of shape (2**n, 2**n); rejects anything else."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    n = int(d).bit_length() - 1
-    if d < 2 or 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of two >= 2")
-    if n > MAX_QUBITS:
-        raise ValueError(f"dimension {d} exceeds {MAX_QUBITS} qubits")
-    return n
-
-
-def pauli_decompose(m: np.ndarray, zero_tol: float = 1e-12):
-    """Expand a 2**n square matrix in the Pauli string basis.
-
-    Hermitian input (max entrywise defect <= HERMITIAN_TOL) comes back as a
-    SparseHamiltonian with real coefficients and the identity component in
-    identity_offset; anything else comes back as a complex PauliExpansion.
-    Coefficients with |c| <= zero_tol are dropped either way.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    n = qubit_count(m)
-    coeffs = _coefficient_tensor(m, n)
-    kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
-    if np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
-        kept = kept[kept != 0]
-        return SparseHamiltonian(n, kept, coeffs[kept].real, coeffs[0].real)
-    return PauliExpansion(n, kept, coeffs[kept])
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,17 @@ class TestExp:
         assert default[0] == 0
         assert default == at_64
 
-    @pytest.mark.parametrize("nodes", ["0", "2", "-3"])
+    @pytest.mark.parametrize("nodes", ["0", "2", "-3", "1000000000000000000"])
     @pytest.mark.parametrize("circle", [[], ["--center", "0", "--radius", "4"]])
     def test_too_few_nodes_exit_1(self, capsys, fixtures_dir, nodes, circle):
         code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
                              "--method", "contour", "--nodes", nodes, *circle)
         assert (code, out) == (1, "")
-        assert err == f"pauliexp: config error: need at least 4 nodes, got {nodes}\n"
+        if int(nodes) < 4:
+            assert err == f"pauliexp: config error: need at least 4 nodes, got {nodes}\n"
+        else:  # 10**18 nodes need 6.94 EiB, past any address space, so refused at once
+            assert err.startswith("pauliexp: config error: Unable to allocate 6.94 EiB")
+            assert err.count("\n") == 1
 
     def test_dense_json_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
@@ -944,6 +948,16 @@ class TestDecompose:
         path.write_text(dense_to_json(m))
         assert run(capsys, "decompose", "-i", str(path)) == (
             0, "3.75e+307 000\n3.75e+307 030\n3.75e+307 300\n3.75e+307 330\n", "")
+        # anti-Hermitian, so m - m^dagger overflows though the coefficients,
+        # Y and then X and Y at 1.7e308 i, fit
+        a, head = 1.7e308, "# n 1\n# method decompose\n"
+        for m, labels in (([[0, a], [-a, 0]], "2"), ([[0, a + a * 1j], [-a + a * 1j, 0]], "12")):
+            path.write_text(dense_to_json(np.array(m)))
+            assert run(capsys, "decompose", "-i", str(path)) == (
+                0, head + "".join(f"{p} 0 1.6999999999999999e+308\n" for p in labels), "")
+            coeffs = [{"pauli": p, "re": 0.0, "im": 1.7e308} for p in labels]
+            assert run(capsys, "decompose", "-i", str(path), "--format", "json") == (
+                0, json.dumps({"n": 1, "coeffs": coeffs}) + "\n", "")
 
 
 class TestClosure:

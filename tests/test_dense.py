@@ -133,6 +133,9 @@ class TestDenseExp:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             dense_exp(m, 1.0)
+        # a defect past float64 reads as inf, not as an overflow
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect inf\)"):
+            dense_exp(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_names_beta_and_path(self):

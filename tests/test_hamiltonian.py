@@ -19,7 +19,7 @@ from pauliexp import (
     parse_hamiltonian,
     pauli_decompose,
 )
-from pauliexp.dense import pauli_matrix, reconstruct_dense
+from pauliexp.dense import dense_exp, pauli_matrix, qubit_count, reconstruct_dense
 from pauliexp.hamiltonian import (
     coeff_entries,
     coeffs_json,
@@ -28,7 +28,6 @@ from pauliexp.hamiltonian import (
     hamiltonian_to_dict,
     parse_hamiltonian_json,
     parse_hamiltonian_text,
-    qubit_count,
     random_closed_hamiltonian,
 )
 from pauliexp.pauli import MAX_QUBITS, format_codes
@@ -424,6 +423,10 @@ class TestPauliDecompose:
         assert isinstance(pauli_decompose(m), SparseHamiltonian)
         m2 = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
         assert isinstance(pauli_decompose(m2), PauliExpansion)
+        # dense_exp classifies alike: it takes m and refuses m2
+        assert dense_exp(m, 1.0).shape == (2, 2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dense_exp(m2, 1.0)
 
     def test_qutrit_golden(self):
         hp = np.zeros((4, 4), dtype=complex)

@@ -20,8 +20,10 @@ closure exceeds the default cap; non-finite and large betas, up to 1e308
 under `gibbs`, `partition --gibbs` and `exp --method spectral`, and betas
 whose phase does not fit in float64 under `exp` on every path and under
 `verify`; `--nodes 0` under contour and the contour flags under other
-methods; an explicit contour circle with a node on an eigenvalue, and
-`exp --method dense` and `decompose` with results near the float64 limit;
+methods, and `--nodes 10**18`, whose array cannot be allocated; an
+explicit contour circle with a node on an eigenvalue, and `exp --method
+dense` and `decompose` with results near the float64 limit, the latter
+also on anti-Hermitian matrices whose m - m^dagger overflows;
 a NaN `--zero-tol` or `--tolerance`; `--zero-tol` under every
 method and `--dense-cap` with a Pauli and a dense format; a negative
 `--closure-cap` under `exp`, `partition` and `closure`; good and bad input files in both
@@ -182,6 +184,9 @@ def cases(tmp: Path, dense) -> list[list[str]]:
             for m in ["auto", "sector", "spectral", "anticommute", "contour", "dense"]]
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--dense-cap", cap, "--format", fmt]
             for cap, fmt in [("1", "pauli-text"), ("4", "dense-json")]]
+    # 10**18 nodes need an array past any address space, whose allocation fails at once
+    out.append(["exp", "-i", fix["h2.txt"], "--beta", "1", "--method", "contour", "--nodes",
+                "1000000000000000000"])
     out.append(["exp", "-i", fix["h1.txt"], "--beta", "0.5", "--method", "contour", "--nodes",
                 "16", "--center", "-2.267949192431023", "--radius", "4"])
     out += [["exp", "-i", fix["h1.txt"], "--beta=-409.6", "--method", "dense", "--format", fmt]
@@ -190,6 +195,12 @@ def cases(tmp: Path, dense) -> list[list[str]]:
     near_limit[0, 0] = near_limit[1, 1] = 1.5e308
     (tmp / "near_limit.json").write_text(dense.dense_to_json(near_limit))
     out.append(["decompose", "-i", str(tmp / "near_limit.json")])
+    # anti-Hermitian, so m - m^dagger overflows though every coefficient fits
+    a = 1.7e308
+    for name, m in [("anti_y.json", [[0, a], [-a, 0]]),
+                    ("anti_xy.json", [[0, a + a * 1j], [-a + a * 1j, 0]])]:
+        (tmp / name).write_text(dense.dense_to_json(np.array(m)))
+        out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
     out += [["exp", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", m]
             for m in ["auto", "spectral"]]
     out += [["verify", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", "sector"],
