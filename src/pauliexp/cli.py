@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: exp, partition, gibbs, verify, decompose, closure.
-Exit codes: 0 success, 1 parse/config error, 2 closure explosion,
-3 numerical failure (including a failed verify and a result that does not
-fit in float64). Error messages name the failing stage on stderr.
+Subcommands: exp, partition, gibbs, verify, decompose, closure. Each returns its
+output and exit code, and `main` alone writes the output, to `-o` or stdout.
+Exit codes: 0 success, 3 a failed verify; an error exits by the first row of
+`EXIT_TABLE` it matches, with one stderr line that names the failing stage.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .engine import Reduced, exp_contour, exp_pauli, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
+    LOG_FLOAT_MAX,
     PauliExpansion,
     SparseHamiltonian,
     close,
@@ -49,18 +50,28 @@ EXIT_USAGE = 1
 EXIT_CLOSURE = 2
 EXIT_NUMERICAL = 3
 
+EXIT_TABLE = (  # (exception types, stage, exit code); main reports an error by its first row
+    ((FormatError,), "input", EXIT_USAGE),
+    ((ClosureExplosion,), "closure", EXIT_CLOSURE),
+    # LinAlgError subclasses ValueError, so its row must come ahead of ValueError's
+    ((SingularSystem, ContourError, OverflowError, FloatingPointError, np.linalg.LinAlgError),
+     "numerical", EXIT_NUMERICAL),
+    ((ValueError, MemoryError), "config", EXIT_USAGE),
+    ((OSError,), "io", EXIT_USAGE),
+)
+
 _G = "%.17g"
 
 
-def parse_beta(text: str) -> complex:
-    """Accepts "1.5", "1.5+0.3i", "i", "-2i" (j works too)."""
+def parse_beta(text: str, name: str = "beta") -> complex:
+    """Accepts "1.5", "1.5+0.3i", "i", "-2i" (j works too); errors call it `name`."""
     s = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
         b = complex(s)
     except ValueError:
-        raise FormatError(f"cannot parse beta {text!r}") from None
+        raise FormatError(f"cannot parse {name} {text!r}") from None
     if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise FormatError(f"beta must be finite, got {text!r}")
+        raise FormatError(f"{name} must be finite, got {text!r}")
     return b
 
 
@@ -79,22 +90,6 @@ def _beta_from_args(args) -> complex:
     if args.time is not None:
         return 1j * _finite(args.time, "--time")
     return parse_beta(args.beta)
-
-
-def _emit_text(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_bytes(args, blob: bytes):
-    if getattr(args, "output", None):
-        with open(args.output, "wb") as fh:
-            fh.write(blob)
-    else:
-        sys.stdout.buffer.write(blob)
 
 
 def _json_text(doc: dict, coeff_lists) -> str:
@@ -116,11 +111,11 @@ def _as_expansion(obj) -> PauliExpansion:
                           np.append(obj.identity_offset, obj.values))
 
 
-def cmd_exp(args) -> int:
+def cmd_exp(args) -> tuple[str | bytes, int]:
     beta = _beta_from_args(args)
     if args.zero_tol is not None:
         _check_nonnegative(args.zero_tol, "--zero-tol")
-    center = parse_beta(args.center) if args.center is not None else None
+    center = parse_beta(args.center, "--center") if args.center is not None else None
     h = load_hamiltonian(args.input)
     if (center is None) != (args.radius is None):
         raise FormatError("--center and --radius must be given together")
@@ -140,21 +135,17 @@ def cmd_exp(args) -> int:
     else:
         e, method = exp_with_method(h, beta, args.method, args.closure_cap)
     if args.format == "pauli-text":
-        _emit_text(args, format_expansion_text(e, method, beta, args.alphabet))
-    elif args.format == "pauli-json":
+        return format_expansion_text(e, method, beta, args.alphabet), EXIT_OK
+    if args.format == "pauli-json":
         doc = {"n": e.n, "beta": {"re": beta.real, "im": beta.imag}, "coeffs": None,
                "method": method}
-        _emit_text(args, _json_text(doc, [_expansion_coeffs(e, args.alphabet)]))
-    elif args.format == "dense-json":
-        _emit_text(args, dense_to_json(reconstruct_dense(e, dense_cap)) + "\n")
-    elif args.format == "dense-bin":
-        _emit_bytes(args, dense_to_bytes(reconstruct_dense(e, dense_cap)))
-    else:
-        raise FormatError(f"unknown format {args.format!r}")
-    return EXIT_OK
+        return _json_text(doc, [_expansion_coeffs(e, args.alphabet)]), EXIT_OK
+    if args.format == "dense-json":
+        return dense_to_json(reconstruct_dense(e, dense_cap)) + "\n", EXIT_OK
+    return dense_to_bytes(reconstruct_dense(e, dense_cap)), EXIT_OK
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args) -> tuple[str, int]:
     h = load_hamiltonian(args.input)
     try:
         betas = [_finite(float(tok), "--betas entry")
@@ -167,14 +158,11 @@ def cmd_partition(args) -> int:
     log_z = reduced.log_partition(betas).real.tolist()
     rows = []
     for beta, lz in zip(betas, log_z):
-        try:
-            z_trace = math.exp(lz)
-            if z_trace == math.inf:  # lz = inf, where -beta E_0 overflows
-                raise OverflowError
-        except OverflowError:
+        if lz > LOG_FLOAT_MAX:  # lz = inf too, where -beta E_0 overflows
             raise OverflowError(
                 f"z_trace at beta {beta!r} does not fit in float64 (log z_trace {lz!r})"
-            ) from None
+            )
+        z_trace = math.exp(lz)
         free_energy = None if beta == 0.0 else -lz / beta
         if free_energy is not None and not math.isfinite(free_energy):
             raise OverflowError(f"free energy -log z_trace / beta at beta {beta!r} does not "
@@ -196,34 +184,30 @@ def cmd_partition(args) -> int:
         doc = {"rows": rows}
         if symmetry is not None:
             doc["symmetry_max_rel_diff"] = symmetry
-        _emit_text(args, _json_text(doc, coeffs_json(labels, gibbs) if args.gibbs else []))
-    else:
-        lines = ["beta z_normalized z_trace free_energy"]
-        for k, row in enumerate(rows):
-            fe = "n/a" if row["free_energy"] is None else _G % row["free_energy"]
-            lines.append(f"{row['beta']:.17g} {row['z_normalized']:.17g} "
-                         f"{row['z_trace']:.17g} {fe}")
-            if args.gibbs:
-                lines += coeff_lines(labels, gibbs[k].tolist(), f"gibbs {row['beta']:.17g} ")
-        if symmetry is not None:
-            verdict = "OK" if symmetry <= 1e-10 else "VIOLATED"
-            lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}")
-        _emit_text(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return _json_text(doc, coeffs_json(labels, gibbs) if args.gibbs else []), EXIT_OK
+    lines = ["beta z_normalized z_trace free_energy"]
+    for k, row in enumerate(rows):
+        fe = "n/a" if row["free_energy"] is None else _G % row["free_energy"]
+        lines.append(f"{row['beta']:.17g} {row['z_normalized']:.17g} "
+                     f"{row['z_trace']:.17g} {fe}")
+        if args.gibbs:
+            lines += coeff_lines(labels, gibbs[k].tolist(), f"gibbs {row['beta']:.17g} ")
+    if symmetry is not None:
+        verdict = "OK" if symmetry <= 1e-10 else "VIOLATED"
+        lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}")
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_gibbs(args) -> int:
+def cmd_gibbs(args) -> tuple[str, int]:
     beta = _finite(args.beta, "--beta")
     g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(beta)
     if args.format == "pauli-json":
         doc = {"n": g.n, "coeffs": None, "beta": {"re": beta, "im": 0.0}}
-        _emit_text(args, _json_text(doc, [_expansion_coeffs(g, args.alphabet)]))
-    else:
-        _emit_text(args, format_expansion_text(g, "gibbs", beta, args.alphabet))
-    return EXIT_OK
+        return _json_text(doc, [_expansion_coeffs(g, args.alphabet)]), EXIT_OK
+    return format_expansion_text(g, "gibbs", beta, args.alphabet), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     h = load_hamiltonian(args.input)
     beta = _beta_from_args(args)
     _check_nonnegative(args.tolerance, "--tolerance")
@@ -235,39 +219,32 @@ def cmd_verify(args) -> int:
     res = compare(approx, exact)
     ok = res.max_abs <= args.tolerance
     verdict = "PASS" if ok else "FAIL"
-    _emit_text(
-        args,
-        f"{verdict} n={h.n} tau={tau} method={args.method} "
-        f"beta={format_complex(beta)} max_abs={res.max_abs:.17g} "
-        f"frobenius={res.frobenius:.17g} tol={args.tolerance:.17g}\n",
-    )
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return (f"{verdict} n={h.n} tau={tau} method={args.method} "
+            f"beta={format_complex(beta)} max_abs={res.max_abs:.17g} "
+            f"frobenius={res.frobenius:.17g} tol={args.tolerance:.17g}\n",
+            EXIT_OK if ok else EXIT_NUMERICAL)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[str, int]:
     _check_nonnegative(args.zero_tol, "--zero-tol")
     m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
     if args.format == "json" and isinstance(obj, SparseHamiltonian):
-        _emit_text(args, json.dumps(hamiltonian_to_dict(obj, args.alphabet)) + "\n")
-    elif args.format == "json":
-        _emit_text(args, _json_text({"n": obj.n, "coeffs": None},
-                                    [_expansion_coeffs(obj, args.alphabet)]))
-    elif isinstance(obj, SparseHamiltonian):
-        _emit_text(args, format_hamiltonian_text(obj, args.alphabet))
-    else:
-        _emit_text(args, format_expansion_text(obj, "decompose", alphabet=args.alphabet))
-    return EXIT_OK
+        return json.dumps(hamiltonian_to_dict(obj, args.alphabet)) + "\n", EXIT_OK
+    if args.format == "json":
+        return _json_text({"n": obj.n, "coeffs": None},
+                          [_expansion_coeffs(obj, args.alphabet)]), EXIT_OK
+    if isinstance(obj, SparseHamiltonian):
+        return format_hamiltonian_text(obj, args.alphabet), EXIT_OK
+    return format_expansion_text(obj, "decompose", alphabet=args.alphabet), EXIT_OK
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args) -> tuple[str, int]:
     h = load_hamiltonian(args.input)
     labels = format_codes(h.n, close(h, args.closure_cap), args.alphabet)
     if args.format == "json":
-        _emit_text(args, json.dumps({"n": h.n, "tau": len(labels), "codes": labels}) + "\n")
-    else:
-        _emit_text(args, "\n".join([f"n {h.n}", f"tau {len(labels)}", *labels]) + "\n")
-    return EXIT_OK
+        return json.dumps({"n": h.n, "tau": len(labels), "codes": labels}) + "\n", EXIT_OK
+    return "\n".join([f"n {h.n}", f"tau {len(labels)}", *labels]) + "\n", EXIT_OK
 
 
 def _add_common(p):
@@ -285,7 +262,9 @@ def _add_beta(p):
     grp.add_argument("--time", type=float, help="real time t, shorthand for beta = i t")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call of a process."""
     parser = argparse.ArgumentParser(
         prog="pauliexp",
         description="exp(-beta H) for sparse Pauli-basis Hamiltonians",
@@ -348,38 +327,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first main() call of a process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _check_nonnegative(getattr(args, "closure_cap", 0), "--closure-cap")  # decompose has none
-            return args.func(args)
-    except FormatError as exc:
-        print(f"pauliexp: input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ClosureExplosion as exc:
-        print(f"pauliexp: closure error: {exc}", file=sys.stderr)
-        return EXIT_CLOSURE
-    # LinAlgError subclasses ValueError, so it must be caught ahead of it
-    except (SingularSystem, ContourError, OverflowError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
-        print(f"pauliexp: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, MemoryError) as exc:
-        print(f"pauliexp: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"pauliexp: io error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            output, code = args.func(args)
+            if args.output:
+                with open(args.output, "wb") as fh:
+                    fh.write(output if isinstance(output, bytes) else output.encode("utf-8"))
+            elif isinstance(output, bytes):
+                sys.stdout.buffer.write(output)
+            else:
+                sys.stdout.write(output)
+            return code
+    except Exception as exc:
+        for types, stage, code in EXIT_TABLE:
+            if isinstance(exc, types):
+                print(f"pauliexp: {stage} error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entrypoint():

@@ -269,7 +269,10 @@ def _entry_value(entry) -> float:
     """Coefficient of a {"coeff", "pauli"} entry; ValueError naming the fault."""
     if not isinstance(entry, dict) or "coeff" not in entry or "pauli" not in entry:
         raise ValueError('expected {"coeff", "pauli"}')
-    return _real(entry["coeff"], "coeff")
+    value = _real(entry["coeff"], "coeff")
+    if not isinstance(entry["pauli"], str):
+        raise ValueError("pauli must be a string")
+    return value
 
 
 def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
@@ -309,7 +312,7 @@ def parse_hamiltonian_json(text: str) -> SparseHamiltonian:
     if not isinstance(doc["terms"], list):
         raise FormatError('"terms" must be a list')
     codes, values, _ = _read_terms(enumerate(doc["terms"]), _entry_value,
-                                   lambda entry: str(entry["pauli"]), "terms[{}]".format, n)
+                                   lambda entry: entry["pauli"], "terms[{}]".format, n)
     return _summed(n, codes, values)
 
 

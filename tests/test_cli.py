@@ -16,9 +16,10 @@ from pauliexp import (
     load_hamiltonian,
     reconstruct_dense,
 )
-from pauliexp.cli import main, parse_beta
+from pauliexp.cli import EXIT_TABLE, main, parse_beta
 from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes, dense_to_json
 from pauliexp.engine import Reduced, exp_with_method
+from pauliexp.errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from pauliexp.hamiltonian import (
     expansion_to_dict,
     format_hamiltonian_text,
@@ -173,6 +174,22 @@ class TestExp:
         assert code == 0
         assert out == ""
         assert "# method" in dest.read_text()
+
+    @pytest.mark.parametrize("fmt", ["pauli-text", "pauli-json", "dense-json", "dense-bin"])
+    def test_output_file_holds_stdout_bytes(self, capsysbinary, fixtures_dir, tmp_path, fmt):
+        argv = ["exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "0.3+0.2i", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        dest = tmp_path / "out"
+        assert main([*argv, "-o", str(dest)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert stdout and dest.read_bytes() == stdout
+
+    def test_unwritable_output_file(self, capsys, fixtures_dir, tmp_path):
+        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta", "1",
+                             "-o", str(tmp_path / "no" / "such" / "dir"))
+        assert (code, out) == (1, "")
+        assert err.startswith("pauliexp: io error: ") and err.count("\n") == 1
 
     def test_letters_alphabet(self, capsys, fixtures_dir):
         _, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
@@ -361,6 +378,15 @@ class TestInputErrors:
          "config error: non-finite coefficient for code 1"),
         ('{"n": true, "terms": [{"coeff": 1, "pauli": "X"}]}', 1,
          'input error: "n" must be an integer in [1, 32]'),
+        # a JSON label must be a string: 123 is not read as the digits 1, 2, 3
+        ('{"n": 3, "terms": [{"coeff": 1, "pauli": 123}, {"coeff": 0.5, "pauli": "XXX"}]}', 1,
+         "input error: terms[0]: pauli must be a string"),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": null}]}', 1,
+         "input error: terms[1]: pauli must be a string"),
+        ('{"n": 1, "terms": [{"coeff": "x", "pauli": 3}]}', 1,
+         "input error: terms[0]: coeff must be a real number"),
+        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}, {"coeff": 1, "pauli": ["X"]}]}', 1,
+         f"input error: terms[0]: {_NOT_PAULI}'W'"),
     ])
     def test_json(self, capsys, tmp_path, doc, code, message):
         p = tmp_path / "h.json"
@@ -407,6 +433,10 @@ class TestInputErrors:
          "--closure-cap must be at least 0, got -1"),
         (["closure", "-i", "h2.txt", "--closure-cap", "-1"],
          "--closure-cap must be at least 0, got -1"),
+        (["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--center", "nan",
+          "--radius", "3"], "--center must be finite, got 'nan'"),
+        (["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--center", "abc",
+          "--radius", "3"], "cannot parse --center 'abc'"),
     ])
     def test_tolerance_flags(self, capsys, fixtures_dir, argv, message):
         argv[2] = str(fixtures_dir / argv[2])
@@ -705,6 +735,45 @@ def test_non_finite_beta_exit_1(capsys, fixtures_dir, argv, needle):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert needle in err and ("nan" in err or "inf" in err), err
+
+
+_RAISED = [
+    (FormatError("bad"), "input", 1),
+    (ClosureExplosion(7, 3), "closure", 2),
+    (SingularSystem(1j), "numerical", 3),
+    (ContourError("bad"), "numerical", 3),
+    (OverflowError("bad"), "numerical", 3),
+    (FloatingPointError("bad"), "numerical", 3),
+    (np.linalg.LinAlgError("bad"), "numerical", 3),
+    (ValueError("bad"), "config", 1),
+    (MemoryError("bad"), "config", 1),
+    (OSError("bad"), "io", 1),
+]
+
+
+@pytest.mark.parametrize("exc,stage,code", _RAISED)
+def test_exit_table(capsys, monkeypatch, exc, stage, code):
+    """Each exception type of EXIT_TABLE exits by its row, with one stderr line."""
+    rows = [(t, s, c) for types, s, c in EXIT_TABLE for t in types]
+    assert (type(exc), stage, code) in rows
+    assert {t for t, _, _ in rows} == {type(e) for e, _, _ in _RAISED}
+
+    def failing_load(path):
+        raise exc
+
+    monkeypatch.setattr(pauliexp.cli, "load_hamiltonian", failing_load)
+    code_, out, err = run(capsys, "closure", "-i", "h.txt")
+    assert (code_, out) == (code, "")
+    assert err.startswith(f"pauliexp: {stage} error: ") and err.count("\n") == 1, err
+
+
+def test_exit_table_leaves_other_errors(monkeypatch):
+    def failing_load(path):
+        raise KeyError("bad")
+
+    monkeypatch.setattr(pauliexp.cli, "load_hamiltonian", failing_load)
+    with pytest.raises(KeyError):
+        main(["closure", "-i", "h.txt"])
 
 
 class TestGibbs:

@@ -5,9 +5,10 @@
 
 `run` imports pauliexp from SRC_DIR (the `src` directory of one checkout),
 calls `pauliexp.cli.main` on a fixed list of argument lists with stdout and
-stderr captured, and writes {case: [exit code, stdout, stderr]}. `diff`
-prints every case whose exit code, stdout or stderr differs between two
-such files, then one summary line: over the cases that differ in stdout
+stderr captured, and writes {case: [exit code, stdout, stderr]}; a case
+that writes with `-o` also records the file it wrote, as a fourth field.
+`diff` prints every case whose exit code, stdout, stderr or file differs
+between two such files, then one summary line: over the cases that differ in stdout
 only, the largest change of a number relative to the case's largest
 coefficient (read from JSON documents and from `label re im` lines), or
 how many differ in more than numbers. The cases: every text fixture x
@@ -31,7 +32,9 @@ the text and the JSON format, a JSON Hamiltonian with a bool "n" under
 `exp`, and dense JSON and PEXP files with a null, bool, string or NaN
 entry or a bool or too large "n" under `decompose`; and closed sets of
 rank 4-7 on 32 qubits, with codes of 2**63 and above, under `exp --time`,
-`exp --beta` and `partition --gibbs`.
+`exp --beta` and `partition --gibbs`; one `-o` case per subcommand,
+`exp` in all four formats and a failing `verify` among them; and a JSON
+"pauli" that is not a string, and a `--center` that is NaN or no number.
 """
 
 import io
@@ -220,11 +223,27 @@ def cases(tmp: Path, dense) -> list[list[str]]:
     (tmp / "majorana_7.txt").write_text(MAJORANA_7)
     out += [["verify", "-i", str(tmp / "majorana_7.txt"), "--method", method, "--beta", "0.7"]
             for method in ["auto", "anticommute"]]
+    for name, label in [("pauli_123.json", "123"), ("pauli_null.json", "null")]:
+        (tmp / name).write_text('{"n": 3, "terms": [{"coeff": 1, "pauli": ' + label
+                                + '}, {"coeff": 0.5, "pauli": "XXX"}]}')
+        out.append(["exp", "-i", str(tmp / name), "--beta", "1"])
+    out += [["exp", "-i", fix["h1.txt"], "--beta", "1", "--method", "contour", "--center", c,
+             "--radius", "3"] for c in ["nan", "abc"]]
+    h2 = fix["h2.txt"]
+    with_file = [*(["exp", "-i", h2, "--beta", "0.3+0.2i", "--format", fmt]
+                   for fmt in ["pauli-text", "pauli-json", "dense-json", "dense-bin"]),
+                 ["verify", "-i", h2, "--beta", "0.7", "--tolerance", "0"],
+                 ["partition", "-i", h2, "--betas", "0.1,1,5", "--gibbs"],
+                 ["gibbs", "-i", h2, "--beta", "0.5", "--format", "pauli-json"],
+                 ["decompose", "-i", fix["qutrit_embedded.json"]],
+                 ["closure", "-i", h2, "--format", "json"]]
+    out += [[*argv, "-o", str(tmp / f"out_{k}")] for k, argv in enumerate(with_file)]
     return out
 
 
 def call(cli, argv: list[str]) -> list:
-    """[exit code, stdout, stderr] of one in-process cli.main call."""
+    """[exit code, stdout, stderr] of one in-process cli.main call, and with
+    `-o` the file it wrote (None if it wrote none)."""
     stdout, stderr = io.BytesIO(), io.StringIO()
     wrapper = io.TextIOWrapper(stdout, encoding="utf-8", write_through=True)
     saved = sys.stdout, sys.stderr
@@ -237,7 +256,11 @@ def call(cli, argv: list[str]) -> list:
         wrapper.flush()
         wrapper.detach()
         sys.stdout, sys.stderr = saved
-    return [code, stdout.getvalue().decode("latin-1"), stderr.getvalue()]
+    result = [code, stdout.getvalue().decode("latin-1"), stderr.getvalue()]
+    if "-o" in argv:
+        path = Path(argv[argv.index("-o") + 1])
+        result.append(path.read_bytes().decode("latin-1") if path.exists() else None)
+    return result
 
 
 def run(src: str, out_path: str) -> None:
@@ -332,9 +355,10 @@ def diff(before_path: str, after_path: str) -> None:
     changed = [k for k in before if before[k] != after[k]]
     for k in changed:
         print(f"{k}\n  before: {before[k][0]} {before[k][2].strip()}\n  after:  {after[k][0]} "
-              f"{after[k][2].strip()}{'  (stdout differs)' if before[k][1] != after[k][1] else ''}")
+              f"{after[k][2].strip()}{'  (stdout differs)' if before[k][1] != after[k][1] else ''}"
+              f"{'  (file differs)' if before[k][3:] != after[k][3:] else ''}")
     print(f"{len(before)} cases, {len(before) - len(changed)} identical, {len(changed)} differ")
-    same_run = [k for k in changed if before[k][0] == after[k][0] and before[k][2] == after[k][2]]
+    same_run = [k for k in changed if before[k][0] == after[k][0] and before[k][2:] == after[k][2:]]
     changes = {k: numeric_change(before[k][1], after[k][1]) for k in same_run}
     worst = max((k for k in changes if changes[k] is not None), key=changes.get, default=None)
     print(f"{len(same_run)} differ in stdout only; "
