@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: exp, partition, gibbs, verify, decompose, closure. Each returns its
-output and exit code, and `main` alone writes the output, to `-o` or stdout.
-Exit codes: 0 success, 3 a failed verify; an error exits by the first row of
-`EXIT_TABLE` it matches, with one stderr line that names the failing stage.
+Subcommands: exp, partition, gibbs, verify, decompose, closure. `main` alone
+parses argv, reads `-i`, and writes what the subcommand returns to `-o` or stdout.
+Exit codes: 0 success, 3 a failed verify; an error, argparse's included, exits by
+the first row of `EXIT_TABLE` it matches, with one stderr line naming the stage.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ def _as_expansion(obj) -> PauliExpansion:
                           np.append(obj.identity_offset, obj.values))
 
 
-def cmd_exp(args) -> tuple[str | bytes, int]:
+def cmd_exp(args, h: SparseHamiltonian) -> tuple[str | bytes, int]:
     beta = _beta_from_args(args)
     if args.zero_tol is not None:
         _check_nonnegative(args.zero_tol, "--zero-tol")
     center = parse_beta(args.center, "--center") if args.center is not None else None
-    h = load_hamiltonian(args.input)
     if (center is None) != (args.radius is None):
         raise FormatError("--center and --radius must be given together")
     if args.method != "contour" and (center is not None or args.nodes is not None):
@@ -145,15 +144,11 @@ def cmd_exp(args) -> tuple[str | bytes, int]:
     return dense_to_bytes(reconstruct_dense(e, dense_cap)), EXIT_OK
 
 
-def cmd_partition(args) -> tuple[str, int]:
-    h = load_hamiltonian(args.input)
+def cmd_partition(args, h: SparseHamiltonian) -> tuple[str, int]:
     try:
-        betas = [_finite(float(tok), "--betas entry")
-                 for tok in args.betas.split(",") if tok.strip()]
+        betas = [_finite(float(tok), "--betas entry") for tok in args.betas.split(",")]
     except ValueError:
         raise FormatError(f"cannot parse --betas {args.betas!r}") from None
-    if not betas:
-        raise FormatError("--betas is empty")
     reduced = Reduced(h, args.closure_cap)
     log_z = reduced.log_partition(betas).real.tolist()
     rows = []
@@ -198,17 +193,16 @@ def cmd_partition(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_gibbs(args) -> tuple[str, int]:
+def cmd_gibbs(args, h: SparseHamiltonian) -> tuple[str, int]:
     beta = _finite(args.beta, "--beta")
-    g = Reduced(load_hamiltonian(args.input), args.closure_cap).gibbs(beta)
+    g = Reduced(h, args.closure_cap).gibbs(beta)
     if args.format == "pauli-json":
         doc = {"n": g.n, "coeffs": None, "beta": {"re": beta, "im": 0.0}}
         return _json_text(doc, [_expansion_coeffs(g, args.alphabet)]), EXIT_OK
     return format_expansion_text(g, "gibbs", beta, args.alphabet), EXIT_OK
 
 
-def cmd_verify(args) -> tuple[str, int]:
-    h = load_hamiltonian(args.input)
+def cmd_verify(args, h: SparseHamiltonian) -> tuple[str, int]:
     beta = _beta_from_args(args)
     _check_nonnegative(args.tolerance, "--tolerance")
     # from the GF(2) rank alone: each method enforces its own cap
@@ -225,9 +219,8 @@ def cmd_verify(args) -> tuple[str, int]:
             EXIT_OK if ok else EXIT_NUMERICAL)
 
 
-def cmd_decompose(args) -> tuple[str, int]:
+def cmd_decompose(args, m: np.ndarray) -> tuple[str, int]:
     _check_nonnegative(args.zero_tol, "--zero-tol")
-    m = read_dense(args.input)
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
     if args.format == "json" and isinstance(obj, SparseHamiltonian):
         return json.dumps(hamiltonian_to_dict(obj, args.alphabet)) + "\n", EXIT_OK
@@ -239,21 +232,21 @@ def cmd_decompose(args) -> tuple[str, int]:
     return format_expansion_text(obj, "decompose", alphabet=args.alphabet), EXIT_OK
 
 
-def cmd_closure(args) -> tuple[str, int]:
-    h = load_hamiltonian(args.input)
+def cmd_closure(args, h: SparseHamiltonian) -> tuple[str, int]:
     labels = format_codes(h.n, close(h, args.closure_cap), args.alphabet)
     if args.format == "json":
         return json.dumps({"n": h.n, "tau": len(labels), "codes": labels}) + "\n", EXIT_OK
     return "\n".join([f"n {h.n}", f"tau {len(labels)}", *labels]) + "\n", EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, alphabet=True):
     p.add_argument("-i", "--input", required=True, help="Hamiltonian file (text or JSON)")
     p.add_argument("-o", "--output", help="write result here instead of stdout")
     p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP,
                    help="abort if the closed set grows past this (default %(default)s)")
-    p.add_argument("--alphabet", choices=("digits", "letters"), default="digits",
-                   help="render Pauli strings as 0123 digits or IXYZ letters")
+    if alphabet:
+        p.add_argument("--alphabet", choices=("digits", "letters"), default="digits",
+                       help="render Pauli strings as 0123 digits or IXYZ letters")
 
 
 def _add_beta(p):
@@ -262,10 +255,15 @@ def _add_beta(p):
     grp.add_argument("--time", type=float, help="real time t, shorthand for beta = i t")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise FormatError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first main() call of a process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pauliexp",
         description="exp(-beta H) for sparse Pauli-basis Hamiltonians",
     )
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gibbs)
 
     p = sub.add_parser("verify", help="compare a sparse path against the dense oracle")
-    _add_common(p)
+    _add_common(p, alphabet=False)
     _add_beta(p)
     p.add_argument("--method", default="spectral",
                    choices=("auto", "sector", "spectral", "contour", "anticommute"))
@@ -330,12 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _check_nonnegative(getattr(args, "closure_cap", 0), "--closure-cap")  # decompose has none
-            output, code = args.func(args)
+            h = (read_dense if args.command == "decompose" else load_hamiltonian)(args.input)
+            output, code = args.func(args, h)
             if args.output:
                 with open(args.output, "wb") as fh:
                     fh.write(output if isinstance(output, bytes) else output.encode("utf-8"))
@@ -344,6 +340,8 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(output)
             return code
+    except SystemExit:  # -h/--help; every argparse rejection raises FormatError instead
+        return EXIT_OK
     except Exception as exc:
         for types, stage, code in EXIT_TABLE:
             if isinstance(exc, types):

@@ -36,12 +36,10 @@ _PAULI_TENSOR = np.stack(_PAULI_1Q)  # (k, i, j)
 
 
 def _check_cap(n: int, dense_cap: int):
-    if dense_cap > DENSE_CAP_MAX:
-        raise ValueError(f"dense_cap tops out at {DENSE_CAP_MAX}, got {dense_cap}")
+    if not 1 <= dense_cap <= DENSE_CAP_MAX:
+        raise ValueError(f"dense cap must be in [1, {DENSE_CAP_MAX}], got {dense_cap}")
     if n > dense_cap:
-        raise ValueError(
-            f"n={n} exceeds dense cap {dense_cap}; pass a larger dense_cap (<= {DENSE_CAP_MAX})"
-        )
+        raise ValueError(f"n={n} exceeds dense cap {dense_cap} (at most {DENSE_CAP_MAX})")
 
 
 def pauli_matrix(n: int, code: int, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

@@ -293,6 +293,10 @@ class TestExp:
         code, _, err = run(capsys, "exp", "-i", "/no/such/file", "--beta", "1")
         assert code == 1
         assert "io error" in err
+        # the input file is read ahead of the subcommand's own checks
+        code, out, err = run(capsys, "exp", "-i", "/no/such/file", "--beta", "abc")
+        assert (code, out) == (1, "")
+        assert err.startswith("pauliexp: io error: ") and err.count("\n") == 1, err
 
     def test_malformed_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -315,7 +319,11 @@ class TestExp:
         assert main([]) == 1
 
     def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
+        for argv, usage in ((["--help"], "usage: pauliexp "),
+                            (["exp", "--help"], "usage: pauliexp exp ")):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(usage)
 
 
 _FINITE = "coeff must be a finite real number"
@@ -531,9 +539,12 @@ class TestPartition:
         code, _, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
                            "--betas", "1,x")
         assert code == 1
-        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
-                             "--betas", ",")
-        assert (code, out, err) == (1, "", "pauliexp: input error: --betas is empty\n")
+        # an empty entry is refused, not dropped
+        for betas in (",", "1,,2", "1,2,", ""):
+            code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
+                                 "--betas", betas)
+            assert (code, out, err) == (1, "", f"pauliexp: input error: cannot parse --betas "
+                                               f"{betas!r}\n")
 
     def test_gibbs_rows_match_gibbs_state(self, capsys, fixtures_dir):
         betas = [-0.5, 0.0, 0.25, 1.0, 3.0]
@@ -735,6 +746,38 @@ def test_non_finite_beta_exit_1(capsys, fixtures_dir, argv, needle):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert needle in err and ("nan" in err or "inf" in err), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", "-i", "h1.txt", "--beta", "1", "--method", "magic"],
+    ["exp", "-i", "h1.txt"],
+    ["exp", "-i", "h1.txt", "--beta", "1", "--time", "1"],
+    ["exp", "-i", "h1.txt", "--beta", "1", "--wat"],
+    [],
+    ["bogus", "-i", "h1.txt"],
+    ["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--nodes", "x"],
+    ["partition", "-i", "h1.txt", "--betas", "-0.5,1"],
+    # verify prints no Pauli label, so it takes no --alphabet
+    ["verify", "-i", "h1.txt", "--beta", "1", "--alphabet", "letters"],
+], ids=["method", "no-beta", "beta-and-time", "unknown-flag", "no-subcommand",
+        "unknown-subcommand", "nodes-x", "negative-betas", "verify-alphabet"])
+def test_usage_error_is_one_line(capsys, fixtures_dir, argv):
+    """argparse's rejections leave through EXIT_TABLE, as one input error line."""
+    argv = [str(fixtures_dir / a) if a == "h1.txt" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("pauliexp: input error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "-1"], -1),
+    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "0"], 0),
+    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "13"], 13),
+    (["verify", "--beta", "1", "--dense-cap", "-5"], -5),
+], ids=["exp-minus-1", "exp-0", "exp-13", "verify-minus-5"])
+def test_dense_cap_out_of_range(capsys, fixtures_dir, argv, cap):
+    assert run(capsys, *argv, "-i", str(fixtures_dir / "h1.txt")) == (
+        1, "", f"pauliexp: config error: dense cap must be in [1, 12], got {cap}\n")
 
 
 _RAISED = [

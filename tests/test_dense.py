@@ -62,6 +62,9 @@ class TestPauliMatrix:
             pauli_matrix(11, 0)
         with pytest.raises(ValueError):
             pauli_matrix(11, 0, dense_cap=DENSE_CAP_MAX + 1)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match=rf"dense cap must be in \[1, 12\], got {cap}"):
+                pauli_matrix(1, 0, dense_cap=cap)
         # raising the cap unlocks it
         m = pauli_matrix(11, 0, dense_cap=11)
         assert m.shape == (2048, 2048)

@@ -34,7 +34,11 @@ entry or a bool or too large "n" under `decompose`; and closed sets of
 rank 4-7 on 32 qubits, with codes of 2**63 and above, under `exp --time`,
 `exp --beta` and `partition --gibbs`; one `-o` case per subcommand,
 `exp` in all four formats and a failing `verify` among them; and a JSON
-"pauli" that is not a string, and a `--center` that is NaN or no number.
+"pauli" that is not a string, and a `--center` that is NaN or no number;
+argv that argparse rejects (a bad choice, a missing, conflicting, unknown
+or malformed flag, no or an unknown subcommand, `verify --alphabet`),
+`--betas` lists with an empty entry, and a `--dense-cap` outside [1, 12]
+under `exp --method dense` and `verify`.
 """
 
 import io
@@ -229,6 +233,16 @@ def cases(tmp: Path, dense) -> list[list[str]]:
         out.append(["exp", "-i", str(tmp / name), "--beta", "1"])
     out += [["exp", "-i", fix["h1.txt"], "--beta", "1", "--method", "contour", "--center", c,
              "--radius", "3"] for c in ["nan", "abc"]]
+    h1 = fix["h1.txt"]
+    out += [["exp", "-i", h1, "--beta", "1", *flags]
+            for flags in (["--method", "magic"], ["--time", "1"], ["--wat"],
+                          ["--method", "contour", "--nodes", "x"])]
+    out += [[], ["bogus", "-i", h1], ["exp", "-i", h1], ["partition", "-i", h1, "--betas", "-0.5,1"],
+            ["verify", "-i", h1, "--beta", "1", "--alphabet", "letters"]]
+    out += [["partition", "-i", h1, "--betas", betas] for betas in [",", "1,,2", "1,2,", ""]]
+    out += [["exp", "-i", h1, "--beta", "1", "--method", "dense", "--dense-cap", cap]
+            for cap in ["-1", "0", "13"]]
+    out.append(["verify", "-i", h1, "--beta", "1", "--dense-cap", "-5"])
     h2 = fix["h2.txt"]
     with_file = [*(["exp", "-i", h2, "--beta", "0.3+0.2i", "--format", fmt]
                    for fmt in ["pauli-text", "pauli-json", "dense-json", "dense-bin"]),
