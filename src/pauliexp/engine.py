@@ -308,7 +308,7 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
 
 
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
-    g = float(np.sqrt((h.values**2).sum()))
+    g = math.hypot(*h.values.tolist())  # scaled, so tiny coefficients keep g > 0
     if g == 0.0:
         values = np.array([_scale(-beta * h.identity_offset, beta)])
     else:

@@ -17,7 +17,7 @@ from pauliexp import (
     reconstruct_dense,
 )
 from pauliexp.cli import EXIT_TABLE, main, parse_beta
-from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes, dense_to_json
+from pauliexp.dense import dense_from_bytes, dense_from_json, dense_to_bytes
 from pauliexp.engine import Reduced, exp_with_method
 from pauliexp.errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from pauliexp.hamiltonian import (
@@ -28,6 +28,7 @@ from pauliexp.hamiltonian import (
 from pauliexp.pauli import parse_codes
 import pauliexp.cli
 
+from cli_cases import CASES, resolve, rows, write_files
 from conftest import coeff_dict, read_expansion
 
 
@@ -39,6 +40,73 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="session")
+def case_dir(tmp_path_factory) -> Path:
+    """The case table's `TMP/`: a directory holding every file of cli_cases.FILES."""
+    path = tmp_path_factory.mktemp("cases")
+    write_files(path)
+    return path
+
+
+def assert_row(row, code, out, err):
+    """A run kept the row's contract: its exit code; at exit 0 no stderr,
+    otherwise no stdout and exactly the row's stderr line (or its prefix)."""
+    argv, want_code, want_err = row
+    assert code == want_code, (argv, err)
+    if code:
+        want = f"pauliexp: {want_err}\n"
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert err.startswith(want[:-4]) if want.endswith("...\n") else err == want, (argv, err)
+    else:
+        assert err == "", argv
+
+
+def check_row(capsys, case_dir, row) -> str:
+    """Run one row of the case table in-process, assert its contract and return its stdout."""
+    code, out, err = run(capsys, *resolve(row[0], case_dir))
+    assert_row(row, code, out, err.replace(str(case_dir), "TMP"))
+    return out
+
+
+def over_rows(name: str):
+    """Parametrize a test by `row` over a dict group of the case table, under its ids."""
+    return pytest.mark.parametrize("row", list(CASES[name].values()), ids=list(CASES[name]))
+
+
+def contract(name: str):
+    """The test that runs the case table's group `name` through check_row: one
+    test per row of a dict group, under its id; one test for a list group."""
+    group = CASES[name]
+    if isinstance(group, list):
+        def test(capsys, case_dir):
+            for row in group:
+                check_row(capsys, case_dir, row)
+    else:
+        @over_rows(name)
+        def test(capsys, case_dir, row):
+            check_row(capsys, case_dir, row)
+    return staticmethod(test) if "::" in name else test
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch) -> list:
+    """The shape of each matrix that np.linalg.eigh is called on, in order."""
+    shapes, real_eigh = [], np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return real_eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -W error -m pauliexp *argv` in a fresh interpreter, output as text."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", *argv],
+                          capture_output=True, text=True, timeout=60)
 
 
 def parse_text_expansion(out: str) -> dict[int, complex]:
@@ -139,17 +207,7 @@ class TestExp:
         assert default[0] == 0
         assert default == at_64
 
-    @pytest.mark.parametrize("nodes", ["0", "2", "-3", "1000000000000000000"])
-    @pytest.mark.parametrize("circle", [[], ["--center", "0", "--radius", "4"]])
-    def test_too_few_nodes_exit_1(self, capsys, fixtures_dir, nodes, circle):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
-                             "--method", "contour", "--nodes", nodes, *circle)
-        assert (code, out) == (1, "")
-        if int(nodes) < 4:
-            assert err == f"pauliexp: config error: need at least 4 nodes, got {nodes}\n"
-        else:  # 10**18 nodes need 6.94 EiB, past any address space, so refused at once
-            assert err.startswith("pauliexp: config error: Unable to allocate 6.94 EiB")
-            assert err.count("\n") == 1
+    test_too_few_nodes_exit_1 = contract("TestExp::test_too_few_nodes_exit_1")
 
     def test_dense_json_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
@@ -175,9 +233,9 @@ class TestExp:
         assert out == ""
         assert "# method" in dest.read_text()
 
-    @pytest.mark.parametrize("fmt", ["pauli-text", "pauli-json", "dense-json", "dense-bin"])
-    def test_output_file_holds_stdout_bytes(self, capsysbinary, fixtures_dir, tmp_path, fmt):
-        argv = ["exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "0.3+0.2i", "--format", fmt]
+    @over_rows("TestExp::test_output_file_holds_stdout_bytes")
+    def test_output_file_holds_stdout_bytes(self, capsysbinary, case_dir, tmp_path, row):
+        argv = resolve(row[0], case_dir)
         assert main(argv) == 0
         stdout = capsysbinary.readouterr().out
         dest = tmp_path / "out"
@@ -185,43 +243,16 @@ class TestExp:
         assert capsysbinary.readouterr() == (b"", b"")
         assert stdout and dest.read_bytes() == stdout
 
-    def test_unwritable_output_file(self, capsys, fixtures_dir, tmp_path):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta", "1",
-                             "-o", str(tmp_path / "no" / "such" / "dir"))
-        assert (code, out) == (1, "")
-        assert err.startswith("pauliexp: io error: ") and err.count("\n") == 1
+    test_unwritable_output_file = contract("TestExp::test_unwritable_output_file")
 
     def test_letters_alphabet(self, capsys, fixtures_dir):
         _, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
                         "--beta", "1", "--alphabet", "letters")
         assert "XYZ" in out
 
-    def test_anticommute_hard_error(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"),
-                           "--beta", "1", "--method", "anticommute")
-        assert code == 1
-        assert "config error" in err
-
-    def test_closure_explosion_exit_2(self, capsys, fixtures_dir):
-        for argv in (["exp", "--beta", "1"], ["exp", "--beta", "1", "--method", "sector"],
-                     ["gibbs", "--beta", "1"], ["partition", "--betas", "1"]):
-            code, _, err = run(capsys, *argv, "-i", str(fixtures_dir / "xy_n6.txt"),
-                               "--closure-cap", "512")
-            assert code == 2
-            assert err == ("pauliexp: closure error: closure has 2047 non-identity "
-                           "strings, more than the cap 512\n"), argv
-
-    def test_bad_contour_exit_3(self, capsys, fixtures_dir):
-        # a circle that misses the spectrum, and one used as given whose angle-0
-        # node sits on the eigenvalue sqrt(3) of h1 (center sqrt(3) - 4, radius 4)
-        for argv in (["--beta", "1", "--center", "40", "--radius", "0.5"],
-                     ["--beta", "0.5", "--nodes", "16", "--center", "-2.267949192431023",
-                      "--radius", "4"]):
-            code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                                 "--method", "contour", *argv)
-            assert (code, out) == (3, "")
-            assert err.startswith("pauliexp: numerical error:")
-            assert err.count("\n") == 1
+    test_anticommute_hard_error = contract("TestExp::test_anticommute_hard_error")
+    test_closure_explosion_exit_2 = contract("TestExp::test_closure_explosion_exit_2")
+    test_bad_contour_exit_3 = contract("TestExp::test_bad_contour_exit_3")
 
     def test_failed_factorization_exit_3(self, capsys, fixtures_dir, monkeypatch):
         def failing_eigh(*args, **kwargs):
@@ -234,39 +265,14 @@ class TestExp:
         assert err.startswith("pauliexp: numerical error:")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("method", ["auto", "sector", "spectral", "anticommute", "dense"])
-    @pytest.mark.parametrize("flags", [["--nodes", "8"], ["--nodes", "0"],
-                                       ["--center", "40", "--radius", "0.5"],
-                                       ["--center", "0", "--radius", "1", "--nodes", "64"]])
-    def test_contour_flags_need_contour(self, capsys, fixtures_dir, method, flags):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta", "1",
-                             "--method", method, *flags)
-        assert (code, out) == (1, "")
-        assert err == ("pauliexp: input error: --nodes, --center and --radius apply only "
-                       "to --method contour\n")
+    test_contour_flags_need_contour = contract("TestExp::test_contour_flags_need_contour")
+    test_dense_flags_need_dense = contract("TestExp::test_dense_flags_need_dense")
 
-    @pytest.mark.parametrize("argv,message", [
-        *(pytest.param(["--zero-tol", "0.5", "--method", method],
-                       "--zero-tol applies only to --method dense", id=f"zero-tol-{method}")
-          for method in ("auto", "sector", "spectral", "anticommute", "contour")),
-        pytest.param(["--dense-cap", "1", "--format", "pauli-text"],
-                     "--dense-cap applies only to --method dense and the dense formats",
-                     id="dense-cap-auto"),
-    ])
-    def test_dense_flags_need_dense(self, capsys, fixtures_dir, argv, message):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
-                             *argv)
-        assert (code, out, err) == (1, "", f"pauliexp: input error: {message}\n")
-
-    def test_dense_flags_where_read(self, capsys, fixtures_dir):
-        code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
-                           "--method", "dense", "--zero-tol", "0.5")
-        assert code == 0
+    def test_dense_flags_where_read(self, capsys, case_dir):
+        zero_tol, dense_cap = CASES["TestExp::test_dense_flags_where_read"]
+        out = check_row(capsys, case_dir, zero_tol)
         assert len(parse_text_expansion(out)) == 7  # of the 8 kept at the default 1e-12
-        code, out, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1",
-                           "--dense-cap", "4", "--format", "dense-json")
-        assert code == 0
-        assert dense_from_json(out).shape == (16, 16)
+        assert dense_from_json(check_row(capsys, case_dir, dense_cap)).shape == (16, 16)
 
     def test_dense_at_imaginary_beta(self, capsys, fixtures_dir):
         # the complex branch of _as_expansion; a coefficient that --zero-tol
@@ -283,40 +289,12 @@ class TestExp:
         assert max(abs(outs["dense"].get(k, 0) - outs["sector"].get(k, 0))
                    for k in keys) < 1e-10
 
-    def test_center_without_radius(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                           "--beta", "1", "--center", "0")
-        assert code == 1
-        assert "together" in err
-
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "exp", "-i", "/no/such/file", "--beta", "1")
-        assert code == 1
-        assert "io error" in err
-        # the input file is read ahead of the subcommand's own checks
-        code, out, err = run(capsys, "exp", "-i", "/no/such/file", "--beta", "abc")
-        assert (code, out) == (1, "")
-        assert err.startswith("pauliexp: io error: ") and err.count("\n") == 1, err
-
-    def test_malformed_input(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("not a hamiltonian\n")
-        code, _, err = run(capsys, "exp", "-i", str(bad), "--beta", "1")
-        assert code == 1
-        assert "input error" in err
-
-    def test_bad_beta(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                           "--beta", "wat")
-        assert code == 1
-
-    def test_beta_and_time_conflict(self, capsys, fixtures_dir):
-        code, _, _ = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"),
-                         "--beta", "1", "--time", "1")
-        assert code == 1
-
-    def test_no_arguments(self, capsys):
-        assert main([]) == 1
+    test_center_without_radius = contract("TestExp::test_center_without_radius")
+    test_missing_file = contract("TestExp::test_missing_file")
+    test_malformed_input = contract("TestExp::test_malformed_input")
+    test_bad_beta = contract("TestExp::test_bad_beta")
+    test_beta_and_time_conflict = contract("TestExp::test_beta_and_time_conflict")
+    test_no_arguments = contract("TestExp::test_no_arguments")
 
     def test_help_exits_zero(self, capsys):
         for argv, usage in ((["--help"], "usage: pauliexp "),
@@ -326,129 +304,13 @@ class TestExp:
             assert out.startswith(usage)
 
 
-_FINITE = "coeff must be a finite real number"
-_NOT_PAULI = "not a Pauli string (digits 0-3 or letters IXYZ): "
-_DENSE = '{"n": %s, "matrix": [[[1, 0], %s], [[0, 0], [1, 0]]]}'  # "n", then entry (0, 1)
-
-
 class TestInputErrors:
-    """Exit code and the exact stderr line of each class of bad input file."""
+    """Exit code and the exact stderr line of each class of bad input file or flag."""
 
-    @pytest.mark.parametrize("text,code,message", [
-        ("1 X\nabc Y\n", 1, "input error: line 2: bad coefficient 'abc'"),
-        ("1 X\n1 W\n", 1, f"input error: line 2: {_NOT_PAULI}'W'"),
-        ("1 XY\n1 X1\n", 1, f"input error: line 2: {_NOT_PAULI}'X1'"),
-        ("1 " + "X" * 33 + "\n", 1, "input error: line 1: qubit count must be in [1, 32], got 33"),
-        ("1 X\n2 Y\n1 XX\n", 1, "input error: line 3: string length 2 != 1 from earlier lines"),
-        ("# nothing\n\n", 1, "input error: no terms found"),
-        ("1 X\n1\n", 1, "input error: line 2: expected `<coeff> <pauli>`, got '1'"),
-        ("1 X\nnan Y\n", 1, "input error: line 2: non-finite coefficient 'nan'"),
-        ("inf X\n", 1, "input error: line 1: non-finite coefficient 'inf'"),
-        ("1 X\n1e999 Z\n", 1, "input error: line 2: non-finite coefficient '1e999'"),
-        # finite per line, infinite once summed
-        ("1e308 X\n1e308 X\n", 1, "config error: non-finite coefficient for code 1"),
-        # the first bad line wins; within a line the coefficient comes first
-        ("1 X\n1 W\nabc Y\n", 1, f"input error: line 2: {_NOT_PAULI}'W'"),
-        ("1 X\nabc W\n1 W\n", 1, "input error: line 2: bad coefficient 'abc'"),
-        ("1 XX\n1 Y\n1 W\n", 1, "input error: line 2: string length 1 != 2 from earlier lines"),
-    ])
-    def test_text(self, capsys, tmp_path, text, code, message):
-        p = tmp_path / "h.txt"
-        p.write_text(text)
-        assert run(capsys, "closure", "-i", str(p)) == (code, "", f"pauliexp: {message}\n")
-
-    @pytest.mark.parametrize("doc,code,message", [
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": "x", "pauli": "Y"}]}', 1,
-         "input error: terms[1]: coeff must be a real number"),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}]}', 1,
-         f"input error: terms[0]: {_NOT_PAULI}'W'"),
-        ('{"n": 2, "terms": [{"coeff": 1, "pauli": "X1"}]}', 1,
-         f"input error: terms[0]: {_NOT_PAULI}'X1'"),
-        ('{"n": 33, "terms": []}', 1, 'input error: "n" must be an integer in [1, 32]'),
-        ('{"n": 32, "terms": [{"coeff": 1, "pauli": "' + "X" * 33 + '"}]}', 1,
-         "input error: terms[0]: qubit count must be in [1, 32], got 33"),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": "XX"}]}', 1,
-         "input error: terms[1]: string length 2 != n=1"),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "XX"}, {"coeff": 1, "pauli": "W"}]}', 1,
-         "input error: terms[0]: string length 2 != n=1"),
-        ('{"n": 1}', 1, 'input error: expected an object with "n" and "terms"'),
-        ('{"n": 1, "terms": [{"pauli": "X"}]}', 1,
-         'input error: terms[0]: expected {"coeff", "pauli"}'),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": NaN, "pauli": "Y"}]}', 1,
-         f"input error: terms[1]: {_FINITE}"),
-        ('{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}', 1,
-         f"input error: terms[0]: {_FINITE}"),
-        ('{"n": 1, "terms": [{"coeff": 1e400, "pauli": "X"}]}', 1,
-         f"input error: terms[0]: {_FINITE}"),
-        pytest.param('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1' + "0" * 400
-                     + ', "pauli": "Z"}]}', 1, f"input error: terms[1]: {_FINITE}", id="int-1e400"),
-        ('{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"}, {"coeff": 1e308, "pauli": "X"}]}', 1,
-         "config error: non-finite coefficient for code 1"),
-        ('{"n": true, "terms": [{"coeff": 1, "pauli": "X"}]}', 1,
-         'input error: "n" must be an integer in [1, 32]'),
-        # a JSON label must be a string: 123 is not read as the digits 1, 2, 3
-        ('{"n": 3, "terms": [{"coeff": 1, "pauli": 123}, {"coeff": 0.5, "pauli": "XXX"}]}', 1,
-         "input error: terms[0]: pauli must be a string"),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": null}]}', 1,
-         "input error: terms[1]: pauli must be a string"),
-        ('{"n": 1, "terms": [{"coeff": "x", "pauli": 3}]}', 1,
-         "input error: terms[0]: coeff must be a real number"),
-        ('{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}, {"coeff": 1, "pauli": ["X"]}]}', 1,
-         f"input error: terms[0]: {_NOT_PAULI}'W'"),
-    ])
-    def test_json(self, capsys, tmp_path, doc, code, message):
-        p = tmp_path / "h.json"
-        p.write_text(doc)
-        assert run(capsys, "closure", "-i", str(p)) == (code, "", f"pauliexp: {message}\n")
-
-    @pytest.mark.parametrize("data,message", [
-        (_DENSE % ("1", "[null, 0]"), "entry (0, 1): re must be a real number"),
-        (_DENSE % ("1", "[0, true]"), "entry (0, 1): im must be a real number"),
-        (_DENSE % ("1", '["1e999", 0]'), "entry (0, 1): re must be a real number"),
-        (_DENSE % ("1", "[NaN, 0]"), "entry (0, 1): re must be a finite real number"),
-        (_DENSE % ("1", "[0, Infinity]"), "entry (0, 1): im must be a finite real number"),
-        (_DENSE % ("true", "[0, 0]"), '"n" must be an integer in [1, 32]'),
-        (dense_to_bytes(np.array([[1, 0], [np.nan, 1]])),
-         "entry (1, 0): not a finite complex number"),
-        ('{"n": 20000, "matrix": []}', '"n" must be an integer in [1, 32]'),
-        ('{"n": 0, "matrix": []}', '"n" must be an integer in [1, 32]'),
-    ], ids=["null", "true", "string", "NaN", "Infinity", "bool-n", "pexp-NaN", "n-20000", "n-0"])
-    def test_dense(self, capsys, tmp_path, data, message):
-        p = tmp_path / "m"
-        p.write_bytes(data if isinstance(data, bytes) else data.encode())
-        assert run(capsys, "decompose", "-i", str(p)) == (1, "", f"pauliexp: input error: {message}\n")
-
-    @pytest.mark.parametrize("argv,message", [
-        (["exp", "-i", "h2.txt", "--beta", "1", "--method", "dense", "--zero-tol", "nan"],
-         "--zero-tol must be finite, got nan"),
-        (["exp", "-i", "h2.txt", "--beta", "1", "--zero-tol=-1e-9"],
-         "--zero-tol must be at least 0, got -1e-09"),
-        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol", "nan"],
-         "--zero-tol must be finite, got nan"),
-        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol=-inf"],
-         "--zero-tol must be finite, got -inf"),
-        (["decompose", "-i", "qutrit_embedded.json", "--zero-tol=-1"],
-         "--zero-tol must be at least 0, got -1.0"),
-        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance", "nan"],
-         "--tolerance must be finite, got nan"),
-        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance", "inf"],
-         "--tolerance must be finite, got inf"),
-        (["verify", "-i", "h1.txt", "--beta", "1", "--tolerance=-1e-10"],
-         "--tolerance must be at least 0, got -1e-10"),
-        (["exp", "-i", "h1.txt", "--beta", "1", "--closure-cap", "-1"],
-         "--closure-cap must be at least 0, got -1"),
-        (["partition", "-i", "h2.txt", "--betas", "1", "--closure-cap", "-1"],
-         "--closure-cap must be at least 0, got -1"),
-        (["closure", "-i", "h2.txt", "--closure-cap", "-1"],
-         "--closure-cap must be at least 0, got -1"),
-        (["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--center", "nan",
-          "--radius", "3"], "--center must be finite, got 'nan'"),
-        (["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--center", "abc",
-          "--radius", "3"], "cannot parse --center 'abc'"),
-    ])
-    def test_tolerance_flags(self, capsys, fixtures_dir, argv, message):
-        argv[2] = str(fixtures_dir / argv[2])
-        assert run(capsys, *argv) == (1, "", f"pauliexp: input error: {message}\n")
+    test_text = contract("TestInputErrors::test_text")
+    test_json = contract("TestInputErrors::test_json")
+    test_dense = contract("TestInputErrors::test_dense")
+    test_tolerance_flags = contract("TestInputErrors::test_tolerance_flags")
 
     @pytest.mark.parametrize("name,text", [
         ("h.txt", "0.5 xyz\n-1 iZy\n"),
@@ -460,18 +322,10 @@ class TestInputErrors:
         assert run(capsys, "closure", "-i", str(p), "--alphabet", "letters") == (
             0, "n 3\ntau 3\nIZY\nXXX\nXYZ\n", "")
 
-    @pytest.mark.parametrize("doc,message", [
-        pytest.param('{"n": 1, "terms": [{"coeff": 1' + "0" * 400 + ', "pauli": "X"}]}',
-                     f"terms[0]: {_FINITE}", id="int-1e400"),
-        ('{"n": 1, "terms": [{"coeff": -Infinity, "pauli": "X"}]}', f"terms[0]: {_FINITE}"),
-    ])
-    def test_huge_coefficient_is_an_input_error(self, tmp_path, doc, message):
-        p = tmp_path / "h.json"
-        p.write_text(doc)
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "pauliexp", "exp", "-i", str(p),
-                               "--beta", "1"], capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == f"pauliexp: input error: {message}\n"
+    @over_rows("TestInputErrors::test_huge_coefficient_is_an_input_error")
+    def test_huge_coefficient_is_an_input_error(self, case_dir, row):
+        proc = run_module(*resolve(row[0], case_dir))
+        assert_row(row, proc.returncode, proc.stdout, proc.stderr)
 
 
 class TestPartition:
@@ -518,11 +372,9 @@ class TestPartition:
         assert code == 0
         assert "symmetry OK" in out
 
-    def test_symmetry_violated(self, capsys, fixtures_dir, tmp_path):
-        other = tmp_path / "skewed.txt"
-        other.write_text("0.9 0123\n-0.81 0213\n")
+    def test_symmetry_violated(self, capsys, fixtures_dir, case_dir):
         code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
-                           "--betas", "1", "--symmetry-check", str(other))
+                           "--betas", "1", "--symmetry-check", str(case_dir / "skewed.txt"))
         assert code == 0
         assert "symmetry VIOLATED" in out
 
@@ -535,16 +387,7 @@ class TestPartition:
                          "--betas", "-0.5,1")
         assert code == 1
 
-    def test_bad_betas(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
-                           "--betas", "1,x")
-        assert code == 1
-        # an empty entry is refused, not dropped
-        for betas in (",", "1,,2", "1,2,", ""):
-            code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
-                                 "--betas", betas)
-            assert (code, out, err) == (1, "", f"pauliexp: input error: cannot parse --betas "
-                                               f"{betas!r}\n")
+    test_bad_betas = contract("TestPartition::test_bad_betas")
 
     def test_gibbs_rows_match_gibbs_state(self, capsys, fixtures_dir):
         betas = [-0.5, 0.0, 0.25, 1.0, 3.0]
@@ -565,15 +408,7 @@ class TestPartition:
                 assert got["re"] == pytest.approx(ref["re"], rel=1e-12, abs=1e-15)
                 assert got["im"] == pytest.approx(ref["im"], abs=1e-15)
 
-    def test_one_eigh_per_file(self, capsys, fixtures_dir, monkeypatch):
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def counting_eigh(m, *args, **kwargs):
-            calls.append(m.shape)
-            return real_eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_one_eigh_per_file(self, capsys, fixtures_dir, eigh_shapes):
         betas = ",".join(str(0.25 * k) for k in range(1, 17))
         code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
                            "--betas", betas, "--gibbs",
@@ -581,15 +416,15 @@ class TestPartition:
         assert code == 0
         assert "symmetry OK" in out
         # h2 and h2_mirror split into s = 1 pair and c = 1 central code
-        assert calls == [(2, 2, 2), (2, 2, 2)]
+        assert eigh_shapes == [(2, 2, 2), (2, 2, 2)]
         for argv, shape in ((["exp", "--beta", "0.5"], (2, 2, 2)),
                             (["exp", "--time", "2", "--method", "spectral"], (8, 8)),
                             (["gibbs", "--beta", "0.5"], (2, 2, 2)),
                             (["partition", "--betas", betas], (2, 2, 2))):
-            calls.clear()
+            eigh_shapes.clear()
             code, _, _ = run(capsys, *argv, "-i", str(fixtures_dir / "h2.txt"))
             assert code == 0
-            assert calls == [shape], argv
+            assert eigh_shapes == [shape], argv
 
 
 @pytest.mark.filterwarnings("error")
@@ -598,40 +433,14 @@ class TestLargeBeta:
 
     GIBBS_OFF_IDENTITY = -1.0 / (8.0 * math.sqrt(3.0))  # ground projector / 4
 
-    @pytest.mark.parametrize("name,beta,method", [
-        pytest.param("h1.txt", "--beta=1000", "auto", id="auto"),
-        pytest.param("h1.txt", "--beta=1000", "spectral", id="spectral"),
-        pytest.param("h1.txt", "--beta=1000", "dense", id="dense"),
-        # a phase -Im(beta) E past float64, on every path
-        ("h2.txt", "--time=1e308", "auto"),
-        ("h2.txt", "--time=1e308", "spectral"),
-        ("h2.txt", "--time=1e308", "dense"),
-        ("h2.txt", "--time=1e308", "contour"),
-        ("h2.txt", "--beta=1e308+1e308i", "auto"),
-        ("h2.txt", "--beta=1e308+1e308i", "spectral"),
-        ("h1.txt", "--time=1.7e308", "anticommute"),
-    ])
-    def test_exp_that_does_not_fit_exits_3(self, capsys, fixtures_dir, name, beta, method):
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / name), beta,
-                             "--method", method)
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("pauliexp: numerical error:")
-        flag, value = beta.split("=")
-        named = parse_beta(value) if flag == "--beta" else 1j * float(value)
-        assert f" at beta {named:g} " in err
-        if method == "contour":  # the spectral path exits 3 here too
-            assert "spectral" not in err
+    test_exp_that_does_not_fit_exits_3 = contract(
+        "TestLargeBeta::test_exp_that_does_not_fit_exits_3")
 
-    @pytest.mark.parametrize("fmt", ["pauli-text", "dense-json"])
-    def test_dense_exp_near_float64_limit(self, capsys, fixtures_dir, fmt):
-        # exp(409.6 sqrt 3) / 2 is about 6.4e307 and fits; the decomposition
-        # halves at every qubit, so no partial sum of it leaves float64
+    @pytest.mark.parametrize("fmt", CASES["TestLargeBeta::test_dense_exp_near_float64_limit"])
+    def test_dense_exp_near_float64_limit(self, capsys, case_dir, fixtures_dir, fmt):
         h = load_hamiltonian(fixtures_dir / "h1.txt")
-        code, out, err = run(capsys, "exp", "-i", str(fixtures_dir / "h1.txt"), "--beta=-409.6",
-                             "--method", "dense", "--format", fmt)
-        assert (code, err) == (0, "")
+        row = CASES["TestLargeBeta::test_dense_exp_near_float64_limit"][fmt]
+        out = check_row(capsys, case_dir, row)
         if fmt == "dense-json":
             want = dense_exp(reconstruct_dense(h), -409.6)
             assert np.abs(dense_from_json(out) - want).max() <= 1e-12 * np.abs(want).max()
@@ -654,13 +463,8 @@ class TestLargeBeta:
             assert coeffs[code_].real == pytest.approx(sign * self.GIBBS_OFF_IDENTITY,
                                                        rel=1e-9)
 
-    def test_partition_that_does_not_fit_names_beta(self, capsys, fixtures_dir):
-        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
-                             "--betas", "1,10,100,1000", "--format", "json")
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "numerical error" in err and "beta 1000" in err and "float64" in err
+    test_partition_that_does_not_fit_names_beta = contract(
+        "TestLargeBeta::test_partition_that_does_not_fit_names_beta")
 
     def test_partition_free_energy_at_large_beta(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "partition", "-i", str(fixtures_dir / "h1.txt"),
@@ -695,30 +499,21 @@ class TestLargeBeta:
             assert run(capsys, "partition", "-i", str(path), "--betas", beta, "--gibbs",
                        "--format", fmt) == (3, "", f"pauliexp: numerical error: {message}\n")
 
-    @pytest.mark.parametrize("name,method,beta", [
-        ("h2.txt", "spectral", "1e308"),
-        ("h2.txt", "sector", "1e308"),
-        ("h1.txt", "anticommute", "1.7976931348623157e308"),
-    ])
-    def test_exp_at_largest_beta(self, capsys, fixtures_dir, tmp_path, name, method, beta):
-        assert run(capsys, "exp", "-i", str(fixtures_dir / name), "--beta", beta,
-                   "--method", method) == (3, "", "pauliexp: numerical error: exp(-beta H) at "
-                                                  f"beta {complex(float(beta)):g} does not fit "
-                                                  "in float64\n")
+    @over_rows("TestLargeBeta::test_exp_at_largest_beta")
+    def test_exp_at_largest_beta(self, capsys, case_dir, tmp_path, row):
+        check_row(capsys, case_dir, row)
         # H = 5 + X >= 4: every coefficient underflows to 0
-        path = tmp_path / "h.txt"
-        path.write_text("5 0\n1 1\n")
-        code, out, err = run(capsys, "exp", "-i", str(path), "--beta", beta,
-                             "--method", method)
+        argv = resolve(row[0], case_dir)
+        argv[2] = str(tmp_path / "h.txt")
+        Path(argv[2]).write_text("5 0\n1 1\n")
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.splitlines()[-2:] == ["0 0 0", "1 0 0"]
 
-    def test_underflowing_trace_keeps_free_energy(self, capsys, tmp_path):
+    def test_underflowing_trace_keeps_free_energy(self, capsys, case_dir):
         # H = 1000 + Z: tr exp(-beta H) underflows to 0, the free energy does not
-        path = tmp_path / "shifted.txt"
-        path.write_text("1000 0\n1 3\n")
-        code, out, _ = run(capsys, "partition", "-i", str(path), "--betas", "2",
-                           "--format", "json")
+        code, out, _ = run(capsys, "partition", "-i", str(case_dir / "shifted_1000.txt"),
+                           "--betas", "2", "--format", "json")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["z_trace"] == 0.0
@@ -726,58 +521,24 @@ class TestLargeBeta:
         assert row["free_energy"] == pytest.approx(want, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv,needle", [
-    (["exp", "--time", "nan"], "--time"),
-    (["exp", "--time", "inf"], "--time"),
-    (["gibbs", "--beta", "nan"], "--beta"),
-    (["gibbs", "--beta", "inf"], "--beta"),
-    (["partition", "--betas", "nan"], "--betas"),
-    (["partition", "--betas", "0.5,inf"], "--betas"),
-    (["exp", "--beta", "1", "--method", "contour", "--center", "0", "--radius", "nan"],
-     "radius"),
-    (["exp", "--beta", "1", "--method", "contour", "--center", "0", "--radius", "inf"],
-     "radius"),
-    (["verify", "--time=-inf"], "--time"),
-])
-def test_non_finite_beta_exit_1(capsys, fixtures_dir, argv, needle):
-    code, out, err = run(capsys, *argv, "-i", str(fixtures_dir / "h1.txt"))
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.endswith("\n"), err
-    assert needle in err and ("nan" in err or "inf" in err), err
+test_non_finite_beta_exit_1 = pytest.mark.filterwarnings("error")(
+    contract("test_non_finite_beta_exit_1"))
+test_usage_error_is_one_line = contract("test_usage_error_is_one_line")
+test_dense_cap_out_of_range = contract("test_dense_cap_out_of_range")
+test_contract = contract("test_contract")
 
 
-@pytest.mark.parametrize("argv", [
-    ["exp", "-i", "h1.txt", "--beta", "1", "--method", "magic"],
-    ["exp", "-i", "h1.txt"],
-    ["exp", "-i", "h1.txt", "--beta", "1", "--time", "1"],
-    ["exp", "-i", "h1.txt", "--beta", "1", "--wat"],
-    [],
-    ["bogus", "-i", "h1.txt"],
-    ["exp", "-i", "h1.txt", "--beta", "1", "--method", "contour", "--nodes", "x"],
-    ["partition", "-i", "h1.txt", "--betas", "-0.5,1"],
-    # verify prints no Pauli label, so it takes no --alphabet
-    ["verify", "-i", "h1.txt", "--beta", "1", "--alphabet", "letters"],
-], ids=["method", "no-beta", "beta-and-time", "unknown-flag", "no-subcommand",
-        "unknown-subcommand", "nodes-x", "negative-betas", "verify-alphabet"])
-def test_usage_error_is_one_line(capsys, fixtures_dir, argv):
-    """argparse's rejections leave through EXIT_TABLE, as one input error line."""
-    argv = [str(fixtures_dir / a) if a == "h1.txt" else a for a in argv]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("pauliexp: input error: ") and err.count("\n") == 1, err
-
-
-@pytest.mark.parametrize("argv,cap", [
-    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "-1"], -1),
-    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "0"], 0),
-    (["exp", "--beta", "1", "--method", "dense", "--dense-cap", "13"], 13),
-    (["verify", "--beta", "1", "--dense-cap", "-5"], -5),
-], ids=["exp-minus-1", "exp-0", "exp-13", "verify-minus-5"])
-def test_dense_cap_out_of_range(capsys, fixtures_dir, argv, cap):
-    assert run(capsys, *argv, "-i", str(fixtures_dir / "h1.txt")) == (
-        1, "", f"pauliexp: config error: dense cap must be in [1, 12], got {cap}\n")
+def test_rows_reach_every_exit_table_stage():
+    """Each failing row names the stage of EXIT_TABLE whose exit code it has,
+    and each stage has a row: the table, EXIT_TABLE and README's codes agree."""
+    codes = {stage: code for _, stage, code in EXIT_TABLE}
+    reached = set()
+    for argv, code, err in rows():
+        if code:
+            stage = err.partition(" error: ")[0]
+            assert codes.get(stage) == code and err.startswith(f"{stage} error: "), argv
+            reached.add(stage)
+    assert reached == set(codes)
 
 
 _RAISED = [
@@ -877,19 +638,17 @@ class TestJsonWriters:
         assert out == json.dumps(json.loads(out)) + "\n"
         assert out == json.dumps(want) + "\n"
 
-    @pytest.mark.parametrize("extra", [[], ["--symmetry-check", "h2_mirror.txt"]])
-    @pytest.mark.parametrize("alphabet", ["digits", "letters"])
-    def test_partition_documents(self, capsys, fixtures_dir, extra, alphabet):
-        extra = [extra[0], str(fixtures_dir / extra[1])] if extra else []
-        betas = [0.1, 1.0, 5.0]
-        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / "h2.txt"),
-                             "--betas", "0.1,1,5", "--gibbs", "--format", "json",
-                             "--alphabet", alphabet, *extra)
-        assert (code, err) == (0, "")
+    @pytest.mark.parametrize("key", CASES["TestJsonWriters::test_partition_documents"])
+    def test_partition_documents(self, capsys, case_dir, fixtures_dir, key):
+        case = CASES["TestJsonWriters::test_partition_documents"][key]
+        alphabet = key.split("-")[0]
+        out = check_row(capsys, case_dir, case)
         assert out == json.dumps(json.loads(out)) + "\n"
         doc = json.loads(out)
+        extra = "--symmetry-check" in case[0]
         assert list(doc) == (["rows", "symmetry_max_rel_diff"] if extra else ["rows"])
         red = Reduced(load_hamiltonian(fixtures_dir / "h2.txt"))
+        betas = [0.1, 1.0, 5.0]
         for beta, row, gibbs in zip(betas, doc["rows"], red.gibbs_many(betas)):
             assert list(row) == ["beta", "z_normalized", "z_trace", "free_energy", "gibbs"]
             want = expansion_to_dict(PauliExpansion(4, red.codes, gibbs), alphabet=alphabet)
@@ -938,26 +697,13 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS")
 
-    @pytest.mark.parametrize("method", ["auto", "anticommute"])
-    def test_anticommuting_past_the_cap(self, capsys, tmp_path, method):
-        # the 14 Jordan-Wigner Majorana strings on 7 qubits: closure 16383 > 4096,
-        # which the closed form never enumerates
-        path = tmp_path / "majorana.txt"
-        path.write_text("".join(f"{(k + 1) / 10} {'Z' * q}{p}{'I' * (6 - q)}\n"
-                                for k, (q, p) in enumerate((q, p) for q in range(7)
-                                                           for p in "XY")))
-        code, out, err = run(capsys, "verify", "-i", str(path), "--beta", "0.7",
-                             "--method", method)
-        assert (code, err) == (0, "")
+    @pytest.mark.parametrize("method", CASES["TestVerify::test_anticommuting_past_the_cap"])
+    def test_anticommuting_past_the_cap(self, capsys, case_dir, method):
+        row = CASES["TestVerify::test_anticommuting_past_the_cap"][method]
+        out = check_row(capsys, case_dir, row)
         assert out.startswith(f"PASS n=7 tau=16383 method={method} ")
 
-    @pytest.mark.parametrize("method", ["spectral", "sector"])
-    def test_methods_keep_their_cap(self, capsys, fixtures_dir, method):
-        code, out, err = run(capsys, "verify", "-i", str(fixtures_dir / "xy_n6.txt"),
-                             "--beta", "1", "--method", method, "--closure-cap", "512")
-        assert (code, out) == (2, "")
-        assert err == ("pauliexp: closure error: closure has 2047 non-identity "
-                       "strings, more than the cap 512\n")
+    test_methods_keep_their_cap = contract("TestVerify::test_methods_keep_their_cap")
 
     def test_corrupted_expansion_fails(self, capsys, fixtures_dir, monkeypatch):
         # flip one coefficient's sign on the sparse side: the oracle must
@@ -983,22 +729,14 @@ class TestVerify:
         ("spectral", [(4, 4), (8, 8)]),
         ("sector", [(1, 2, 2), (8, 8)]),
     ])
-    def test_eigh_counts(self, capsys, fixtures_dir, monkeypatch, method, shapes):
+    def test_eigh_counts(self, capsys, fixtures_dir, eigh_shapes, method, shapes):
         # tau comes from the closure; only the chosen path and the dense
         # oracle run eigh
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def counting_eigh(m, *args, **kwargs):
-            calls.append(m.shape)
-            return real_eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         code, out, _ = run(capsys, "verify", "-i", str(fixtures_dir / "h1.txt"),
                            "--beta", "1", "--method", method)
         assert code == 0
         assert out.startswith("PASS n=3 tau=3 ")
-        assert calls == shapes
+        assert eigh_shapes == shapes
 
 
 class TestDecompose:
@@ -1021,12 +759,9 @@ class TestDecompose:
         assert np.array_equal(h.codes, want.codes)
         assert h.values == pytest.approx(want.values)
 
-    def test_json_format(self, capsys, fixtures_dir):
-        code, out, _ = run(capsys, "decompose", "-i",
-                           str(fixtures_dir / "qutrit_embedded.json"),
-                           "--format", "json", "--alphabet", "letters")
-        assert code == 0
-        doc = json.loads(out)
+    def test_json_format(self, capsys, case_dir):
+        row = CASES["decompose qutrit_embedded"]["letters-json"]
+        doc = json.loads(check_row(capsys, case_dir, row))
         assert doc["n"] == 2
         assert {t["pauli"] for t in doc["terms"]} == {"XY", "YX", "ZI", "ZZ"}
 
@@ -1040,36 +775,26 @@ class TestDecompose:
         assert code == 0
         assert "30" in out
 
-    def test_non_hermitian_input(self, capsys, tmp_path):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        p = tmp_path / "nh.json"
-        p.write_text(dense_to_json(m))
-        code, out, _ = run(capsys, "decompose", "-i", str(p))
+    def test_non_hermitian_input(self, capsys, case_dir):
+        code, out, _ = run(capsys, "decompose", "-i", str(case_dir / "non_hermitian.json"))
         assert code == 0
         assert "# method decompose" in out
         coeffs = parse_text_expansion(out)
         assert coeffs[1] == 0.5
         assert coeffs[2] == 0.5j
 
-    def test_near_float64_limit(self, capsys, tmp_path):
-        # two diagonal entries of 1.5e308: each coefficient is 3e308 / 8, which
-        # fits, as does every partial sum when each qubit's step halves
-        m = np.zeros((8, 8))
-        m[0, 0] = m[1, 1] = 1.5e308
-        path = tmp_path / "near_limit.json"
-        path.write_text(dense_to_json(m))
-        assert run(capsys, "decompose", "-i", str(path)) == (
-            0, "3.75e+307 000\n3.75e+307 030\n3.75e+307 300\n3.75e+307 330\n", "")
-        # anti-Hermitian, so m - m^dagger overflows though the coefficients,
-        # Y and then X and Y at 1.7e308 i, fit
-        a, head = 1.7e308, "# n 1\n# method decompose\n"
-        for m, labels in (([[0, a], [-a, 0]], "2"), ([[0, a + a * 1j], [-a + a * 1j, 0]], "12")):
-            path.write_text(dense_to_json(np.array(m)))
-            assert run(capsys, "decompose", "-i", str(path)) == (
-                0, head + "".join(f"{p} 0 1.6999999999999999e+308\n" for p in labels), "")
+    def test_near_float64_limit(self, capsys, case_dir):
+        near, *anti = CASES["TestDecompose::test_near_float64_limit"]
+        assert check_row(capsys, case_dir, near) == (
+            "3.75e+307 000\n3.75e+307 030\n3.75e+307 300\n3.75e+307 330\n")
+        # the coefficients, Y and then X and Y at 1.7e308 i, fit
+        head = "# n 1\n# method decompose\n"
+        for labels, text, as_json in (("2", *anti[:2]), ("12", *anti[2:])):
+            assert check_row(capsys, case_dir, text) == (
+                head + "".join(f"{p} 0 1.6999999999999999e+308\n" for p in labels))
             coeffs = [{"pauli": p, "re": 0.0, "im": 1.7e308} for p in labels]
-            assert run(capsys, "decompose", "-i", str(path), "--format", "json") == (
-                0, json.dumps({"n": 1, "coeffs": coeffs}) + "\n", "")
+            assert check_row(capsys, case_dir, as_json) == (
+                json.dumps({"n": 1, "coeffs": coeffs}) + "\n")
 
 
 class TestClosure:
@@ -1087,11 +812,7 @@ class TestClosure:
         assert doc["tau"] == 7
         assert doc["codes"][0] == "0123"
 
-    def test_explosion_exit_2(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "closure", "-i", str(fixtures_dir / "xy_n6.txt"),
-                           "--closure-cap", "512")
-        assert code == 2
-        assert "2047" in err
+    test_explosion_exit_2 = contract("TestClosure::test_explosion_exit_2")
 
 
 class TestGoldenBytes:
@@ -1142,43 +863,29 @@ class TestGoldenBytes:
                            '{"coeff": 2.0, "pauli": "21"}, {"coeff": 1.0, "pauli": "30"}, '
                            '{"coeff": 1.0, "pauli": "33"}]}\n'),
     ])
-    def test_decompose_hermitian(self, capsys, fixtures_dir, alphabet, fmt, want):
-        code, out, err = run(capsys, "decompose", "-i",
-                             str(fixtures_dir / "qutrit_embedded.json"),
-                             "--format", fmt, "--alphabet", alphabet)
-        assert (code, out, err) == (0, want, "")
+    def test_decompose_hermitian(self, capsys, case_dir, alphabet, fmt, want):
+        row = CASES["decompose qutrit_embedded"][f"{alphabet}-{fmt}"]
+        assert check_row(capsys, case_dir, row) == want
 
     @pytest.mark.parametrize("alphabet,fmt,want", [
         ("digits", "text", "# n 1\n# method decompose\n1 0.5 0\n2 0 0.5\n"),
         ("letters", "json", '{"n": 1, "coeffs": [{"pauli": "X", "re": 0.5, "im": 0.0}, '
                             '{"pauli": "Y", "re": 0.0, "im": 0.5}]}\n'),
     ])
-    def test_decompose_non_hermitian(self, capsys, tmp_path, alphabet, fmt, want):
-        p = tmp_path / "nh.json"
-        p.write_text(dense_to_json(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
-        code, out, err = run(capsys, "decompose", "-i", str(p),
+    def test_decompose_non_hermitian(self, capsys, case_dir, alphabet, fmt, want):
+        code, out, err = run(capsys, "decompose", "-i", str(case_dir / "non_hermitian.json"),
                              "--format", fmt, "--alphabet", alphabet)
         assert (code, out, err) == (0, want, "")
 
 
 class TestSubprocess:
     def test_module_entry(self, fixtures_dir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pauliexp", "exp", "-i",
-             str(fixtures_dir / "h1.txt"), "--time", "0.7"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("exp", "-i", str(fixtures_dir / "h1.txt"), "--time", "0.7")
         assert proc.returncode == 0
         assert "# method anticommute" in proc.stdout
 
     def test_verify_cli(self, fixtures_dir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pauliexp", "verify", "-i",
-             str(fixtures_dir / "h2.txt"), "--beta", "1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("verify", "-i", str(fixtures_dir / "h2.txt"), "--beta", "1")
         assert proc.returncode == 0
         assert proc.stdout.startswith("PASS")
 
@@ -1193,27 +900,10 @@ class TestSubprocess:
         assert plain.stdout.startswith(b"# n 4")
         assert knobs.stdout == plain.stdout
 
-    def test_overflow_without_warnings(self, fixtures_dir):
-        # one line on stderr naming beta (and the dense or contour path), no
-        # traceback and no RuntimeWarning under -W error
-        for argv, want, needles in (
-            (["exp", "--beta", "1000"], 3, ["beta 1000"]),
-            (["exp", "--beta", "500", "--method", "spectral"], 3, ["beta 500"]),
-            (["exp", "--beta", "1000", "--method", "dense"], 3, ["beta 1000", "dense"]),
-            (["exp", "--beta", "1000", "--method", "contour"], 3, ["beta 1000", "contour"]),
-            # exp(-300 H) fits (about e^520); the contour integrand does not
-            (["exp", "--beta", "300", "--method", "contour"], 3, ["beta 300", "contour"]),
-            (["gibbs", "--beta", "1000"], 0, []),
-        ):
-            proc = subprocess.run(
-                [sys.executable, "-W", "error", "-m", "pauliexp", *argv,
-                 "-i", str(fixtures_dir / "h1.txt")],
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == want, proc.stderr
-            assert proc.stderr.count("\n") == (1 if want else 0), proc.stderr
-            assert all(needle in proc.stderr for needle in needles), proc.stderr
+    def test_overflow_without_warnings(self, case_dir):
+        for row in CASES["TestSubprocess::test_overflow_without_warnings"]:
+            proc = run_module(*resolve(row[0], case_dir))
+            assert_row(row, proc.returncode, proc.stdout, proc.stderr)
 
     def test_console_script(self):
         # The script pyproject.toml declares, started the way the installed

@@ -201,6 +201,14 @@ class TestAnticommuting:
         assert e.codes.tolist() == [0, 2]
         assert e.values == pytest.approx([np.cosh(0.9), -np.sinh(0.9)])
 
+    @pytest.mark.parametrize("labels", [("XI", "ZI"), ("XII", "ZII", "YII")])
+    def test_tiny_coefficients(self, labels):
+        # sum h_K^2 underflows to 0 at 1e-170, so g must be computed scaled
+        h = parse_hamiltonian("".join(f"1e-170 {p}\n" for p in labels))
+        e = exp_anticommuting(h, 1.0)
+        assert e.codes.tolist() == [0, *h.codes.tolist()]
+        assert e.values.tolist() == [1.0, *(-h.values).tolist()]  # I - beta H, exactly
+
     def test_no_terms(self):
         h = SparseHamiltonian(1, [], [], identity_offset=0.25)
         e = exp_anticommuting(h, 2.0)

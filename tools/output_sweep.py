@@ -4,110 +4,55 @@
     python tools/output_sweep.py diff BEFORE.json AFTER.json
 
 `run` imports pauliexp from SRC_DIR (the `src` directory of one checkout),
-calls `pauliexp.cli.main` on a fixed list of argument lists with stdout and
-stderr captured, and writes {case: [exit code, stdout, stderr]}; a case
-that writes with `-o` also records the file it wrote, as a fourth field.
-`diff` prints every case whose exit code, stdout, stderr or file differs
-between two such files, then one summary line: over the cases that differ in stdout
-only, the largest change of a number relative to the case's largest
-coefficient (read from JSON documents and from `label re im` lines), or
-how many differ in more than numbers. The cases: every text fixture x
-`exp --method auto|spectral|dense|contour` x four betas x two formats;
-`exp`, `gibbs`, `closure` and `partition --gibbs` on all fixtures in both
-formats and alphabets; dense output formats; `decompose` of random
-matrices and of the qutrit fixture; `--symmetry-check`, with `--gibbs` in
-JSON in both alphabets; `verify`, also on 14 anticommuting strings whose
-closure exceeds the default cap; non-finite and large betas, up to 1e308
-under `gibbs`, `partition --gibbs` and `exp --method spectral`, and betas
-whose phase does not fit in float64 under `exp` on every path and under
-`verify`; `--nodes 0` under contour and the contour flags under other
-methods, and `--nodes 10**18`, whose array cannot be allocated; an
-explicit contour circle with a node on an eigenvalue, and `exp --method
-dense` and `decompose` with results near the float64 limit, the latter
-also on anti-Hermitian matrices whose m - m^dagger overflows;
-a NaN `--zero-tol` or `--tolerance`; `--zero-tol` under every
-method and `--dense-cap` with a Pauli and a dense format; a negative
-`--closure-cap` under `exp`, `partition` and `closure`; good and bad input files in both
-the text and the JSON format, a JSON Hamiltonian with a bool "n" under
-`exp`, and dense JSON and PEXP files with a null, bool, string or NaN
-entry or a bool or too large "n" under `decompose`; and closed sets of
-rank 4-7 on 32 qubits, with codes of 2**63 and above, under `exp --time`,
-`exp --beta` and `partition --gibbs`; one `-o` case per subcommand,
-`exp` in all four formats and a failing `verify` among them; and a JSON
-"pauli" that is not a string, and a `--center` that is NaN or no number;
-argv that argparse rejects (a bad choice, a missing, conflicting, unknown
-or malformed flag, no or an unknown subcommand, `verify --alphabet`),
-`--betas` lists with an empty entry, and a `--dense-cap` outside [1, 12]
-under `exp --method dense` and `verify`.
+calls `pauliexp.cli.main` on each case with stdout and stderr captured, and
+writes {case: [exit code, stdout, stderr]}; a case that writes with `-o`
+also records the file it wrote, as a fourth field. `diff` lists the cases
+that only one file holds, as added or removed, prints every shared case
+whose exit code, stdout, stderr or file differs, then one summary line:
+over the cases that differ in stdout only, the largest change of a number
+relative to the case's largest coefficient (read from JSON documents and
+from `label re im` lines), or how many differ in more than numbers.
+
+The cases are every row of this checkout's CLI case table, tests/cli_cases.py,
+which tests/test_cli.py asserts as the exit-code contract, and the sweep's
+own output-only products: every text fixture x `exp --method
+auto|spectral|dense|contour` x four betas x two formats; `exp`, `gibbs`,
+`closure` and `partition --gibbs` on all fixtures in both formats and
+alphabets; dense output formats; `decompose` of random matrices; `exp` and
+`closure` on every Hamiltonian file of the table; closed sets of rank 4-7
+on 32 qubits, with codes of 2**63 and above, under `exp --time`, `exp
+--beta` and `partition --gibbs`; the open numeric defects of DEFECT_ARGV;
+and one `-o` case per subcommand, a failing `verify` among them.
 """
 
 import io
 import json
 import re
-import struct
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the case table of this checkout, next to the tool, never SRC_DIR's
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from cli_cases import (CASES, FIXTURES, HAMILTONIANS, dense_json, dense_pexp,  # noqa: E402
+                       resolve, rows, write_files)
+
 TEXT = ["h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt", "xy_n6.txt"]
 BETAS = [["--beta", "1"], ["--time", "0.7"], ["--beta", "0.3+0.2i"], ["--beta=-2"]]
-BIG_INT = "1" + "0" * 400
-# the 14 Jordan-Wigner Majorana strings on 7 qubits: rank 14, tau 16383
-MAJORANA_7 = "".join(f"{(k + 1) / 10} {'Z' * q}{p}{'I' * (6 - q)}\n"
-                     for k, (q, p) in enumerate((q, p) for q in range(7) for p in "XY"))
-INPUTS = {
-    "lower.txt": "0.5 xyz\n-1 zzi\n0.25 iii\n",
-    "repeats.txt": "0.1 XX\n0.2 11\n0.3 XX\n1e-3 II\n2e-3 00\n-0.7 ZY\n",
-    "unsorted.txt": "0.3 ZZX\n-0.2 XII\n0.9 IYI\n0.4 XII\n",
-    "bad_coeff.txt": "1 X\nabc Y\n",
-    "bad_char.txt": "1 X\n1 W\n",
-    "mixed.txt": "1 XY\n1 X1\n",
-    "33_qubits.txt": "1 " + "X" * 33 + "\n",
-    "length.txt": "1 X\n2 Y\n1 XX\n",
-    "no_terms.txt": "# nothing\n\n",
-    "fields.txt": "1 X\n1\n",
-    "nan.txt": "1 X\nnan Y\n",
-    "inf.txt": "inf X\n",
-    "1e999.txt": "1 X\n1e999 Z\n",
-    "overflow.txt": "1e308 X\n1e308 X\n",
-    "first_bad_1.txt": "1 X\n1 W\nabc Y\n",
-    "first_bad_2.txt": "1 X\nabc Y\n1 W\n",
-    "first_bad_3.txt": "1 XX\n1 Y\n1 W\n",
-    "good.json": '{"n": 2, "terms": [{"coeff": 0.5, "pauli": "xz"}, {"coeff": -1, "pauli": "II"},'
-                 ' {"coeff": 0.25, "pauli": "13"}, {"coeff": 3, "pauli": "yy"}]}',
-    "bad_coeff.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": "x", "pauli": "Y"}]}',
-    "bad_char.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "W"}]}',
-    "mixed.json": '{"n": 2, "terms": [{"coeff": 1, "pauli": "X1"}]}',
-    "33_qubits.json": '{"n": 33, "terms": []}',
-    "33_chars.json": '{"n": 32, "terms": [{"coeff": 1, "pauli": "' + "X" * 33 + '"}]}',
-    "length.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": 1, "pauli": "XX"}]}',
-    "length_first.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "XX"}, {"coeff": 1, "pauli": "W"}]}',
-    "no_terms.json": '{"n": 1}',
-    "empty_terms.json": '{"n": 1, "terms": []}',
-    "missing_key.json": '{"n": 1, "terms": [{"pauli": "X"}]}',
-    "big_int.json": '{"n": 1, "terms": [{"coeff": ' + BIG_INT + ', "pauli": "X"}]}',
-    "nan.json": '{"n": 1, "terms": [{"coeff": 1, "pauli": "X"}, {"coeff": NaN, "pauli": "Y"}]}',
-    "inf.json": '{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}',
-    "1e400.json": '{"n": 1, "terms": [{"coeff": 1e400, "pauli": "X"}]}',
-    "overflow.json": '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "X"},'
-                     ' {"coeff": 1e308, "pauli": "X"}]}',
-}
-
-# dense inputs for decompose, each with one fault; the last is a PEXP blob
-EYE_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-BAD_DENSE = {
-    "dense_null.json": '{"n": 1, "matrix": [[[1, 0], [null, 0]], [[0, 0], [1, 0]]]}',
-    "dense_true.json": '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, true], [1, 0]]]}',
-    "dense_1e999.json": '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], ["1e999", 0]]]}',
-    "dense_nan.json": '{"n": 1, "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
-    "dense_n_true.json": json.dumps({"n": True, "matrix": EYE_ROWS}),
-    "dense_n_20000.json": '{"n": 20000, "matrix": []}',
-    "dense_nan.pexp": b"PEXP" + struct.pack("<I", 1) + np.array(
-        [1, 0, complex(0, np.nan), 1], dtype="<c16").tobytes(),
-}
+# open numeric defects, recorded here and not as rows so that no test asserts
+# a wrong answer, while a change that mends one shows in the diff
+DEFECT_ARGV = [
+    *(f"exp -i TMP/huge_3.txt --beta 1e-318 --method {m}"
+      for m in ("auto", "spectral", "contour", "dense")),
+    "gibbs -i TMP/huge_3.txt --beta 1e-318", "partition -i TMP/huge_3.txt --betas 1e-318",
+    *(f"exp -i TMP/huge_pairs.txt --beta 1e-300 --method {m}" for m in ("auto", "contour")),
+    *(f"exp -i FIXTURES/h1.txt --method contour --beta {beta}" for beta in ("10", "30")),
+    *(f"{command} -i FIXTURES/xy_n6.txt --time 5 --method contour"
+      for command in ("exp", "verify")),
+    *(f"exp -i FIXTURES/h2.txt --time 1e15 --method {m}" for m in ("auto", "spectral", "dense")),
+]
 
 
 # its own builder, not pauliexp's, so that the inputs do not depend on the checkout under test
@@ -125,9 +70,11 @@ def closed_n32(rank: int) -> str:
                    for c, v in zip(span, rng.uniform(-1.0, 1.0, len(span)).tolist()))
 
 
-def cases(tmp: Path, dense) -> list[list[str]]:
+def cases(tmp: Path) -> list[list[str]]:
+    """The table's rows, then the sweep's own products, each argv once."""
+    write_files(tmp)
     fix = {name: str(FIXTURES / name) for name in TEXT + ["qutrit_embedded.json"]}
-    out = []
+    out = [resolve(row[0], tmp) for row in rows()]
     for f in TEXT:
         for method in ["auto", "spectral", "dense", "contour"]:
             for beta in BETAS:
@@ -150,73 +97,9 @@ def cases(tmp: Path, dense) -> list[list[str]]:
     for n in [1, 2, 3]:
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         for name, m in [(f"herm{n}", a + a.conj().T), (f"gen{n}", a)]:
-            (tmp / name).write_bytes(dense.dense_to_bytes(m) if n == 2
-                                     else dense.dense_to_json(m).encode())
+            (tmp / name).write_bytes(dense_pexp(m) if n == 2 else dense_json(m).encode())
             out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
-    for name, data in BAD_DENSE.items():
-        (tmp / name).write_bytes(data if isinstance(data, bytes) else data.encode())
-        out.append(["decompose", "-i", str(tmp / name)])
-    (tmp / "n_true.json").write_text('{"n": true, "terms": [{"coeff": 1, "pauli": "X"}]}')
-    out.append(["exp", "-i", str(tmp / "n_true.json"), "--beta", "0.5"])
-    out += [["decompose", "-i", fix["qutrit_embedded.json"], "--format", fmt, "--alphabet", a]
-            for fmt in ["text", "json"] for a in ["digits", "letters"]]
-    out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--symmetry-check",
-             fix["h2_mirror.txt"], "--format", fmt] for fmt in ["text", "json"]]
-    out += [["partition", "-i", fix["h2.txt"], "--betas", "0.1,1,5", "--gibbs",
-             "--symmetry-check", fix["h2_mirror.txt"], "--format", "json", "--alphabet", a]
-            for a in ["digits", "letters"]]
-    out += [["verify", "-i", fix[f], "--method", method, "--beta", "0.7"]
-            for f in ["h1.txt", "h2.txt", "rho_s_n3.txt", "qutrit_pauli.txt"]
-            for method in ["auto", "sector", "spectral", "contour"]]
-    for argv in (["exp", "--beta", "nan"], ["exp", "--time", "inf"], ["exp", "--beta", "1000"],
-                 ["exp", "--beta", "500", "--method", "spectral"],
-                 ["exp", "--beta", "1000", "--method", "dense"],
-                 ["exp", "--beta", "1000", "--method", "contour"],
-                 ["exp", "--beta", "300", "--method", "contour"],
-                 ["exp", "--beta", "1", "--method", "contour", "--nodes", "0"],
-                 ["exp", "--beta", "1", "--nodes", "8"],
-                 ["exp", "--beta", "1", "--method", "sector", "--center", "40", "--radius", "0.5"],
-                 ["exp", "--beta", "1", "--method", "dense", "--center", "0", "--radius", "1"],
-                 ["gibbs", "--beta", "1000"], ["partition", "--betas", "1,10,100,1000"],
-                 ["gibbs", "--beta", "inf"], ["gibbs", "--beta", "1e308"],
-                 ["partition", "--betas", "1e308", "--gibbs"],
-                 ["verify", "--beta", "1", "--tolerance", "nan"]):
-        out.append([argv[0], "-i", fix["h1.txt"], *argv[1:]])
-    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--method", "dense", "--zero-tol", "nan"],
-            ["exp", "-i", fix["h2.txt"], "--beta", "1e308", "--method", "spectral"],
-            ["decompose", "-i", fix["qutrit_embedded.json"], "--zero-tol", "nan"]]
-    out += [["exp", "-i", fix["h2.txt"], "--time", "1e308", "--method", m]
-            for m in ["auto", "spectral", "dense", "contour"]]
-    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--zero-tol", "0.5", "--method", m]
-            for m in ["auto", "sector", "spectral", "anticommute", "contour", "dense"]]
-    out += [["exp", "-i", fix["h2.txt"], "--beta", "1", "--dense-cap", cap, "--format", fmt]
-            for cap, fmt in [("1", "pauli-text"), ("4", "dense-json")]]
-    # 10**18 nodes need an array past any address space, whose allocation fails at once
-    out.append(["exp", "-i", fix["h2.txt"], "--beta", "1", "--method", "contour", "--nodes",
-                "1000000000000000000"])
-    out.append(["exp", "-i", fix["h1.txt"], "--beta", "0.5", "--method", "contour", "--nodes",
-                "16", "--center", "-2.267949192431023", "--radius", "4"])
-    out += [["exp", "-i", fix["h1.txt"], "--beta=-409.6", "--method", "dense", "--format", fmt]
-            for fmt in ["pauli-text", "dense-json"]]
-    near_limit = np.zeros((8, 8))
-    near_limit[0, 0] = near_limit[1, 1] = 1.5e308
-    (tmp / "near_limit.json").write_text(dense.dense_to_json(near_limit))
-    out.append(["decompose", "-i", str(tmp / "near_limit.json")])
-    # anti-Hermitian, so m - m^dagger overflows though every coefficient fits
-    a = 1.7e308
-    for name, m in [("anti_y.json", [[0, a], [-a, 0]]),
-                    ("anti_xy.json", [[0, a + a * 1j], [-a + a * 1j, 0]])]:
-        (tmp / name).write_text(dense.dense_to_json(np.array(m)))
-        out += [["decompose", "-i", str(tmp / name), "--format", fmt] for fmt in ["text", "json"]]
-    out += [["exp", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", m]
-            for m in ["auto", "spectral"]]
-    out += [["verify", "-i", fix["h2.txt"], "--beta", "1e308+1e308i", "--method", "sector"],
-            ["exp", "-i", fix["h1.txt"], "--time", "1.7e308", "--method", "anticommute"],
-            ["exp", "-i", fix["h1.txt"], "--beta", "1", "--closure-cap", "-1"],
-            ["partition", "-i", fix["h2.txt"], "--betas", "1", "--closure-cap", "-1"],
-            ["closure", "-i", fix["h2.txt"], "--closure-cap", "-1"]]
-    for name, text in INPUTS.items():
-        (tmp / name).write_text(text)
+    for name in HAMILTONIANS:
         out += [["exp", "-i", str(tmp / name), "--beta", "0.5"],
                 ["closure", "-i", str(tmp / name), "--alphabet", "letters"]]
     for rank in range(4, 8):
@@ -224,35 +107,17 @@ def cases(tmp: Path, dense) -> list[list[str]]:
         for argv in (["exp", "--time", "0.7"], ["exp", "--beta", "0.5", "--format", "pauli-json"],
                      ["partition", "--betas", "0.1,1,5", "--gibbs", "--format", "json"]):
             out.append([argv[0], "-i", str(tmp / f"closed_n32_r{rank}.txt"), *argv[1:]])
-    (tmp / "majorana_7.txt").write_text(MAJORANA_7)
-    out += [["verify", "-i", str(tmp / "majorana_7.txt"), "--method", method, "--beta", "0.7"]
-            for method in ["auto", "anticommute"]]
-    for name, label in [("pauli_123.json", "123"), ("pauli_null.json", "null")]:
-        (tmp / name).write_text('{"n": 3, "terms": [{"coeff": 1, "pauli": ' + label
-                                + '}, {"coeff": 0.5, "pauli": "XXX"}]}')
-        out.append(["exp", "-i", str(tmp / name), "--beta", "1"])
-    out += [["exp", "-i", fix["h1.txt"], "--beta", "1", "--method", "contour", "--center", c,
-             "--radius", "3"] for c in ["nan", "abc"]]
-    h1 = fix["h1.txt"]
-    out += [["exp", "-i", h1, "--beta", "1", *flags]
-            for flags in (["--method", "magic"], ["--time", "1"], ["--wat"],
-                          ["--method", "contour", "--nodes", "x"])]
-    out += [[], ["bogus", "-i", h1], ["exp", "-i", h1], ["partition", "-i", h1, "--betas", "-0.5,1"],
-            ["verify", "-i", h1, "--beta", "1", "--alphabet", "letters"]]
-    out += [["partition", "-i", h1, "--betas", betas] for betas in [",", "1,,2", "1,2,", ""]]
-    out += [["exp", "-i", h1, "--beta", "1", "--method", "dense", "--dense-cap", cap]
-            for cap in ["-1", "0", "13"]]
-    out.append(["verify", "-i", h1, "--beta", "1", "--dense-cap", "-5"])
+    out += [resolve(argv, tmp) for argv in DEFECT_ARGV]
     h2 = fix["h2.txt"]
-    with_file = [*(["exp", "-i", h2, "--beta", "0.3+0.2i", "--format", fmt]
-                   for fmt in ["pauli-text", "pauli-json", "dense-json", "dense-bin"]),
+    with_file = [*(resolve(row[0], tmp)
+                   for row in CASES["TestExp::test_output_file_holds_stdout_bytes"].values()),
                  ["verify", "-i", h2, "--beta", "0.7", "--tolerance", "0"],
                  ["partition", "-i", h2, "--betas", "0.1,1,5", "--gibbs"],
                  ["gibbs", "-i", h2, "--beta", "0.5", "--format", "pauli-json"],
                  ["decompose", "-i", fix["qutrit_embedded.json"]],
                  ["closure", "-i", h2, "--format", "json"]]
     out += [[*argv, "-o", str(tmp / f"out_{k}")] for k, argv in enumerate(with_file)]
-    return out
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 
 def call(cli, argv: list[str]) -> list:
@@ -279,12 +144,12 @@ def call(cli, argv: list[str]) -> list:
 
 def run(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
-    from pauliexp import cli, dense
+    from pauliexp import cli
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="pauliexp-sweep-") as name:
         tmp = Path(name)
-        for argv in cases(tmp, dense):
+        for argv in cases(tmp):
             results[" ".join(argv).replace(str(tmp), "TMP").replace(str(FIXTURES), "FIXTURES")] = [
                 field.replace(str(tmp), "TMP") if isinstance(field, str) else field
                 for field in call(cli, argv)]
@@ -364,14 +229,18 @@ def numeric_change(before: str, after: str) -> float | None:
 
 def diff(before_path: str, after_path: str) -> None:
     before, after = (json.loads(Path(p).read_text()) for p in (before_path, after_path))
-    if before.keys() != after.keys():
-        sys.exit("the two files hold different cases")
-    changed = [k for k in before if before[k] != after[k]]
+    for label, these, others in (("removed", before, after), ("added", after, before)):
+        for k in sorted(these.keys() - others.keys()):
+            print(f"{label}: {k}")
+    shared = [k for k in before if k in after]
+    changed = [k for k in shared if before[k] != after[k]]
     for k in changed:
         print(f"{k}\n  before: {before[k][0]} {before[k][2].strip()}\n  after:  {after[k][0]} "
               f"{after[k][2].strip()}{'  (stdout differs)' if before[k][1] != after[k][1] else ''}"
               f"{'  (file differs)' if before[k][3:] != after[k][3:] else ''}")
-    print(f"{len(before)} cases, {len(before) - len(changed)} identical, {len(changed)} differ")
+    print(f"{len(shared)} shared cases, {len(shared) - len(changed)} identical, "
+          f"{len(changed)} differ; {len(after) - len(shared)} added, "
+          f"{len(before) - len(shared)} removed")
     same_run = [k for k in changed if before[k][0] == after[k][0] and before[k][2:] == after[k][2:]]
     changes = {k: numeric_change(before[k][1], after[k][1]) for k in same_run}
     worst = max((k for k in changes if changes[k] is not None), key=changes.get, default=None)
