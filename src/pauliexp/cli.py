@@ -261,8 +261,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first main() call of a process."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argparse tree and its subcommand parsers by name, built on the
+    first main() call of a process."""
     parser = _Parser(
         prog="pauliexp",
         description="exp(-beta H) for sparse Pauli-basis Hamiltonians",
@@ -322,12 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_closure)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser, commands = build_parser()
+        # a subcommand's own parser reads its arguments in one pass; the
+        # top-level parser answers -h and a missing or unknown subcommand
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _check_nonnegative(getattr(args, "closure_cap", 0), "--closure-cap")  # decompose has none
             h = (read_dense if args.command == "decompose" else load_hamiltonian)(args.input)

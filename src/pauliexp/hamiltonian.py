@@ -282,16 +282,24 @@ def parse_hamiltonian_text(text: str) -> SparseHamiltonian:
     Pauli column accepts digits or IXYZ letters; identity lines accumulate
     into the offset; repeated strings accumulate coefficients. The first
     bad line is reported, a line's coefficient before its Pauli string.
+    Well-formed lines are read in one pass over the fields of the whole text;
+    a fault sends the text line by line, which names the first bad line.
     """
-    lines = [(lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (parts := raw.split("#", 1)[0].split())]
-    try:  # every line `<coeff> <pauli>`, or a ValueError
-        coeffs, labels = zip(*(parts for _, (_, parts) in lines), strict=True)
-        values = np.array(list(map(float, coeffs)))
+    # comments cut, each line kept in its place
+    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines()) if "#" in text else text
+    try:  # every line `<coeff> <pauli>` or blank, and one at least, or a ValueError
+        if not {2} <= set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:
+            raise ValueError
+        # every line break is whitespace to str.split, so the fields run line by line
+        fields = body.split()
+        values = np.array(list(map(float, fields[0::2])))
         if not np.isfinite(values).all():
             raise ValueError
+        labels = fields[1::2]
         codes = parse_codes(labels)
     except ValueError:  # LabelError included
+        lines = [(lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
+                 if (parts := raw.split("#", 1)[0].split())]
         codes, values, labels = _read_terms(lines, _line_value, lambda line: line[1][1],
                                             "line {}".format)
         if not labels:
@@ -356,21 +364,26 @@ def coeff_entries(labels, coeffs) -> list[dict]:
 def coeffs_json(labels, values):
     """JSON text of the coefficient list of `labels` and their complex
     `values` (an array), byte for byte json.dumps(coeff_entries(labels,
-    values.tolist())); for 2-D `values`, a list of such texts, one per row.
-    The template is built once, and the real and the imaginary parts of all
-    rows are each rendered by one repr of a list, which is float.__repr__
-    as json uses it; a non-finite value raises ValueError."""
+    values.tolist())) for labels that json writes as they are, such as
+    Pauli labels; for 2-D `values`, a list of such texts, one per row.
+    The labels are written into one template, once, and the numbers of all
+    rows are rendered by one repr of a list, which is float.__repr__ as json
+    uses it: the real and the imaginary parts in turn, or, when every
+    imaginary part is +0.0, the real parts alone, the template holding the
+    constant 0.0. A non-finite value raises ValueError."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ValueError("non-finite coefficient in a JSON coefficient list")
-    m, fields, texts = len(labels), [None] * (3 * len(labels)), []
-    template = "[" + ", ".join(['{"pauli": "%s", "re": %s, "im": %s}'] * m) + "]"
-    re = repr(values.real.reshape(-1).tolist())[1:-1].split(", ")
-    im = repr(values.imag.reshape(-1).tolist())[1:-1].split(", ")
-    fields[0::3] = labels
-    for k in range(len(values)) if values.ndim == 2 else [0]:
-        fields[1::3], fields[2::3] = re[k * m:k * m + m], im[k * m:k * m + m]
-        texts.append(template % tuple(fields))
+    real = not (values.imag.any() or np.signbit(values.imag).any())  # every imaginary part +0.0
+    tail = '", "re": %s, "im": ' + ("0.0}" if real else "%s}")
+    template = ('[{"pauli": "' + (tail + ', {"pauli": "').join(labels) + tail + "]"
+                if len(labels) else "[]")
+    # the real parts, or the real and the imaginary parts in turn
+    numbers = values.real if real else np.ascontiguousarray(values, np.complex128).view(float)
+    fields = repr(numbers.reshape(-1).tolist())[1:-1].split(", ")
+    k = numbers.shape[-1]  # fields a row
+    texts = [template % tuple(fields[row * k:row * k + k])
+             for row in range(len(values) if values.ndim == 2 else 1)]
     return texts if values.ndim == 2 else texts[0]
 
 

@@ -23,12 +23,13 @@ MAX_QUBITS = 32
 
 # one ASCII byte per digit 0..3, per output alphabet
 _ALPHABET_BYTES = {"digits": b"0123", "letters": b"IXYZ"}
-# per input byte: its digit, and its alphabet as a bit (1 digits, 2 letters, 4 neither)
-_BYTE_DIGIT = np.zeros(256, dtype=np.uint64)
-_BYTE_ALPHABET = np.full(256, 4, dtype=np.uint8)
-for _bit, _alphabet in enumerate(_ALPHABET_BYTES.values()):
-    _BYTE_DIGIT[list(_alphabet)] = range(4)
-    _BYTE_ALPHABET[list(_alphabet)] = 1 << _bit
+# per input byte: its digit in the low two bits and its alphabet as flags,
+# 0x10 digits, 0x20 letters in either case and 0x30 neither, so that the
+# flags of a label OR to 0x30 exactly when it is not in one alphabet
+_BYTE_CODE = bytearray([0x30] * 256)
+for _flag, _alphabet in zip((0x10, 0x20), _ALPHABET_BYTES.values()):
+    for _digit, (_upper, _lower) in enumerate(zip(_alphabet, _alphabet.lower())):
+        _BYTE_CODE[_upper] = _BYTE_CODE[_lower] = _flag | _digit
 
 # Exponent e of the per-qubit phase i**e picked up by the ordered product
 # (left factor k) . (right factor l).  Rows k, columns l.
@@ -100,7 +101,9 @@ def parse_codes(labels, n: int | None = None) -> np.ndarray:
     MAX_QUBITS qubits, and all have n characters, or as many as the first
     when n is None. The first bad label raises LabelError with its index;
     a label's characters are checked before its length. The labels are packed
-    as they are, or else stripped and uppercased first, or else checked one by one."""
+    as they are, or else stripped and uppercased first, or else checked one by one.
+    Packing takes each byte's digit and alphabet flag from one table and the
+    digits eight to a 64-bit word, in a fixed number of whole-array steps."""
     if not labels:
         return np.zeros(0, dtype=np.uint64)
     for strip in (False, True):
@@ -108,11 +111,21 @@ def parse_codes(labels, n: int | None = None) -> np.ndarray:
         width = len(rows[0]) if n is None else n
         if (text := "".join(rows)).isascii() and 1 <= width <= MAX_QUBITS and set(
                 map(len, rows)) == {width}:
-            data = np.frombuffer(text.upper().encode(), dtype=np.uint8).reshape(-1, width)
-            alphabet = np.bitwise_or.reduce(_BYTE_ALPHABET[data], axis=1)
-            if ((alphabet == 1) | (alphabet == 2)).all():
-                shifts = np.arange(2 * width - 2, -1, -2, dtype=np.uint64)
-                return np.bitwise_or.reduce(_BYTE_DIGIT[data] << shifts, axis=1)
+            data = np.frombuffer(text.encode().translate(_BYTE_CODE), dtype=np.uint8)
+            data = data.reshape(-1, width)
+            if ((np.bitwise_or.reduce(data, axis=1) & 0x30) != 0x30).all():
+                # digits left-padded with zero bytes to whole big-endian words,
+                # whose eight 2-bit digits, one a byte, shift together into 16 bits
+                padded = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
+                np.bitwise_and(data, 3, out=padded[:, padded.shape[1] - width:])
+                words = padded.view(">u8").astype(np.uint64)
+                for shift, mask in ((6, 0x000F000F000F000F), (12, 0x000000FF000000FF),
+                                    (24, 0xFFFF)):
+                    words = (words | words >> shift) & mask
+                codes = words[:, 0]
+                for lane in words.T[1:]:
+                    codes = codes << 16 | lane
+                return codes
     for i, label in enumerate(rows):  # neither packed, so some label is at fault
         for bad, message in (
                 (not label, "empty Pauli string"),

@@ -95,6 +95,13 @@ BAD_HAMILTONIANS = {
 # the 14 Jordan-Wigner Majorana strings on 7 qubits: rank 14, tau 16383
 MAJORANA_7 = "".join(f"{(k + 1) / 10} {'Z' * q}{p}{'I' * (6 - q)}\n"
                      for k, (q, p) in enumerate((q, p) for q in range(7) for p in "XY"))
+READER_EDGES = {
+    "crlf.txt": "0.5 XZ\r\n-1 ZZ\r\n0.25 II\r\n",
+    "tabs.txt": "0.5\tXZ\n-1\t\tZZ\t\n0.25 \tII\n",
+    "form_feed.txt": "0.5 XZ\f-1 ZZ\f0.25 II\n",
+    "comment_line.txt": "# a comment-only line\n0.5 XZ\n  # another\n-1 ZZ\n0.25 II\n",
+    "no_final_newline.txt": "0.5 XZ\n-1 ZZ\n0.25 II",
+}
 HAMILTONIANS = {
     "lower.txt": "0.5 xyz\n-1 zzi\n0.25 iii\n",
     "repeats.txt": "0.1 XX\n0.2 11\n0.3 XX\n1e-3 II\n2e-3 00\n-0.7 ZY\n",
@@ -111,6 +118,8 @@ HAMILTONIANS = {
     "tiny_2.txt": "1e-170 XI\n1e-170 ZI\n",
     "tiny_3.txt": "1e-170 XII\n1e-170 ZII\n1e-170 YII\n",
     "majorana_7.txt": MAJORANA_7,
+    # one Hamiltonian under each line end, separator and comment the reader meets
+    **READER_EDGES,
     # open numeric defects, run by the sweep alone: no test asserts a wrong answer
     "huge_3.txt": "1e308 XI\n1e308 ZI\n1e308 IZ\n",
     "huge_pairs.txt": "1e308 XXI\n1e308 ZZI\n1e308 YYI\n",
@@ -421,7 +430,9 @@ CASES["test_contract"] = {row[0]: row for row in [
         ("dense_nan.json", "entry (0, 0): re must be a finite real number"),
         ("dense_nan.pexp", "entry (1, 0): not a finite complex number")]),
     *((f"exp -i TMP/{name} --beta 1", 1, BAD_HAMILTONIANS[name][1])
-      for name in ("pauli_123.json", "pauli_null.json"))]}
+      for name in ("pauli_123.json", "pauli_null.json")),
+    *((f"{command} -i TMP/{name} {flags}", 0, "") for name in READER_EDGES
+      for command, flags in (("exp", "--beta 0.5"), ("closure", "--alphabet letters")))]}
 
 
 def rows() -> list:

@@ -5,7 +5,7 @@ from operator import xor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pauliexp import (
     ClosureExplosion,
@@ -21,6 +21,9 @@ from pauliexp import (
 )
 from pauliexp.dense import dense_exp, pauli_matrix, qubit_count, reconstruct_dense
 from pauliexp.hamiltonian import (
+    _line_value,
+    _read_terms,
+    _summed,
     coeff_entries,
     coeffs_json,
     expansion_to_dict,
@@ -162,6 +165,64 @@ class TestParseText:
         with pytest.raises(FormatError) as info:
             parse_hamiltonian_text(text)
         assert str(info.value) == message
+
+
+def parse_by_lines(text: str) -> SparseHamiltonian:
+    """The line format read line by line, each line split on its own: the
+    reference parse_hamiltonian_text must match."""
+    lines = [(lineno, (raw, parts)) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (parts := raw.split("#", 1)[0].split())]
+    codes, values, labels = _read_terms(lines, _line_value, lambda line: line[1][1],
+                                        "line {}".format)
+    if not labels:
+        raise FormatError("no terms found")
+    return _summed(len(labels[0]), codes, values)
+
+
+def parse_outcome(parse, text: str):
+    """(n, codes, value bits, offset bits) of a parse, or its error's type and text."""
+    try:
+        h = parse(text)
+    except (FormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return h.n, h.codes.tolist(), h.values.tobytes(), h.identity_offset.hex()
+
+
+@st.composite
+def line_texts(draw):
+    """Line-format texts: terms of one width with blank, comment, 1- and
+    3-field lines, every line break str.splitlines knows and other
+    whitespace between and inside lines, and any last line end or none."""
+    width = draw(st.integers(1, 3))
+    coeff = st.one_of(st.sampled_from(["1", "-0.5", "0", "-0.0", "2e-3", "1e308", "1_0", "nan",
+                                       "-inf", "1e999", "abc", "0x1p0"]),
+                      st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    label = st.one_of(*(st.text(st.sampled_from(chars), min_size=width, max_size=width)
+                        for chars in ("0123", "IXYZ", "ixyzIXYZ", "0I")),
+                      st.text(st.sampled_from("0123IXYZixyzW\u0131"), min_size=1, max_size=4))
+    space = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u3000"])
+    term = st.tuples(st.sampled_from(["", " "]), coeff, space, label,
+                     st.sampled_from(["", " ", "\t", " # note", "#"])).map("".join)
+    other = st.sampled_from(["", " ", "# comment", "  # "])
+    line_break = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+    lines = draw(st.lists(st.one_of(term, term, term, other), max_size=8))
+    if draw(st.booleans()):  # one line of 1 or 3 fields
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(
+            coeff, label, st.tuples(coeff, space, label, space, coeff).map("".join))))
+    lines = [line + draw(line_break) for line in lines]
+    return "".join(lines) + draw(st.one_of(st.just(""), term))
+
+
+class TestParseTextByLines:
+    @settings(max_examples=300)
+    @given(line_texts())
+    @example("1 X\r\n2 Z\r\n")
+    @example("0.5\tXZ\f-1 zz\x852 II")
+    @example("1 X\x1f2 Z\n")
+    @example("1 # a line of one field\nX\n")
+    def test_matches_line_by_line(self, text):
+        assert parse_outcome(parse_hamiltonian_text, text) == parse_outcome(parse_by_lines, text)
 
 
 class TestParseJson:
@@ -503,6 +564,19 @@ class TestCoeffsJson:
         labels = format_codes(32, 2**63 + np.arange(shape[1], dtype=np.uint64), "letters")
         assert coeffs_json(labels, values) == [
             json.dumps(coeff_entries(labels, row.tolist())) for row in values]
+
+    @pytest.mark.parametrize("imag", [
+        [[0.0, 0.0, 0.0]],  # every imaginary part +0.0: the constant 0.0
+        [[0.0, -0.0, 0.0]],  # one -0.0, which json writes as -0.0
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 5e-324, 0.0]],  # one complex row
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]]])
+    def test_zero_imaginary_parts(self, imag):
+        values = np.zeros(np.shape(imag), dtype=complex)
+        values.real, values.imag = np.arange(1.0, values.size + 1).reshape(values.shape), imag
+        labels = format_codes(2, [0, 6, 15], "letters")
+        texts = coeffs_json(labels, values if len(values) > 1 else values[0])
+        assert texts == (json.dumps(coeff_entries(labels, values[0].tolist())) if len(values) == 1
+                         else [json.dumps(coeff_entries(labels, row.tolist())) for row in values])
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), -np.inf])
     def test_refuses_non_finite(self, bad):

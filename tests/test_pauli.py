@@ -168,6 +168,17 @@ def parse_list(labels, n=None):
     return codes, None
 
 
+def assert_matches_reference(labels, n=None):
+    """parse_codes(labels, n) gives parse_list's codes, or raises its fault."""
+    codes, fault = parse_list(labels, n)
+    if fault is None:
+        assert parse_codes(labels, n).tolist() == codes
+    else:
+        with pytest.raises(LabelError) as info:
+            parse_codes(labels, n)
+        assert (info.value.index, str(info.value)) == fault
+
+
 # mostly Pauli characters, with whitespace, other ASCII and non-ASCII junk
 # (U+0131 upper-cases to "I")
 label_text = st.text(st.sampled_from("0123IXYZixyz" * 4 + " \t4W-.\u0131\u00e9\u00df"), max_size=6)
@@ -200,13 +211,27 @@ class TestParseCodes:
 
     @given(st.lists(label_text, max_size=5), st.sampled_from([None, 1, 2, 3]))
     def test_lists_match_reference(self, labels, n):
-        codes, fault = parse_list(labels, n)
-        if fault is None:
-            assert parse_codes(labels, n).tolist() == codes
-        else:
-            with pytest.raises(LabelError) as info:
-                parse_codes(labels, n)
-            assert (info.value.index, str(info.value)) == fault
+        assert_matches_reference(labels, n)
+
+    @pytest.mark.parametrize("chars", ["0123", "IXYZ", "ixyz"])
+    def test_every_width_matches_int(self, chars):
+        """The word kernel against int(label, 4) at every width, codes of
+        2**63 and above among them, and each fault at its index."""
+        rng = np.random.default_rng(ord(chars[0]))
+        for width in range(1, MAX_QUBITS + 1):
+            digits = rng.integers(0, 4, size=(6, width)).tolist()
+            digits += [[0] * width, [3] * width, [2] + [0] * (width - 1), [1] + [3] * (width - 1)]
+            labels = ["".join(chars[d] for d in row) for row in digits]
+            codes = [int("".join(map(str, row)), 4) for row in digits]
+            assert parse_codes(labels).tolist() == codes
+            assert parse_codes(labels, width).tolist() == codes
+            other = "I0"[chars == "0123"]  # a character of the other alphabet
+            for fault in ("W", other, chars[1] * 2, ""):
+                bad = labels.copy()
+                bad[3] = bad[3][:-1] + fault
+                for n in (None, width):
+                    assert_matches_reference(bad, n)
+        assert {2**63, 2**63 - 1, 2**64 - 1} <= set(codes)  # the last width's codes
 
     def test_lengths_and_long_labels(self):
         for labels, n, fault in [
