@@ -19,7 +19,7 @@ import numpy as np
 from .dense import (
     DENSE_CAP_DEFAULT,
     compare,
-    dense_exp,
+    dense_oracle,
     dense_to_bytes,
     dense_to_json,
     pauli_decompose,
@@ -30,9 +30,9 @@ from .engine import Reduced, exp_contour, exp_pauli, exp_with_method
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
-    LOG_FLOAT_MAX,
     PauliExpansion,
     SparseHamiltonian,
+    checked_exponents,
     close,
     coeff_lines,
     coeffs_json,
@@ -127,7 +127,7 @@ def cmd_exp(args, h: SparseHamiltonian) -> tuple[str | bytes, int]:
     dense_cap = DENSE_CAP_DEFAULT if args.dense_cap is None else args.dense_cap
     method = args.method
     if method == "dense":
-        m = dense_exp(reconstruct_dense(h, dense_cap), beta)
+        m = dense_oracle(h, beta, dense_cap)
         e = _as_expansion(pauli_decompose(m, 1e-12 if args.zero_tol is None else args.zero_tol))
     elif method == "contour":
         e = exp_contour(h, beta, args.closure_cap, args.nodes, center, args.radius)
@@ -149,21 +149,15 @@ def cmd_partition(args, h: SparseHamiltonian) -> tuple[str, int]:
         betas = [_finite(float(tok), "--betas entry") for tok in args.betas.split(",")]
     except ValueError:
         raise FormatError(f"cannot parse --betas {args.betas!r}") from None
-    reduced = Reduced(h, args.closure_cap)
-    log_z = reduced.log_partition(betas).real.tolist()
-    rows = []
-    for beta, lz in zip(betas, log_z):
-        if lz > LOG_FLOAT_MAX:  # lz = inf too, where -beta E_0 overflows
-            raise OverflowError(
-                f"z_trace at beta {beta!r} does not fit in float64 (log z_trace {lz!r})"
-            )
-        z_trace = math.exp(lz)
-        free_energy = None if beta == 0.0 else -lz / beta
-        if free_energy is not None and not math.isfinite(free_energy):
-            raise OverflowError(f"free energy -log z_trace / beta at beta {beta!r} does not "
-                                f"fit in float64 (log z_trace {lz!r})")
-        rows.append({"beta": beta, "z_normalized": z_trace / 2**h.n, "z_trace": z_trace,
-                     "free_energy": free_energy})
+    reduced, grid = Reduced(h, args.closure_cap), np.array(betas)
+    log_z = reduced.log_partition(grid).real
+    with np.errstate(divide="ignore", over="ignore"):  # no free energy at beta 0; log 0 is -inf
+        free = np.where(grid == 0.0, 0.0, -log_z / grid)
+        checked_exponents(grid, log_z, "z_trace")
+        checked_exponents(grid, np.log(np.abs(free)), "free energy -log z_trace / beta")
+    rows = [{"beta": beta, "z_normalized": math.exp(lz) / 2**h.n, "z_trace": math.exp(lz),
+             "free_energy": None if beta == 0.0 else f}
+            for beta, lz, f in zip(betas, log_z.tolist(), free.tolist())]
     if args.gibbs:
         labels = format_codes(h.n, reduced.codes, args.alphabet)
         gibbs = reduced.gibbs_many(betas)
@@ -209,7 +203,7 @@ def cmd_verify(args, h: SparseHamiltonian) -> tuple[str, int]:
     tau = 2 ** gf2_basis(h.codes).size - 1
     e = exp_pauli(h, beta, method=args.method, cap=args.closure_cap)
     approx = reconstruct_dense(e, args.dense_cap)
-    exact = dense_exp(reconstruct_dense(h, args.dense_cap), beta)
+    exact = dense_oracle(h, beta, args.dense_cap)
     res = compare(approx, exact)
     ok = res.max_abs <= args.tolerance
     verdict = "PASS" if ok else "FAIL"

@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .hamiltonian import LOG_FLOAT_MAX, PauliExpansion, SparseHamiltonian, _qubits, _real
+from .hamiltonian import (PauliExpansion, SparseHamiltonian, _qubits, _real, checked_exponents,
+                          rescaled)
 from .pauli import MAX_QUBITS
 
 DENSE_CAP_DEFAULT = 10
@@ -119,20 +120,23 @@ def pauli_decompose(m: np.ndarray, zero_tol: float = 1e-12):
     return PauliExpansion(n, kept, coeffs[kept])
 
 
-def dense_exp(m: np.ndarray, beta: complex) -> np.ndarray:
-    """exp(-beta m) for Hermitian m, via full eigendecomposition."""
+def dense_exp(m: np.ndarray, beta: complex, scale: float = 1.0) -> np.ndarray:
+    """exp(-beta scale m) for Hermitian m, via full eigendecomposition."""
     m = np.asarray(m, dtype=np.complex128)
     qubit_count(m)
     defect = _hermitian_defect(m)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(m)
-    with np.errstate(over="ignore"):
-        exponents = -beta * w
-    if exponents.real.max() > LOG_FLOAT_MAX or np.isinf(exponents.imag).any():
-        raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit "
-                            f"in float64 on the dense path")
-    return (v * np.exp(exponents)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = -(beta if scale == 1.0 else beta * scale) * w
+    return (v * np.exp(checked_exponents([complex(beta)], exponents))) @ v.conj().T
+
+
+def dense_oracle(h: SparseHamiltonian, beta: complex, dense_cap: int) -> np.ndarray:
+    """exp(-beta H) as a 2**n matrix: dense_exp of 2^-k H at scale 2^k (rescaled)."""
+    h, scale = rescaled(h)
+    return dense_exp(reconstruct_dense(h, dense_cap), beta, scale)
 
 
 class CompareResult(NamedTuple):

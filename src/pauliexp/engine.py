@@ -17,10 +17,10 @@ Four routes produce the same expansion:
                      anticommutes
 
 All routes multiply the result by exp(-beta * identity_offset), so the
-identity component of the Hamiltonian never enters the linear algebra. The
-sector, spectral and anticommuting routes carry a log scale, so intermediate
-exponentials never overflow; a result that itself does not fit in float64
-raises OverflowError.
+identity component of the Hamiltonian never enters the linear algebra, and
+run on 2^-k H at 2^k beta (rescaled), so no sum of coefficients overflows.
+The sector, spectral and anticommuting routes carry a log scale, so no
+intermediate exponential overflows; checked_exponents refuses the rest.
 """
 
 from __future__ import annotations
@@ -31,42 +31,28 @@ import math
 import numpy as np
 
 from .errors import ClosureExplosion, ContourError
-from .hamiltonian import (DEFAULT_CLOSURE_CAP, LOG_FLOAT_MAX, PauliExpansion, SparseHamiltonian,
-                          close, gf2_basis)
+from .hamiltonian import (DEFAULT_CLOSURE_CAP, PauliExpansion, SparseHamiltonian,
+                          checked_exponents, close, gf2_basis, rescaled)
 from .pauli import I_POWERS_ARR, LANES, phase_exponents
 from .resolvent import build_structure_matrix, solve_shifted
 
 
-def _scale(log_scale: complex, beta) -> complex:
-    """exp(log_scale); OverflowError naming beta when its modulus or its phase
-    does not fit in float64 (cmath.exp returns inf, or raises, for these)."""
-    try:
-        scale = cmath.exp(log_scale)
-    except (OverflowError, ValueError):
-        scale = math.inf
-    if cmath.isinf(scale):
-        raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit in float64")
-    return scale
-
-
-def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas):
-    """(betas, log_scale, t), one leading row per beta, for eigenvalues w of
-    any shape: t = exp(-beta (w - shift)) and log_scale = -beta (shift +
-    offset), with shift lo when Re beta > 0, hi when Re beta < 0 and 0 at
-    Re beta = 0, so that no entry of t exceeds 1 in modulus. -inf in the
-    exponent of t is the exact limit t = 0, an infinite log_scale is refused
-    by _scale and the callers, and a phase |Im beta| |w - shift| past float64
-    raises OverflowError."""
+def _log_weights(w: np.ndarray, lo: float, hi: float, offset: float, betas, scale: float = 1.0):
+    """(betas, log_scale, t), one leading row per beta, for eigenvalues w of any
+    shape of 2^-k H and b = scale beta = 2^k beta (rescaled): t = exp(-b (w - shift))
+    and log_scale = -b (shift + offset), with shift lo when Re beta > 0, hi when
+    Re beta < 0 and 0 at Re beta = 0, so that no |t| exceeds 1; -inf in its exponent
+    is the exact limit t = 0, and an infinite phase is refused. A b past float64 makes
+    log_scale infinite or NaN, and is held at the largest float64 in t."""
     betas = np.asarray(betas, dtype=np.complex128).reshape(-1)
     shift = np.array([lo if b > 0 else hi if b < 0 else 0.0 for b in betas.real.tolist()])
     col = (-1,) + (1,) * w.ndim
-    with np.errstate(over="ignore"):
-        log_scale = -betas * (shift + offset)
-        exponent = -betas.reshape(col) * (w - shift.reshape(col))
-        lost = np.abs(betas.imag) * np.maximum(hi - shift, shift - lo) == math.inf
-    if lost.any():
-        raise OverflowError(f"exp(-beta H) at beta {betas[lost][0]:g} does not fit in float64")
-    return betas, log_scale, np.exp(exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = betas if scale == 1.0 else betas * scale
+        log_scale = -b * (shift + offset)
+        b = b if scale == 1.0 else np.nan_to_num(b)
+        exponent = -b.reshape(col) * (w - shift.reshape(col))
+    return betas, log_scale, np.exp(checked_exponents(betas, exponent))
 
 
 def _real_rows(betas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -134,13 +120,11 @@ class Reduced:
     back by the inverse transforms. `codes` is the identity, then the
     closure, ascending.
 
-    Each evaluation shifts the spectrum by its global lambda_min when
-    Re beta > 0 and by lambda_max when Re beta < 0, so no exponential of it
-    exceeds 1 in modulus, and carries the shift in a log scale. Gibbs
-    coefficients stay finite at every finite beta, and log partition
-    functions while beta E fits in float64, E the lowest eigenvalue (the
-    highest for beta < 0), and +-inf past it; exp and exp_many raise
-    OverflowError when the result itself does not fit in float64.
+    Each evaluation shifts the spectrum by lambda_min or lambda_max into a
+    log scale (_log_weights), so Gibbs coefficients stay finite at every
+    finite beta, log partition functions are +-inf where beta E leaves
+    float64 (E the lowest eigenvalue, the highest for beta < 0), and exp and
+    exp_many refuse a result past float64.
     """
 
     def __init__(self, h: SparseHamiltonian, cap: int = DEFAULT_CLOSURE_CAP,
@@ -150,7 +134,7 @@ class Reduced:
         basis = gf2_basis(h.codes) if basis is None else basis
         if 2**basis.size - 1 > cap:
             raise ClosureExplosion(2**basis.size - 1, cap)
-        self.h = h
+        self.h, self.scale = rescaled(h)  # 2^-k H and 2^k: blocks, w and lambdas are of 2^-k H
         e, f, z = symplectic_split(basis)
         self.s, self.c = len(e), len(z)
         # span index x + (y << s) + (w << 2s): e^x f^y z^w = i^E P_K, each string being
@@ -169,7 +153,7 @@ class Reduced:
         i_e = I_POWERS_ARR[phase]
         self._phase = i_e / 2 ** (self.s + self.c)
         coeffs = np.zeros(span.size)
-        coeffs[self._order[np.searchsorted(self.codes, h.codes)]] = h.values
+        coeffs[self._order[np.searchsorted(self.codes, h.codes)]] = self.h.values
         d = (coeffs * np.conj(i_e)).reshape(1, 2 ** (self.s + self.c), -1)
         j, self._strides = np.arange(2**self.s), [2**k for k in range(self.s + self.c)]
         self._rows, self._cols = j[:, None] ^ j, j[:, None]
@@ -186,11 +170,11 @@ class Reduced:
     @property
     def ground_energy(self) -> float:
         """Lowest eigenvalue of H, identity offset included."""
-        return self.lambda_min + self.h.identity_offset
+        return (self.lambda_min + self.h.identity_offset) * self.scale
 
     def _weighted(self, betas):
         return _log_weights(self.w, self.lambda_min, self.lambda_max,
-                            self.h.identity_offset, betas)
+                            self.h.identity_offset, betas, self.scale)
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Coefficients over `codes` of the operators given by their blocks
@@ -207,7 +191,7 @@ class Reduced:
         """Coefficients of exp(-beta H) over `codes`, one row per beta;
         exactly real in the rows of real beta."""
         betas, log_scale, t = self._weighted(betas)
-        scale = np.array([_scale(ls, b) for ls, b in zip(log_scale, betas)])
+        scale = np.array([cmath.exp(x) for x in checked_exponents(betas, log_scale).tolist()])
         return _real_rows(betas, scale[:, None] * self._columns(t))
 
     def exp(self, beta: complex) -> PauliExpansion:
@@ -242,12 +226,13 @@ def exp_spectral(
     """exp(-beta H) as a Pauli expansion via eigh of the structure matrix A,
     the paper's reference path: A = V diag(w) V*, and the expansion over the
     identity and the closure is exp(-beta offset) V (e^{-beta w} . conj(V[0])),
-    in the same log scale as Reduced."""
+    in the same log scale as Reduced, on 2^-k H (rescaled)."""
     codes = close(h, cap)
+    h, scale = rescaled(h)
     w, v = np.linalg.eigh(build_structure_matrix(h, codes))
-    _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta)
-    return PauliExpansion(h.n, np.append(np.uint64(0), codes),
-                          _scale(log_scale[0], beta) * ((t * np.conj(v[0])) @ v.T)[0])
+    _, log_scale, t = _log_weights(w, w[0], w[-1], h.identity_offset, beta, scale)
+    return PauliExpansion(h.n, np.append(np.uint64(0), codes), cmath.exp(checked_exponents(
+        [complex(beta)], log_scale[0])) * ((t * np.conj(v[0])) @ v.T)[0])
 
 
 def exp_contour(
@@ -269,29 +254,28 @@ def exp_contour(
     enclose the spectrum (else ContourError) and is used as given: a node
     on (or too near) an eigenvalue raises SingularSystem.
     """
-    g = float(np.abs(h.values).sum())
     nodes = 64 if nodes is None else nodes
-    center = 0j if center is None else center
-    radius = 1.25 * g + 1.0 if radius is None else radius
-    if not (math.isfinite(radius) and radius > 0):
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {nodes}")
-    r = Reduced(h, cap)
+    r = Reduced(h, cap)  # on 2^-k H (rescaled): g, the circle and z by 2^-k, beta by 2^k
+    g, bk = float(np.abs(r.h.values).sum()), beta if r.scale == 1.0 else beta * r.scale
+    center = 0j if center is None else center if r.scale == 1.0 else center / r.scale
+    radius = 1.25 * g + 1.0 if radius is None else radius / r.scale
     reach = float(np.abs(r.w - center).max())
     if reach >= radius:
         raise ContourError(
-            f"circle (center {center}, radius {radius}) does not "
-            f"enclose the spectrum (furthest eigenvalue at distance {reach})"
+            f"circle (center {center * r.scale}, radius {radius * r.scale}) does not "
+            f"enclose the spectrum (furthest eigenvalue at distance {reach * r.scale})"
         )
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     zs = center + radius * np.exp(1j * angles)
-    if not all((-complex(beta) * z).real <= LOG_FLOAT_MAX for z in zs.tolist()):  # NaN fails
-        raise OverflowError(f"contour integrand exp(-beta z) at beta {complex(beta):g} "
-                            "does not fit in float64")
+    checked_exponents([complex(beta)], [-bk * z for z in zs.tolist()],
+                      "contour integrand exp(-beta z)")
     eye = np.broadcast_to(np.eye(2**r.s), r.blocks.shape)
-    f = sum((z - center) * np.exp(-beta * z) * solve_shifted(r.blocks, z, eye, g) for z in zs)
-    scale = _scale(-beta * h.identity_offset, beta)
+    f = sum((z - center) * np.exp(-bk * z) * solve_shifted(r.blocks, z, eye, g) for z in zs)
+    scale = cmath.exp(checked_exponents([complex(beta)], -bk * r.h.identity_offset))
     return PauliExpansion(h.n, r.codes, scale * r.coefficients(f[None] / nodes)[0])
 
 
@@ -308,24 +292,22 @@ def is_pairwise_anticommuting(h: SparseHamiltonian) -> bool:
 
 
 def _anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
-    g = math.hypot(*h.values.tolist())  # scaled, so tiny coefficients keep g > 0
-    if g == 0.0:
-        values = np.array([_scale(-beta * h.identity_offset, beta)])
-    else:
-        # g beta = sign (a + ib) with a >= 0. cosh(a) = e^a c and sinh(a) = e^a s
-        # with s = (1 - e^{-2a})/2 and c = 1 - s, so e^a goes into the scale and
-        # cosh(a + ib), sinh(a + ib) keep their exact real and imaginary parts.
-        y = g * beta
-        sign = 1.0 if y.real >= 0 else -1.0
-        a, b = sign * y.real, sign * y.imag
-        if math.isinf(b):  # math.cos and math.sin refuse an infinite phase
-            raise OverflowError(f"exp(-beta H) at beta {complex(beta):g} does not fit in float64")
-        s = -math.expm1(-2.0 * a) / 2.0
-        c = 1.0 - s
-        scale = _scale(-beta * h.identity_offset + a, beta)
-        ratio = sign * complex(s * math.cos(b), c * math.sin(b)) / g
-        identity = scale * complex(c * math.cos(b), s * math.sin(b))
-        values = np.append(identity, -scale * ratio * h.values)
+    h, scale = rescaled(h)  # on 2^-k H at bk = 2^k beta
+    bk = beta if scale == 1.0 else beta * scale
+    g = math.hypot(*h.values.tolist())
+    # g beta = sign (a + ib) with a >= 0. cosh(a) = e^a c and sinh(a) = e^a s
+    # with s = (1 - e^{-2a})/2 and c = 1 - s, so e^a goes into the scale and
+    # cosh(a + ib), sinh(a + ib) keep their exact real and imaginary parts.
+    y = g * bk
+    sign = 1.0 if y.real >= 0 else -1.0
+    a, b = sign * y.real, sign * y.imag
+    s = -math.expm1(-2.0 * a) / 2.0
+    c = 1.0 - s
+    x = [-bk * h.identity_offset + a, complex(0.0, b)]  # b: the phase of math.cos, math.sin
+    scale = cmath.exp(checked_exponents([complex(beta)], x)[0])
+    ratio = sign * complex(s * math.cos(b), c * math.sin(b)) / (g or 1.0)  # g = 0: no terms
+    identity = scale * complex(c * math.cos(b), s * math.sin(b))
+    values = np.append(identity, -scale * ratio * h.values)
     if beta.imag == 0:  # exactly real (see _real_rows); the products above leave -0.0
         values.imag = 0.0
     return PauliExpansion(h.n, np.append(np.uint64(0), h.codes), values)
@@ -335,8 +317,7 @@ def exp_anticommuting(h: SparseHamiltonian, beta: complex) -> PauliExpansion:
     """Closed form for pairwise anticommuting support.
 
     With H0 = H - offset and H0^2 = (sum h_K^2) I = g^2 I,
-    exp(-beta H0) = cosh(g beta) I - (sinh(g beta)/g) H0, evaluated in log
-    scale so that only a result that does not fit in float64 overflows.
+    exp(-beta H0) = cosh(g beta) I - (sinh(g beta)/g) H0, in log scale.
     """
     if not is_pairwise_anticommuting(h):
         raise ValueError("support does not pairwise anticommute")

@@ -1,5 +1,8 @@
 """Sparse Pauli sums: types, closures, random closed sets, text and JSON formats.
 
+Every path of exp(-beta H) runs on rescaled(h), 2^-k H at 2^k beta, and refuses a
+result past float64 through one gate, checked_exponents, which names beta.
+
 A Hamiltonian here is a real linear combination of non-identity Pauli
 strings plus an optional multiple of the identity, kept separate because the
 identity only ever contributes a scalar factor exp(-beta * offset) to any
@@ -24,6 +27,16 @@ from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
+
+
+def checked_exponents(betas, exponents, what: str = "exp(-beta H)"):
+    """exponents (one row per beta), or OverflowError naming `what` and the first beta whose
+    row holds an x with exp(x) past float64: Re x NaN or above LOG_FLOAT_MAX, Im x infinite."""
+    x = np.asarray(exponents).reshape(len(betas), -1)
+    fits = ((x.real <= LOG_FLOAT_MAX) & np.isfinite(x.imag)).all(axis=1)
+    if not fits.all():
+        raise OverflowError(f"{what} at beta {betas[fits.argmin()]:g} does not fit in float64")
+    return exponents
 
 
 def checked_codes(n: int, codes, identity_error: str | None = None) -> np.ndarray:
@@ -110,6 +123,19 @@ class PauliExpansion:
         codes = checked_codes(self.n, self.codes)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "values", _finite_values(codes, self.values, np.complex128))
+
+
+def rescaled(h: SparseHamiltonian) -> tuple[SparseHamiltonian, float]:
+    """(2^-k H, 2^k), k from math.frexp of the largest |h_K| (or (h, 1.0) while it lies in
+    [2^-500, 2^500]), raised where 2^-k offset would not fit: exp(-beta H) = exp(-(2^k beta)
+    (2^-k H)) exactly, and no sum of 2^-k H overflows. An underflowed value keeps its code."""
+    top = float(np.abs(h.values).max(initial=0.0))
+    if top == 0.0 or 2.0**-500 <= top <= 2.0**500:
+        return h, 1.0
+    scale = 2.0 ** max(math.frexp(top)[1] - 1, math.frexp(h.identity_offset)[1] - 1024)
+    out = object.__new__(SparseHamiltonian)  # no __post_init__, which drops zero values
+    vars(out).update(vars(h), values=h.values / scale, identity_offset=h.identity_offset / scale)
+    return out, scale
 
 
 def gf2_basis(codes: np.ndarray) -> np.ndarray:

@@ -141,11 +141,11 @@ class TestDenseExp:
             dense_exp(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), 1.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflow_names_beta_and_path(self):
+    def test_overflow_names_beta(self):
         m = np.diag([1.0, -1.0])
         assert dense_exp(m, 709.0)[1, 1].real == pytest.approx(np.exp(709.0))
         for beta in (710.0, -710.0, 710.0 + 2j):
-            with pytest.raises(OverflowError, match=r"beta -?710.*dense path"):
+            with pytest.raises(OverflowError, match=r"^exp\(-beta H\) at beta -?710\S* does not"):
                 dense_exp(m, beta)
 
 

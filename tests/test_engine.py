@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -23,9 +24,10 @@ from pauliexp import (
     pauli_decompose,
     reconstruct_dense,
 )
-from pauliexp.dense import dense_exp
-from pauliexp.engine import _scale, exp_with_method, symplectic_split
-from pauliexp.hamiltonian import gf2_basis, load_hamiltonian, random_closed_hamiltonian
+from pauliexp.dense import dense_exp, dense_oracle
+from pauliexp.engine import exp_with_method, symplectic_split
+from pauliexp.hamiltonian import (checked_exponents, gf2_basis, load_hamiltonian,
+                                  random_closed_hamiltonian)
 from pauliexp.pauli import I_POWERS_ARR, phase_exponent, phase_exponents
 from conftest import FIXTURES, anticommuting_family, coeff_dict
 
@@ -430,11 +432,67 @@ class TestReduced:
             assert np.isfinite(red.log_partition(beta)).all()
         # four of the eight eigenvalues are -sqrt(3)
         assert red.log_partition(1000.0)[0].real == pytest.approx(1000 * np.sqrt(3) + np.log(4))
-        # only the phase of exp(-beta offset) leaves float64, where cmath.exp raises ValueError
+        # only the phase of exp(-beta offset) leaves float64, and the gate refuses it
         shifted = SparseHamiltonian(h.n, h.codes, h.values, identity_offset=1e10)
         for method in ("sector", "spectral", "contour", "anticommute"):
             with pytest.raises(OverflowError, match=r"at beta 0\+1e\+300j does not fit"):
                 exp_with_method(shifted, 1e300j, method)
+
+
+def _times_power_of_two(h: SparseHamiltonian, k: int) -> SparseHamiltonian:
+    """2^k H, exactly: every coefficient of the fixtures stays a normal float."""
+    return SparseHamiltonian(h.n, h.codes, np.ldexp(h.values, k),
+                             math.ldexp(h.identity_offset, k))
+
+
+SCALE_PATHS = {  # path -> (its answer on h at beta, as an array)
+    "auto": lambda h, beta: exp_with_method(h, beta, "auto")[0].values,
+    "sector": lambda h, beta: exp_with_method(h, beta, "sector")[0].values,
+    "spectral": lambda h, beta: exp_spectral(h, beta).values,
+    "anticommute": lambda h, beta: exp_anticommuting(h, beta).values,
+    "dense": lambda h, beta: dense_oracle(h, beta, 6),
+    "gibbs": lambda h, beta: Reduced(h).gibbs_many(beta.real)[0],
+    "log_partition": lambda h, beta: Reduced(h).log_partition(beta),
+    "contour": lambda h, beta: exp_contour(h, beta).values,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", HAMILTONIAN_FIXTURES)
+def test_scale_invariance(name):
+    """exp(-beta H) = exp(-(2^-k beta)(2^k H)) exactly. Every path on 2^k H at
+    2^-k beta gives its answer on H at beta to 1e-13 of the largest entry, for
+    k from -1000 to 1000; where that answer does not fit, it refuses, naming
+    the beta it was given. The contour's default circle, radius 1.25 g + 1, is
+    not scale-free: it may refuse at any k, and is compared only out of the
+    band [2^-500, 2^500], where it runs on 2^-j H at 2^j beta, 2^j <= the
+    largest |h_K| < 2^(j + 1), for every k alike. spectral skips xy_n6.txt
+    (tau 2047), for time."""
+    h = load_hamiltonian(FIXTURES / name)
+    j = math.frexp(np.abs(h.values).max())[1] - 1
+    paths = {path: answer for path, answer in SCALE_PATHS.items()
+             if (path != "anticommute" or is_pairwise_anticommuting(h))
+             and (path != "spectral" or name != "xy_n6.txt")}
+    for beta in (0.7, -1.3, 0.4j, 0.3 + 0.2j, 1000.0):
+        for path, answer in paths.items():
+            if path == "gibbs" and beta.imag:
+                continue
+            try:
+                want = (answer(_times_power_of_two(h, -j), complex(beta) * 2.0**j)
+                        if path == "contour" else answer(h, complex(beta)))
+            except OverflowError:
+                want = None
+            for k in (-1000, -600, -200, 200, 600, 1000):
+                beta_k = complex(math.ldexp(beta.real, -k), math.ldexp(beta.imag, -k))
+                try:
+                    got = answer(_times_power_of_two(h, k), beta_k)
+                except OverflowError as exc:
+                    assert want is None or path == "contour", (path, beta, k)
+                    assert f"at beta {beta_k:g} does not fit" in str(exc), (path, beta, k)
+                    continue
+                if path != "contour" or abs(k) > 500:
+                    assert want is not None, (path, beta, k)
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (path, beta, k)
 
 
 SHAPES = [(n, s, r - 2 * s) for r in (1, 2, 5, 8) for s in range(r // 2 + 1)
@@ -587,7 +645,7 @@ def _unrounded(red: Reduced, betas) -> tuple[np.ndarray, np.ndarray]:
     """(exp rows, Gibbs rows) as the transforms give them, noise and all."""
     betas, log_scale, t = red._weighted(betas)
     columns = red._columns(t)
-    scale = np.array([_scale(ls, b) for ls, b in zip(log_scale, betas)])
+    scale = np.array([cmath.exp(x) for x in checked_exponents(betas, log_scale).tolist()])
     gibbs = columns / (2**red.h.n * columns[:, :1])
     gibbs[:, 0] = 2.0**-red.h.n
     return scale[:, None] * columns, gibbs

@@ -44,10 +44,6 @@ BETAS = [["--beta", "1"], ["--time", "0.7"], ["--beta", "0.3+0.2i"], ["--beta=-2
 # open numeric defects, recorded here and not as rows so that no test asserts
 # a wrong answer, while a change that mends one shows in the diff
 DEFECT_ARGV = [
-    *(f"exp -i TMP/huge_3.txt --beta 1e-318 --method {m}"
-      for m in ("auto", "spectral", "contour", "dense")),
-    "gibbs -i TMP/huge_3.txt --beta 1e-318", "partition -i TMP/huge_3.txt --betas 1e-318",
-    *(f"exp -i TMP/huge_pairs.txt --beta 1e-300 --method {m}" for m in ("auto", "contour")),
     *(f"exp -i FIXTURES/h1.txt --method contour --beta {beta}" for beta in ("10", "30")),
     *(f"{command} -i FIXTURES/xy_n6.txt --time 5 --method contour"
       for command in ("exp", "verify")),
