@@ -34,16 +34,15 @@ from .hamiltonian import (
     SparseHamiltonian,
     checked_exponents,
     close,
-    coeff_lines,
     coeffs_json,
+    coeffs_text,
     format_complex,
     format_expansion_text,
-    format_hamiltonian_text,
+    format_hamiltonian,
     gf2_basis,
-    hamiltonian_to_dict,
     load_hamiltonian,
 )
-from .pauli import format_codes
+from .pauli import listing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,8 +58,6 @@ EXIT_TABLE = (  # (exception types, stage, exit code); main reports an error by 
     ((ValueError, MemoryError), "config", EXIT_USAGE),
     ((OSError,), "io", EXIT_USAGE),
 )
-
-_G = "%.17g"
 
 
 def parse_beta(text: str, name: str = "beta") -> complex:
@@ -100,10 +97,6 @@ def _json_text(doc: dict, coeff_lists) -> str:
     return "".join(p + '"coeffs": ' + c for p, c in zip(pieces, coeff_lists)) + pieces[-1] + "\n"
 
 
-def _expansion_coeffs(e: PauliExpansion, alphabet: str) -> str:
-    return coeffs_json(format_codes(e.n, e.codes, alphabet), e.values)
-
-
 def _as_expansion(obj) -> PauliExpansion:
     if isinstance(obj, PauliExpansion):
         return obj
@@ -138,7 +131,7 @@ def cmd_exp(args, h: SparseHamiltonian) -> tuple[str | bytes, int]:
     if args.format == "pauli-json":
         doc = {"n": e.n, "beta": {"re": beta.real, "im": beta.imag}, "coeffs": None,
                "method": method}
-        return _json_text(doc, [_expansion_coeffs(e, args.alphabet)]), EXIT_OK
+        return _json_text(doc, [coeffs_json(e.n, e.codes, e.values, args.alphabet)]), EXIT_OK
     if args.format == "dense-json":
         return dense_to_json(reconstruct_dense(e, dense_cap)) + "\n", EXIT_OK
     return dense_to_bytes(reconstruct_dense(e, dense_cap)), EXIT_OK
@@ -153,13 +146,13 @@ def cmd_partition(args, h: SparseHamiltonian) -> tuple[str, int]:
     log_z = reduced.log_partition(grid).real
     with np.errstate(divide="ignore", over="ignore"):  # no free energy at beta 0; log 0 is -inf
         free = np.where(grid == 0.0, 0.0, -log_z / grid)
-        checked_exponents(grid, log_z, "z_trace")
-        checked_exponents(grid, np.log(np.abs(free)), "free energy -log z_trace / beta")
+        # in grid order: a beta's z_trace, then its free energy, then the next beta's
+        checked_exponents(np.repeat(grid, 2), np.column_stack((log_z, np.log(np.abs(free)))),
+                          ["z_trace", "free energy -log z_trace / beta"] * len(betas))
     rows = [{"beta": beta, "z_normalized": math.exp(lz) / 2**h.n, "z_trace": math.exp(lz),
              "free_energy": None if beta == 0.0 else f}
             for beta, lz, f in zip(betas, log_z.tolist(), free.tolist())]
     if args.gibbs:
-        labels = format_codes(h.n, reduced.codes, args.alphabet)
         gibbs = reduced.gibbs_many(betas)
     symmetry = None
     if args.symmetry_check:
@@ -173,18 +166,20 @@ def cmd_partition(args, h: SparseHamiltonian) -> tuple[str, int]:
         doc = {"rows": rows}
         if symmetry is not None:
             doc["symmetry_max_rel_diff"] = symmetry
-        return _json_text(doc, coeffs_json(labels, gibbs) if args.gibbs else []), EXIT_OK
-    lines = ["beta z_normalized z_trace free_energy"]
+        return _json_text(doc, coeffs_json(h.n, reduced.codes, gibbs, args.alphabet)
+                          if args.gibbs else []), EXIT_OK
+    lines = ["beta z_normalized z_trace free_energy\n"]
     for k, row in enumerate(rows):
-        fe = "n/a" if row["free_energy"] is None else _G % row["free_energy"]
+        fe = "n/a" if row["free_energy"] is None else f"{row['free_energy']:.17g}"
         lines.append(f"{row['beta']:.17g} {row['z_normalized']:.17g} "
-                     f"{row['z_trace']:.17g} {fe}")
+                     f"{row['z_trace']:.17g} {fe}\n")
         if args.gibbs:
-            lines += coeff_lines(labels, gibbs[k].tolist(), f"gibbs {row['beta']:.17g} ")
+            lines.append(coeffs_text(h.n, reduced.codes, gibbs[k], args.alphabet,
+                                     f"gibbs {row['beta']:.17g} "))
     if symmetry is not None:
         verdict = "OK" if symmetry <= 1e-10 else "VIOLATED"
-        lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}")
-    return "\n".join(lines) + "\n", EXIT_OK
+        lines.append(f"symmetry {verdict} max_rel_diff {symmetry:.17g}\n")
+    return "".join(lines), EXIT_OK
 
 
 def cmd_gibbs(args, h: SparseHamiltonian) -> tuple[str, int]:
@@ -192,7 +187,7 @@ def cmd_gibbs(args, h: SparseHamiltonian) -> tuple[str, int]:
     g = Reduced(h, args.closure_cap).gibbs(beta)
     if args.format == "pauli-json":
         doc = {"n": g.n, "coeffs": None, "beta": {"re": beta, "im": 0.0}}
-        return _json_text(doc, [_expansion_coeffs(g, args.alphabet)]), EXIT_OK
+        return _json_text(doc, [coeffs_json(g.n, g.codes, g.values, args.alphabet)]), EXIT_OK
     return format_expansion_text(g, "gibbs", beta, args.alphabet), EXIT_OK
 
 
@@ -217,20 +212,21 @@ def cmd_decompose(args, m: np.ndarray) -> tuple[str, int]:
     _check_nonnegative(args.zero_tol, "--zero-tol")
     obj = pauli_decompose(m, zero_tol=args.zero_tol)
     if args.format == "json" and isinstance(obj, SparseHamiltonian):
-        return json.dumps(hamiltonian_to_dict(obj, args.alphabet)) + "\n", EXIT_OK
+        return format_hamiltonian(obj, args.alphabet, "json") + "\n", EXIT_OK
     if args.format == "json":
         return _json_text({"n": obj.n, "coeffs": None},
-                          [_expansion_coeffs(obj, args.alphabet)]), EXIT_OK
+                          [coeffs_json(obj.n, obj.codes, obj.values, args.alphabet)]), EXIT_OK
     if isinstance(obj, SparseHamiltonian):
-        return format_hamiltonian_text(obj, args.alphabet), EXIT_OK
+        return format_hamiltonian(obj, args.alphabet), EXIT_OK
     return format_expansion_text(obj, "decompose", alphabet=args.alphabet), EXIT_OK
 
 
 def cmd_closure(args, h: SparseHamiltonian) -> tuple[str, int]:
-    labels = format_codes(h.n, close(h, args.closure_cap), args.alphabet)
+    codes = close(h, args.closure_cap)
     if args.format == "json":
-        return json.dumps({"n": h.n, "tau": len(labels), "codes": labels}) + "\n", EXIT_OK
-    return "\n".join([f"n {h.n}", f"tau {len(labels)}", *labels]) + "\n", EXIT_OK
+        return '{"n": %d, "tau": %d, "codes": [%s]}\n' % (
+            h.n, codes.size, listing(h.n, codes, args.alphabet, ', "', '"')[2:]), EXIT_OK
+    return f"n {h.n}\ntau {codes.size}\n" + listing(h.n, codes, args.alphabet, tail="\n"), EXIT_OK
 
 
 def _add_common(p, alphabet=True):

@@ -23,19 +23,22 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ClosureExplosion, FormatError
-from .pauli import MAX_QUBITS, LabelError, format_codes, parse_codes
+from .pauli import MAX_QUBITS, LabelError, format_codes, listing, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
 
 
 def checked_exponents(betas, exponents, what: str = "exp(-beta H)"):
-    """exponents (one row per beta), or OverflowError naming `what` and the first beta whose
-    row holds an x with exp(x) past float64: Re x NaN or above LOG_FLOAT_MAX, Im x infinite."""
+    """exponents (one row per beta), or OverflowError naming `what` (a list: its row's entry)
+    and the first beta whose row holds an x with exp(x) past float64: Re x NaN or above
+    LOG_FLOAT_MAX, Im x infinite."""
     x = np.asarray(exponents).reshape(len(betas), -1)
     fits = ((x.real <= LOG_FLOAT_MAX) & np.isfinite(x.imag)).all(axis=1)
     if not fits.all():
-        raise OverflowError(f"{what} at beta {betas[fits.argmin()]:g} does not fit in float64")
+        k = fits.argmin()
+        raise OverflowError(f"{np.broadcast_to(what, fits.shape)[k]} at beta {betas[k]:g} "
+                            "does not fit in float64")
     return exponents
 
 
@@ -366,20 +369,17 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def hamiltonian_to_dict(h: SparseHamiltonian, alphabet: str = "digits") -> dict:
-    """{"n", "terms": [{"coeff", "pauli"}, ...]}, the JSON input format, terms
-    in ascending code order after the identity when its offset is nonzero."""
-    codes, coeffs = h.codes.tolist(), h.values.tolist()
+def format_hamiltonian(h: SparseHamiltonian, alphabet: str = "digits", fmt: str = "text") -> str:
+    """The line format, one `coeff label` line a term, or (fmt="json") the JSON
+    input format {"n", "terms": [{"coeff", "pauli"}, ...]} as json.dumps writes
+    it; terms in ascending code order, after the identity when its offset is nonzero."""
+    codes, coeffs = h.codes, h.values.tolist()
     if h.identity_offset != 0.0:
-        codes, coeffs = [0] + codes, [h.identity_offset] + coeffs
-    return {"n": h.n, "terms": [{"coeff": c, "pauli": p}
-                                for p, c in zip(format_codes(h.n, codes, alphabet), coeffs)]}
-
-
-def format_hamiltonian_text(h: SparseHamiltonian, alphabet: str = "digits") -> str:
-    """Render back into the line format, identity line first when nonzero."""
-    terms = hamiltonian_to_dict(h, alphabet)["terms"]
-    return "\n".join(f"{t['coeff']:.17g} {t['pauli']}" for t in terms) + "\n"
+        codes, coeffs = np.append(np.uint64(0), codes), [h.identity_offset, *coeffs]
+    if fmt == "json":
+        terms = listing(h.n, codes, alphabet, ', {"coeff": %r, "pauli": "', '"}')[2:]
+        return '{"n": %d, "terms": [%s]}' % (h.n, terms % tuple(coeffs))
+    return listing(h.n, codes, alphabet, "%.17g ", "\n") % tuple(coeffs) or "\n"
 
 
 def coeff_entries(labels, coeffs) -> list[dict]:
@@ -387,35 +387,30 @@ def coeff_entries(labels, coeffs) -> list[dict]:
     return [{"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)]
 
 
-def coeffs_json(labels, values):
-    """JSON text of the coefficient list of `labels` and their complex
-    `values` (an array), byte for byte json.dumps(coeff_entries(labels,
-    values.tolist())) for labels that json writes as they are, such as
-    Pauli labels; for 2-D `values`, a list of such texts, one per row.
-    The labels are written into one template, once, and the numbers of all
-    rows are rendered by one repr of a list, which is float.__repr__ as json
-    uses it: the real and the imaginary parts in turn, or, when every
-    imaginary part is +0.0, the real parts alone, the template holding the
-    constant 0.0. A non-finite value raises ValueError."""
+def coeffs_json(n: int, codes, values, alphabet: str = "digits"):
+    """JSON text of the coefficient list of n-qubit `codes` and their complex `values`
+    (an array), byte for byte json.dumps(coeff_entries(format_codes(n, codes, alphabet),
+    values.tolist())); for 2-D `values`, a list of such texts, one per row. A row fills
+    one listing of the codes by one %, whose %r is float.__repr__ as json uses it: the real
+    and the imaginary parts in turn, or, when every imaginary part is +0.0, the real parts
+    alone, the template holding the constant 0.0. A non-finite value raises ValueError."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ValueError("non-finite coefficient in a JSON coefficient list")
     real = not (values.imag.any() or np.signbit(values.imag).any())  # every imaginary part +0.0
-    tail = '", "re": %s, "im": ' + ("0.0}" if real else "%s}")
-    template = ('[{"pauli": "' + (tail + ', {"pauli": "').join(labels) + tail + "]"
-                if len(labels) else "[]")
+    template = "[" + listing(n, codes, alphabet, ', {"pauli": "',
+                             '", "re": %r, "im": ' + ("0.0}" if real else "%r}"))[2:] + "]"
     # the real parts, or the real and the imaginary parts in turn
     numbers = values.real if real else np.ascontiguousarray(values, np.complex128).view(float)
-    fields = repr(numbers.reshape(-1).tolist())[1:-1].split(", ")
-    k = numbers.shape[-1]  # fields a row
-    texts = [template % tuple(fields[row * k:row * k + k])
-             for row in range(len(values) if values.ndim == 2 else 1)]
+    texts = [template % tuple(row) for row in np.atleast_2d(numbers).tolist()]
     return texts if values.ndim == 2 else texts[0]
 
 
-def coeff_lines(labels, coeffs, prefix: str = "") -> list[str]:
-    """One `label re im` line per label and complex coefficient."""
-    return [f"{prefix}{p} {c.real:.17g} {c.imag:.17g}" for p, c in zip(labels, coeffs)]
+def coeffs_text(n: int, codes, values, alphabet: str = "digits", prefix: str = "") -> str:
+    """One `prefix label re im` line per n-qubit code and its complex value,
+    the numbers in %.17g: one listing filled by one %, so `prefix` holds no %."""
+    numbers = np.ascontiguousarray(values, np.complex128).view(float).tolist()
+    return listing(n, codes, alphabet, prefix, " %.17g %.17g\n") % tuple(numbers)
 
 
 def format_expansion_text(e: PauliExpansion, method: str, beta=None, alphabet="digits") -> str:
@@ -425,8 +420,7 @@ def format_expansion_text(e: PauliExpansion, method: str, beta=None, alphabet="d
     if beta is not None:
         lines.append(f"# beta {format_complex(beta)}")
     lines.append(f"# method {method}")
-    lines += coeff_lines(format_codes(e.n, e.codes, alphabet), e.values.tolist())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + coeffs_text(e.n, e.codes, e.values, alphabet)
 
 
 def expansion_to_dict(

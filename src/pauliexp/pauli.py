@@ -23,6 +23,10 @@ MAX_QUBITS = 32
 
 # one ASCII byte per digit 0..3, per output alphabet
 _ALPHABET_BYTES = {"digits": b"0123", "letters": b"IXYZ"}
+# per code byte: its four 2-bit digits, most significant first, in each output alphabet
+_BYTE_QUADS = {name: np.frombuffer(table, dtype=np.uint8)[
+    np.arange(256, dtype=np.uint8)[:, None] >> np.uint8([6, 4, 2, 0]) & 3]
+    for name, table in _ALPHABET_BYTES.items()}
 # per input byte: its digit in the low two bits and its alphabet as flags,
 # 0x10 digits, 0x20 letters in either case and 0x30 neither, so that the
 # flags of a label OR to 0x30 exactly when it is not in one alphabet
@@ -139,16 +143,22 @@ def parse_codes(labels, n: int | None = None) -> np.ndarray:
                                                    width=width, top=MAX_QUBITS))
 
 
-def format_codes(n: int, codes, alphabet: str = "digits") -> list[str]:
-    """Labels of a whole array of n-qubit codes, "123" (alphabet="digits")
-    or "XYZ" (alphabet="letters").
-
-    The base-4 digits come out by shift and mask, most significant first,
-    go through one byte table and are decoded once for the whole array."""
+def listing(n: int, codes, alphabet: str = "digits", head: str = "", tail: str = "") -> str:
+    """One string of `head + label + tail` per n-qubit code, in order; labels "123"
+    (alphabet="digits") or "XYZ" (alphabet="letters"). Each of a code's eight big-endian
+    bytes gives its four base-4 digits in the alphabet from one table, and the low n of
+    the 32 go into one uint8 array that already holds every entry's head and tail bytes,
+    decoded once."""
     if alphabet not in _ALPHABET_BYTES:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    table = np.frombuffer(_ALPHABET_BYTES[alphabet], dtype=np.uint8)
+    start, entry = len(head.encode()), (head + "\0" * n + tail).encode()
     codes = np.asarray(codes, dtype=np.uint64)
-    shifts = np.arange(2 * n - 2, -1, -2, dtype=np.uint64)
-    text = table[(codes[:, None] >> shifts) & np.uint64(3)].tobytes().decode("ascii")
-    return [text[i:i + n] for i in range(0, len(text), n)]
+    out = np.tile(np.frombuffer(entry, dtype=np.uint8), (codes.size, 1))
+    quads = _BYTE_QUADS[alphabet][codes.astype(">u8").view(np.uint8)]  # 4 digits a byte
+    out[:, start:start + n] = quads.reshape(-1, 32)[:, 32 - n:]
+    return out.tobytes().decode()
+
+
+def format_codes(n: int, codes, alphabet: str = "digits") -> list[str]:
+    """Labels of a whole array of n-qubit codes, the list form of listing."""
+    return listing(n, codes, alphabet, tail=" ").split()

@@ -357,7 +357,10 @@ CASES["TestLargeBeta::test_exp_that_does_not_fit_exits_3"] = {
                                           _NOT_FIT.format("0+1.7e+308j"))}
 CASES["TestLargeBeta::test_partition_that_does_not_fit_names_beta"] = [
     (f"partition -i {H1} --betas 1,10,100,1000", 3,
-     "numerical error: z_trace at beta 1000 does not fit in float64")]
+     "numerical error: z_trace at beta 1000 does not fit in float64"),
+    # grid order: the free energy at 1e-320 fails before the z_trace at 1000
+    (f"partition -i {H1} --betas=1e-320,1000", 3, "numerical error: free energy -log z_trace / "
+     "beta at beta 9.99989e-321 does not fit in float64")]
 CASES["TestLargeBeta::test_exp_at_largest_beta"] = {
     f"{name}-{method}-{beta}": (f"exp -i FIXTURES/{name} --beta {beta} --method {method}", 3,
                                 _NOT_FIT.format(shown))

@@ -22,7 +22,7 @@ from pauliexp.engine import Reduced, exp_with_method
 from pauliexp.errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from pauliexp.hamiltonian import (
     expansion_to_dict,
-    format_hamiltonian_text,
+    format_hamiltonian,
     random_closed_hamiltonian,
 )
 from pauliexp.pauli import parse_codes
@@ -675,7 +675,7 @@ class TestJsonWriters:
         if name == "closed_n32":  # a closed set of shape (3, 0) with codes up to 4**32
             path = str(tmp_path / name)
             h = random_closed_hamiltonian(np.random.default_rng(32), 32, 3, 0)
-            Path(path).write_text(format_hamiltonian_text(h))
+            Path(path).write_text(format_hamiltonian(h))
         calls = [["exp", "-i", path, "--method", method, "--format", "pauli-json", beta]
                  for method in ("auto", "sector") for beta in ("--beta=0.5", "--beta=-2",
                                                                "--beta=30")]

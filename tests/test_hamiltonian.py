@@ -26,9 +26,9 @@ from pauliexp.hamiltonian import (
     _summed,
     coeff_entries,
     coeffs_json,
+    coeffs_text,
     expansion_to_dict,
-    format_hamiltonian_text,
-    hamiltonian_to_dict,
+    format_hamiltonian,
     parse_hamiltonian_json,
     parse_hamiltonian_text,
     random_closed_hamiltonian,
@@ -269,10 +269,14 @@ class TestLoadAndSniff:
 
     def test_dict_round_trip(self):
         h = SparseHamiltonian(2, [6, 11], [-0.5, 1.25], identity_offset=0.75)
-        doc = hamiltonian_to_dict(h, alphabet="letters")
+        text = format_hamiltonian(h, alphabet="letters", fmt="json")
+        doc = json.loads(text)
         assert [t["pauli"] for t in doc["terms"]] == ["II", "XY", "YZ"]
-        assert parse_hamiltonian_json(json.dumps(doc)) == h
-        assert hamiltonian_to_dict(SparseHamiltonian(1, [], []))["terms"] == []
+        assert json.dumps(doc) == text
+        assert parse_hamiltonian_json(text) == h
+        empty = format_hamiltonian(SparseHamiltonian(1, [], []), fmt="json")
+        assert empty == json.dumps({"n": 1, "terms": []})
+        assert format_hamiltonian(SparseHamiltonian(1, [], [])) == "\n"
 
     def test_parse_hamiltonian_dispatch(self):
         assert parse_hamiltonian("1 Z\n").n == 1
@@ -280,8 +284,8 @@ class TestLoadAndSniff:
 
     def test_format_round_trip(self):
         h = SparseHamiltonian(3, [27, 45], [0.25, -1.5], identity_offset=0.125)
-        assert parse_hamiltonian_text(format_hamiltonian_text(h)) == h
-        lettered = format_hamiltonian_text(h, alphabet="letters")
+        assert parse_hamiltonian_text(format_hamiltonian(h)) == h
+        lettered = format_hamiltonian(h, alphabet="letters")
         assert parse_hamiltonian_text(lettered) == h
 
 
@@ -549,20 +553,23 @@ class TestCoeffsJson:
         codes = np.array([code for code, _, _ in items], dtype=np.uint64)
         values = np.array([complex(re, im) for _, re, im in items], dtype=np.complex128)
         labels = format_codes(n, codes, alphabet)
-        assert coeffs_json(labels, values) == json.dumps(coeff_entries(labels, values.tolist()))
+        assert coeffs_json(n, codes, values, alphabet) == json.dumps(
+            coeff_entries(labels, values.tolist()))
 
     def test_real_array(self):
         values = np.array([0.5, -0.0, 3.0])
         labels = format_codes(2, [0, 1, 15], "letters")
-        assert coeffs_json(labels, values) == json.dumps(coeff_entries(labels, values.tolist()))
+        assert coeffs_json(2, [0, 1, 15], values, "letters") == json.dumps(
+            coeff_entries(labels, values.tolist()))
 
     @pytest.mark.parametrize("shape", [(1, 5), (4, 7), (3, 0), (2, 1)])
     def test_rows(self, shape):
         rng = np.random.default_rng(sum(shape))
         values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         values[:, ::2] = values[:, ::2].real
-        labels = format_codes(32, 2**63 + np.arange(shape[1], dtype=np.uint64), "letters")
-        assert coeffs_json(labels, values) == [
+        codes = 2**63 + np.arange(shape[1], dtype=np.uint64)
+        labels = format_codes(32, codes, "letters")
+        assert coeffs_json(32, codes, values, "letters") == [
             json.dumps(coeff_entries(labels, row.tolist())) for row in values]
 
     @pytest.mark.parametrize("imag", [
@@ -574,11 +581,77 @@ class TestCoeffsJson:
         values = np.zeros(np.shape(imag), dtype=complex)
         values.real, values.imag = np.arange(1.0, values.size + 1).reshape(values.shape), imag
         labels = format_codes(2, [0, 6, 15], "letters")
-        texts = coeffs_json(labels, values if len(values) > 1 else values[0])
+        texts = coeffs_json(2, [0, 6, 15], values if len(values) > 1 else values[0], "letters")
         assert texts == (json.dumps(coeff_entries(labels, values[0].tolist())) if len(values) == 1
                          else [json.dumps(coeff_entries(labels, row.tolist())) for row in values])
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), -np.inf])
     def test_refuses_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            coeffs_json(["0", "1"], np.array([1.0, bad]))
+            coeffs_json(1, [0, 1], np.array([1.0, bad]))
+
+
+def sliced_labels(n, codes, alphabet):
+    """format_codes as it was before labels came from one listing: an (m, n)
+    array of digits by shift and mask, one decode and a slice per label."""
+    table = np.frombuffer({"digits": b"0123", "letters": b"IXYZ"}[alphabet], dtype=np.uint8)
+    shifts = np.arange(2 * n - 2, -1, -2, dtype=np.uint64)
+    text = table[(np.asarray(codes, dtype=np.uint64)[:, None] >> shifts) & np.uint64(3)]
+    text = text.tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
+
+
+RENDER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, -1e16, 1e-5, -1e-5]
+
+
+class TestListing:
+    """coeffs_json, coeffs_text and format_codes, each one listing of the codes,
+    against json.dumps, f-strings and per-label slicing."""
+
+    @staticmethod
+    def values(rng, kinds, m):
+        """Random bit patterns with edge values mixed in, non-finite ones
+        replaced; one row per kind, each imaginary part +0.0 in a "real" row
+        and +0.0 or -0.0 in a "zero" row."""
+        values = rng.integers(0, 2**64, size=(len(kinds), 2 * m), dtype=np.uint64).view(float)
+        edges = rng.random(values.shape) < 0.3
+        values[edges] = rng.choice(RENDER_EDGES, size=edges.sum())
+        values[~np.isfinite(values)] = rng.choice(RENDER_EDGES, size=(~np.isfinite(values)).sum())
+        values = values.view(complex)
+        for row, kind in zip(values, kinds):
+            if kind != "complex":
+                row.imag = np.where(rng.random(m) < 0.5 * (kind == "zero"), -0.0, 0.0)
+        return values
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, MAX_QUBITS).flatmap(
+               lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 4**n - 1), max_size=300))),
+           st.sampled_from(["digits", "letters"]),
+           st.lists(st.sampled_from(["real", "zero", "complex"]), min_size=1, max_size=4),
+           st.booleans(),
+           st.text(st.characters(blacklist_characters="%", blacklist_categories=("Cs",)),
+                   max_size=8),
+           st.integers(0, 2**32 - 1))
+    @example((32, [2**64 - 1, 2**63, 0, 2**63 - 1]), "letters", ["real", "complex"], True,
+             "gibbs 5 ", 0)
+    @example((2, [0, 6, 15]), "letters", ["zero"], False, "", 3)
+    @example((1, []), "digits", ["complex"], False, "", 1)
+    @example((32, list(range(2**64 - 300, 2**64))), "digits", ["complex", "real", "zero"], True,
+             "", 2)
+    def test_matches_reference(self, n_codes, alphabet, kinds, two_d, prefix, seed):
+        n, codes = n_codes
+        rng = np.random.default_rng(seed)
+        values = self.values(rng, kinds if two_d else kinds[:1], len(codes))
+        labels = sliced_labels(n, codes, alphabet)
+        assert format_codes(n, codes, alphabet) == labels
+        want = [json.dumps(coeff_entries(labels, row.tolist())) for row in values]
+        assert coeffs_json(n, codes, values if two_d else values[0], alphabet) == (
+            want if two_d else want[0])
+        for row in values:
+            assert coeffs_text(n, codes, row, alphabet, prefix) == "".join(
+                f"{prefix}{p} {c.real:.17g} {c.imag:.17g}\n" for p, c in zip(labels, row.tolist()))
+        if codes:
+            values.flat[rng.integers(values.size)] = rng.choice(
+                [complex("nan"), complex(0, float("inf")), -np.inf])
+            with pytest.raises(ValueError, match="non-finite"):
+                coeffs_json(n, codes, values if two_d else values[0], alphabet)

@@ -20,8 +20,9 @@ auto|spectral|dense|contour` x four betas x two formats; `exp`, `gibbs`,
 `closure` and `partition --gibbs` on all fixtures in both formats and
 alphabets; dense output formats; `decompose` of random matrices; `exp` and
 `closure` on every Hamiltonian file of the table; closed sets of rank 4-7
-on 32 qubits, with codes of 2**63 and above, under `exp --time`, `exp
---beta` and `partition --gibbs`; the open numeric defects of DEFECT_ARGV;
+on 32 qubits, with codes of 2**63 and above, under `exp --time` in both
+alphabets, `exp --beta`, `partition --gibbs` in both formats and `closure` in
+both formats and alphabets; the open numeric defects of DEFECT_ARGV;
 and one `-o` case per subcommand, a failing `verify` among them.
 """
 
@@ -101,7 +102,11 @@ def cases(tmp: Path) -> list[list[str]]:
     for rank in range(4, 8):
         (tmp / f"closed_n32_r{rank}.txt").write_text(closed_n32(rank))
         for argv in (["exp", "--time", "0.7"], ["exp", "--beta", "0.5", "--format", "pauli-json"],
-                     ["partition", "--betas", "0.1,1,5", "--gibbs", "--format", "json"]):
+                     ["exp", "--time", "0.7", "--format", "pauli-text", "--alphabet", "letters"],
+                     *(["partition", "--betas", "0.1,1,5", "--gibbs", "--format", fmt]
+                       for fmt in ("json", "text")),
+                     *(["closure", "--format", fmt, "--alphabet", alphabet]
+                       for fmt in ("text", "json") for alphabet in ("digits", "letters"))):
             out.append([argv[0], "-i", str(tmp / f"closed_n32_r{rank}.txt"), *argv[1:]])
     out += [resolve(argv, tmp) for argv in DEFECT_ARGV]
     h2 = fix["h2.txt"]
