@@ -26,7 +26,7 @@ from .dense import (
     read_dense,
     reconstruct_dense,
 )
-from .engine import Reduced, exp_contour, exp_pauli, exp_with_method
+from .engine import Reduced, exp_contour, exp_pauli, exp_with_method, gibbs_state
 from .errors import ClosureExplosion, ContourError, FormatError, SingularSystem
 from .hamiltonian import (
     DEFAULT_CLOSURE_CAP,
@@ -184,7 +184,7 @@ def cmd_partition(args, h: SparseHamiltonian) -> tuple[str, int]:
 
 def cmd_gibbs(args, h: SparseHamiltonian) -> tuple[str, int]:
     beta = _finite(args.beta, "--beta")
-    g = Reduced(h, args.closure_cap).gibbs(beta)
+    g = gibbs_state(h, beta, args.closure_cap)
     if args.format == "pauli-json":
         doc = {"n": g.n, "coeffs": None, "beta": {"re": beta, "im": 0.0}}
         return _json_text(doc, [coeffs_json(g.n, g.codes, g.values, args.alphabet)]), EXIT_OK
@@ -241,8 +241,10 @@ def _add_common(p, alphabet=True):
 
 def _add_beta(p):
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--beta", help='inverse temperature, e.g. "1.5", "0.5+0.2i", "i"')
-    grp.add_argument("--time", type=float, help="real time t, shorthand for beta = i t")
+    grp.add_argument("--beta", help='inverse temperature, e.g. "1.5", "0.5+0.2i", "i"; a '
+                     'negative one other than a plain decimal needs the = form: --beta=-1e-3')
+    grp.add_argument("--time", type=float, help="real time t, shorthand for beta = i t; a "
+                     "negative one other than a plain decimal needs the = form: --time=-1e3")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,7 +270,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--format", choices=("pauli-json", "pauli-text", "dense-json", "dense-bin"),
                    default="pauli-text")
     p.add_argument("--nodes", type=int, default=None, help="contour quadrature nodes")
-    p.add_argument("--center", default=None, help="contour center (complex)")
+    p.add_argument("--center", default=None, help="contour center (complex); a negative one "
+                   "other than a plain decimal needs the = form: --center=-1e-3")
     p.add_argument("--radius", type=float, default=None, help="contour radius")
     p.add_argument("--dense-cap", type=int, default=None)
     p.add_argument("--zero-tol", type=float, default=None)
@@ -287,7 +290,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("gibbs", help="Gibbs state expansion exp(-beta H)/Z")
     _add_common(p)
-    p.add_argument("--beta", type=float, required=True, help="real inverse temperature")
+    p.add_argument("--beta", type=float, required=True, help="real inverse temperature; a "
+                   "negative one other than a plain decimal needs the = form: --beta=-1e308")
     p.add_argument("--format", choices=("pauli-json", "pauli-text"), default="pauli-text")
     p.set_defaults(func=cmd_gibbs)
 

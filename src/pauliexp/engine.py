@@ -359,21 +359,17 @@ def exp_pauli(
 def partition_function(
     h: SparseHamiltonian, beta: complex, cap: int = DEFAULT_CLOSURE_CAP
 ) -> tuple[complex, complex]:
-    """(z_normalized, z_trace) with z_normalized = tr(exp(-beta H)) / 2**n.
-
-    z_normalized is the identity coefficient of the expansion (all other
-    strings are traceless); z_trace = 2**n * z_normalized.
-    """
-    z_norm = complex(Reduced(h, cap).exp_many(beta)[0, 0])
-    return z_norm, (2**h.n) * z_norm
+    """(z_normalized, z_trace): z_trace = tr exp(-beta H), the exp of
+    Reduced.log_partition through the gate as `partition` prints it, and
+    z_normalized = z_trace / 2**n."""
+    log_z = checked_exponents([beta], Reduced(h, cap).log_partition(beta), "z_trace")[0]
+    z = math.exp(log_z.real) * cmath.exp(1j * log_z.imag)  # cmath.exp rounds apart past 708.4
+    return z / 2**h.n, z
 
 
 def gibbs_state(
     h: SparseHamiltonian, beta: float, cap: int = DEFAULT_CLOSURE_CAP
 ) -> PauliExpansion:
-    """Gibbs expansion exp(-beta H) / tr(exp(-beta H)).
-
-    The identity coefficient is set to exactly 1/2**n; the trace
-    normalization makes that coefficient exact by construction.
-    """
+    """Gibbs expansion exp(-beta H) / tr(exp(-beta H)), Reduced(h, cap).gibbs(beta)
+    as `gibbs` prints it; the identity coefficient is exactly 1/2**n."""
     return Reduced(h, cap).gibbs(beta)

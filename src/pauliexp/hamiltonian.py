@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ClosureExplosion, FormatError
-from .pauli import MAX_QUBITS, LabelError, format_codes, listing, parse_codes
+from .pauli import MAX_QUBITS, LabelError, listing, parse_codes
 
 DEFAULT_CLOSURE_CAP = 4096
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x with exp(x) finite
@@ -382,15 +382,10 @@ def format_hamiltonian(h: SparseHamiltonian, alphabet: str = "digits", fmt: str 
     return listing(h.n, codes, alphabet, "%.17g ", "\n") % tuple(coeffs) or "\n"
 
 
-def coeff_entries(labels, coeffs) -> list[dict]:
-    """One {"pauli", "re", "im"} entry per label and complex coefficient."""
-    return [{"pauli": p, "re": c.real, "im": c.imag} for p, c in zip(labels, coeffs)]
-
-
 def coeffs_json(n: int, codes, values, alphabet: str = "digits"):
-    """JSON text of the coefficient list of n-qubit `codes` and their complex `values`
-    (an array), byte for byte json.dumps(coeff_entries(format_codes(n, codes, alphabet),
-    values.tolist())); for 2-D `values`, a list of such texts, one per row. A row fills
+    """JSON text of the coefficient list of n-qubit `codes` and their complex `values` (an
+    array), one {"pauli": label, "re": real part, "im": imaginary part} per code, as
+    json.dumps writes it; for 2-D `values`, a list of such texts, one per row. A row fills
     one listing of the codes by one %, whose %r is float.__repr__ as json uses it: the real
     and the imaginary parts in turn, or, when every imaginary part is +0.0, the real parts
     alone, the template holding the constant 0.0. A non-finite value raises ValueError."""
@@ -426,10 +421,10 @@ def format_expansion_text(e: PauliExpansion, method: str, beta=None, alphabet="d
 def expansion_to_dict(
     e: PauliExpansion, beta: complex | None = None, alphabet: str = "digits"
 ) -> dict:
-    """JSON-ready dict for an expansion, coefficients in ascending code order."""
+    """JSON-ready dict for an expansion, its "coeffs" the parsed coeffs_json list."""
     doc: dict = {"n": e.n}
     if beta is not None:
         doc["beta"] = {"re": beta.real, "im": beta.imag}
-    doc["coeffs"] = coeff_entries(format_codes(e.n, e.codes, alphabet), e.values.tolist())
+    doc["coeffs"] = json.loads(coeffs_json(e.n, e.codes, e.values, alphabet))
     return doc
 

@@ -245,6 +245,8 @@ CASES["test_usage_error_is_one_line"] = {
          "argument --nodes: invalid int value: 'x'"),
         ("negative-betas", f"partition -i {H1} --betas -0.5,1",
          "argument --betas: expected one argument"),
+        # a value that starts with - and is not a plain decimal needs the = form
+        ("negative-beta", f"gibbs -i {H1} --beta -1e308", "argument --beta: expected one argument"),
         # verify prints no Pauli label, so it takes no --alphabet
         ("verify-alphabet", f"verify -i {H1} --beta 1 --alphabet letters",
          "unrecognized arguments: --alphabet letters")]}
@@ -442,6 +444,7 @@ CASES["test_contract"] = {row[0]: row for row in [
     (f"exp -i {H1} --beta 1 --nodes 8", 1, CONTOUR_ONLY),
     (f"exp -i {H1} --beta 1 --method dense --center 0 --radius 1", 1, CONTOUR_ONLY),
     (f"gibbs -i {H1} --beta 1e308", 0, ""),
+    (f"gibbs -i {H1} --beta=-1e308", 0, ""),
     (f"partition -i {H1} --betas 1e308 --gibbs", 3,
      "numerical error: z_trace at beta 1e+308 does not fit in float64"),
     (f"verify -i {H2} --beta 1e308+1e308i --method sector", 3, _NOT_FIT.format("1e+308+1e+308j")),

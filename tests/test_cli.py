@@ -12,8 +12,10 @@ import pytest
 from pauliexp import (
     PauliExpansion,
     dense_exp,
+    exp_pauli,
     gibbs_state,
     load_hamiltonian,
+    partition_function,
     reconstruct_dense,
 )
 from pauliexp.cli import EXIT_TABLE, main, parse_beta
@@ -34,6 +36,8 @@ from conftest import coeff_dict, read_expansion
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SUBCOMMANDS = "{exp,partition,gibbs,verify,decompose,closure}"
+FIXTURE_FILES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt",
+                 "xy_n6.txt")
 
 
 def run(capsys, *argv):
@@ -101,6 +105,22 @@ def eigh_shapes(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return shapes
+
+
+@pytest.fixture
+def shared_eigh(monkeypatch) -> None:
+    """np.linalg.eigh decomposing each distinct matrix once, so that the spectral
+    path's runs on one Hamiltonian, at any beta, share one eigh of its structure
+    matrix (seconds at tau 2047); each call gets its own copies."""
+    cache, real_eigh = {}, np.linalg.eigh
+
+    def cached_eigh(m, *args, **kwargs):
+        key = (m.shape, m.dtype.str, m.tobytes(), args, tuple(kwargs.items()))
+        if key not in cache:
+            cache[key] = real_eigh(m, *args, **kwargs)
+        return tuple(a.copy() for a in cache[key])
+
+    monkeypatch.setattr(np.linalg, "eigh", cached_eigh)
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:
@@ -340,8 +360,6 @@ class TestPartition:
         assert float(row0[2]) == pytest.approx(16.0)
         assert row0[3] == "n/a"
         row1 = lines[2].split()
-        from pauliexp import partition_function
-
         z_norm, z_trace = partition_function(
             load_hamiltonian(fixtures_dir / "h2.txt"), 1.0
         )
@@ -402,11 +420,28 @@ class TestPartition:
             assert row["z_trace"] == 16 * row["z_normalized"]
             want = expansion_to_dict(gibbs_state(h, beta), alphabet="letters")
             assert list(row["gibbs"]) == list(want) == ["n", "coeffs"]
-            assert [e["pauli"] for e in row["gibbs"]["coeffs"]] == \
-                [e["pauli"] for e in want["coeffs"]]
-            for got, ref in zip(row["gibbs"]["coeffs"], want["coeffs"]):
-                assert got["re"] == pytest.approx(ref["re"], rel=1e-12, abs=1e-15)
-                assert got["im"] == pytest.approx(ref["im"], abs=1e-15)
+            assert row["gibbs"] == want
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_partition_function_is_what_partition_prints(self, capsys, fixtures_dir, name):
+        """partition_function gives the very z_trace and z_normalized of
+        `partition --format json`, with an imaginary part of 0.0."""
+        betas = [-1.3, 0.0, 0.5, 2.0]
+        code, out, err = run(capsys, "partition", "-i", str(fixtures_dir / name),
+                             "--betas=-1.3,0,0.5,2", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        h = load_hamiltonian(fixtures_dir / name)
+        assert [row["beta"] for row in rows] == betas
+        for beta, row in zip(betas, rows):
+            z_normalized, z_trace = partition_function(h, beta)
+            assert (z_trace.real, z_normalized.real) == (row["z_trace"], row["z_normalized"])
+            assert (z_trace.imag, z_normalized.imag) == (0.0, 0.0)
+
+    def test_partition_function_refuses_as_partition(self, fixtures_dir):
+        with pytest.raises(OverflowError) as info:
+            partition_function(load_hamiltonian(fixtures_dir / "h1.txt"), 1000)
+        assert str(info.value) == "z_trace at beta 1000 does not fit in float64"
 
     def test_one_eigh_per_file(self, capsys, fixtures_dir, eigh_shapes):
         betas = ",".join(str(0.25 * k) for k in range(1, 17))
@@ -604,10 +639,6 @@ class TestGibbs:
         assert doc["beta"] == {"re": 2.0, "im": 0.0}
 
 
-FIXTURE_FILES = ("h1.txt", "h2.txt", "h2_mirror.txt", "qutrit_pauli.txt", "rho_s_n3.txt",
-                 "xy_n6.txt")
-
-
 def _json_coeff_lists(doc: dict) -> list[list[dict]]:
     """Every coefficient list of an exp, gibbs or partition JSON document."""
     if "rows" in doc:
@@ -645,6 +676,26 @@ class TestJsonWriters:
         assert (code, err) == (0, "")
         assert out == json.dumps(json.loads(out)) + "\n"
         assert out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize("method", ["auto", "sector", "spectral"])
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_expansion_to_dict_is_the_exp_document(self, capsys, fixtures_dir, shared_eigh, name,
+                                                   method):
+        """expansion_to_dict(exp_pauli(...)) is the parsed `exp --format pauli-json`
+        document without its "method", down to key order and signed zeros."""
+        path = str(fixtures_dir / name)
+        h = load_hamiltonian(path)
+        for flag, beta in (("--beta=0.5", complex(0.5)), ("--time=0.7", 1j * 0.7)):
+            e = exp_pauli(h, beta, method)
+            for alphabet in ("digits", "letters"):
+                code, out, err = run(capsys, "exp", "-i", path, flag, "--method", method,
+                                     "--format", "pauli-json", "--alphabet", alphabet)
+                assert (code, err) == (0, "")
+                doc = json.loads(out)
+                del doc["method"]
+                got = expansion_to_dict(e, beta, alphabet)
+                assert got == doc
+                assert json.dumps(got) == json.dumps(doc)
 
     @pytest.mark.parametrize("key", CASES["TestJsonWriters::test_partition_documents"])
     def test_partition_documents(self, capsys, case_dir, fixtures_dir, key):

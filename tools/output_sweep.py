@@ -18,7 +18,8 @@ which tests/test_cli.py asserts as the exit-code contract, and the sweep's
 own output-only products: every text fixture x `exp --method
 auto|spectral|dense|contour` x four betas x two formats; `exp`, `gibbs`,
 `closure` and `partition --gibbs` on all fixtures in both formats and
-alphabets; dense output formats; `decompose` of random matrices; `exp` and
+alphabets; `partition` on all fixtures at negative, zero and positive betas;
+dense output formats; `decompose` of random matrices; `exp` and
 `closure` on every Hamiltonian file of the table; closed sets of rank 4-7
 on 32 qubits, with codes of 2**63 and above, under `exp --time` in both
 alphabets, `exp --beta`, `partition --gibbs` in both formats and `closure` in
@@ -78,6 +79,7 @@ def cases(tmp: Path) -> list[list[str]]:
                 for fmt in ["pauli-text", "pauli-json"]:
                     out.append(["exp", "-i", fix[f], "--method", method, *beta, "--format", fmt])
     for f in fix.values():
+        out.append(["partition", "-i", f, "--betas=-1.3,0,0.5,2", "--format", "json"])
         for alphabet in ["digits", "letters"]:
             for fmt in ["pauli-text", "pauli-json"]:
                 for command in ["exp", "gibbs"]:
